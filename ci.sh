@@ -7,6 +7,9 @@ set -eu
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace
+# the benchmark package (perfbench/, its own workspace) must keep
+# building against the library APIs it imports
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo bench --no-run
 
 # rustdoc is part of the deliverable: every public item documented,

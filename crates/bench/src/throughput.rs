@@ -19,7 +19,7 @@
 //! the JSON never silently pretends full coverage.
 
 use csfma_hls::{
-    compile_cached, compile_with_options_profiled, eval_many_profiled, fuse_critical_paths,
+    compile_cached, compile_with, eval_many_profiled, fuse_critical_paths,
     interp::{eval_bit_accurate, eval_f64},
     parse_program, tape_cache_stats, Cdfg, CompileOptions, EvalManyRequest, FmaKind, FusionConfig,
     Profiler, Tape, TapeBackend,
@@ -125,7 +125,7 @@ pub fn throughput(rows: usize, scalar_cap: usize, seed: u64) -> Vec<ThroughputRo
         // wrapper is the fallback for obs-disabled builds
         let mut prof = Profiler::new();
         let (tape, compile_wall_us) =
-            time_us(|| compile_with_options_profiled(&g, CompileOptions::default(), &mut prof));
+            time_us(|| compile_with(&g, CompileOptions::default(), &mut prof));
         let tape = tape.expect("benchmark graphs are checker-clean");
         let compile_us = prof
             .finish()
@@ -241,7 +241,7 @@ fn measure(
 
     // one un-timed 8-thread pass to capture the scheduler's own view of
     // the workload (grain, fielded workers, claim/steal mix)
-    let (_, sched) = tape.eval_batch_with_stats(backend, stim, 8);
+    let (_, sched, _) = tape.eval_batch_with_stats(backend, stim, 8);
 
     let tape_1t = tape_us[0].1;
     let tape_8t = tape_us[2].1;

@@ -49,7 +49,7 @@ pub use obs::{
 pub use operand::CsOperand;
 pub use pipeline::PipelinedFma;
 #[cfg(feature = "fault-inject")]
-pub use plane::{arm_plane_strikes, disarm_plane_strikes, PlaneStrike};
+pub use plane::PlaneStrike;
 pub use plane::{plane_fma_chunk, PlaneScratch};
 pub use reference::{exact_fma, ulp_error_vs_exact};
 pub use trace::{NopSink, TraceSink, VecSink};

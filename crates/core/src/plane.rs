@@ -59,18 +59,10 @@ use csfma_carrysave::CsNumber;
 use csfma_softfloat::{FpClass, SoftFloat};
 use csfma_units::exponent::BiasedExp;
 use csfma_units::rounding::round_up_from_block;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Test-only sabotage switch: when armed, the next [`plane_fma_chunk`]
-/// call flips one bit of one result bit-plane word (lane 0, mantissa
-/// sum bit 0) after the block select. The golden-vector suite arms this
-/// to prove it would catch a plane-kernel defect; never set in
-/// production code.
-#[doc(hidden)]
-pub static CORRUPT_NEXT_PLANE_WORD: AtomicBool = AtomicBool::new(false);
 
 /// One armed plane-kernel fault, consumed by the next
-/// [`plane_fma_chunk`] call on this thread (DESIGN.md §10.5).
+/// [`plane_fma_chunk`] call with the scratch it is armed on
+/// (DESIGN.md §10.5).
 ///
 /// Each strike flips exactly one bit — bit `lane` of one plane word —
 /// so it corrupts exactly one lane of the chunk, mirroring how a real
@@ -90,38 +82,6 @@ pub struct PlaneStrike {
     pub lane: usize,
     /// Raw selector for the struck word within the stage.
     pub sel: u64,
-}
-
-#[cfg(feature = "fault-inject")]
-thread_local! {
-    static PLANE_STRIKES: std::cell::RefCell<Vec<PlaneStrike>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Arm plane-kernel strikes on this thread; the next
-/// [`plane_fma_chunk`] call consumes all of them at once (a chunk with
-/// several fused instructions is struck on its first, like an upset
-/// that hits while the first wave of the chunk is in flight).
-#[cfg(feature = "fault-inject")]
-pub fn arm_plane_strikes(strikes: &[PlaneStrike]) {
-    PLANE_STRIKES.with(|s| {
-        let mut v = s.borrow_mut();
-        v.clear();
-        v.extend_from_slice(strikes);
-    });
-}
-
-/// Drop any strikes still armed on this thread, returning how many were
-/// never consumed (a caller that armed strikes for a chunk that took no
-/// plane path uses this to keep its accounting honest).
-#[cfg(feature = "fault-inject")]
-pub fn disarm_plane_strikes() -> usize {
-    PLANE_STRIKES.with(|s| {
-        let mut v = s.borrow_mut();
-        let n = v.len();
-        v.clear();
-        n
-    })
 }
 
 /// Per-lane control state produced by the scalar preamble.
@@ -162,6 +122,21 @@ impl Default for LanePrep {
 /// worker, like [`FmaScratch`].
 #[derive(Clone, Debug, Default)]
 pub struct PlaneScratch {
+    /// Plane-kernel strikes armed for the next [`plane_fma_chunk`] call
+    /// with this scratch, which consumes all of them at once (a chunk
+    /// with several fused instructions is struck on its first, like an
+    /// upset that hits while the first wave of the chunk is in flight).
+    /// Clear it after a run that may not have taken the plane path, so
+    /// no strike outlives the evaluation it was armed for.
+    #[cfg(feature = "fault-inject")]
+    pub strikes: Vec<PlaneStrike>,
+    /// Test-only sabotage switch: when armed, the next [`plane_fma_chunk`]
+    /// call with this scratch flips one bit of one result bit-plane word
+    /// (lane 0, mantissa sum bit 0) after the block select, and disarms
+    /// it. The golden-vector suite arms this to prove it would catch a
+    /// plane-kernel defect; never set in production code.
+    #[doc(hidden)]
+    pub corrupt_next_plane_word: bool,
     fma: FmaScratch,
     a_ops: Vec<CsOperand>,
     c_ops: Vec<CsOperand>,
@@ -226,7 +201,7 @@ pub fn plane_fma_chunk(
 ) {
     assert!(len <= PLANE_LANES, "chunk wider than a plane word");
     #[cfg(feature = "fault-inject")]
-    let strikes: Vec<PlaneStrike> = PLANE_STRIKES.with(|s| std::mem::take(&mut *s.borrow_mut()));
+    let strikes: Vec<PlaneStrike> = std::mem::take(&mut s.strikes);
     let f = *unit.format();
     let m = f.mant_bits();
     let bw = f.b_sig_bits;
@@ -728,7 +703,7 @@ pub fn plane_fma_chunk(
             }
         }
     }
-    if CORRUPT_NEXT_PLANE_WORD.swap(false, Ordering::Relaxed) {
+    if std::mem::take(&mut s.corrupt_next_plane_word) {
         s.res_s[0] ^= 1;
     }
 
@@ -886,7 +861,7 @@ mod tests {
             plane_fma_chunk(&unit, &mut bank, 0, 2, 4, &b, 2, &mut scratch);
             (bank[4].clone(), bank[5].clone())
         };
-        CORRUPT_NEXT_PLANE_WORD.store(true, Ordering::Relaxed);
+        scratch.corrupt_next_plane_word = true;
         plane_fma_chunk(&unit, &mut bank, 0, 2, 4, &b, 2, &mut scratch);
         assert_ne!(
             bank[4].mant().sum(),

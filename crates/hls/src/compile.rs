@@ -36,18 +36,21 @@
 //! results are bitwise identical for any worker count.
 //!
 //! Compilation is **gated on the static checker**: a graph carrying
-//! error-severity `D*` (dataflow), `S*` (schedule, via
-//! [`compile_scheduled`]) or `W*` (format, via [`compile_with_formats`])
-//! diagnostics is refused with a structured [`CompileError`] instead of
-//! producing a tape that would panic or silently miscompute.
+//! error-severity `D*` (dataflow) or `W*` (the transport formats in
+//! [`CompileOptions`]) diagnostics is refused with a structured
+//! [`CompileError`] instead of producing a tape that would panic or
+//! silently miscompute. Tapes that stand in for hardware running a
+//! concrete schedule also check the `S*` hazard rules with
+//! [`lint_schedule`](crate::lint_schedule).
 
 use crate::cdfg::{Cdfg, FmaKind, Op};
 use crate::interp::format_of;
-use crate::lint::{lint_dataflow, lint_schedule};
+use crate::lint::lint_dataflow;
 use crate::opt::{optimize_graph, OptStats};
 use crate::profile;
-use crate::sched::{OpTiming, ResourceLimits, Schedule};
+use crate::sched::OpTiming;
 use csfma_core::batch::{par_chunks_indexed, CHUNK_ROWS};
+use csfma_core::fault::FmaCtl;
 use csfma_core::{CsFmaFormat, CsFmaUnit, CsOperand, FmaScratch, PlaneScratch};
 use csfma_obs::Profiler;
 use csfma_softfloat::batch as sfb;
@@ -81,9 +84,11 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// Knobs for [`compile_with_options`]. The default runs the post-gate
-/// optimizer ([`crate::opt`]); `optimize: false` lowers the gated graph
-/// verbatim (differential suites compare the two tapes byte-for-byte).
+/// Knobs for [`compile_with`] and [`compile_cached_with`]. The default
+/// runs the post-gate optimizer ([`crate::opt`]) on the standard
+/// transport formats; `optimize: false` lowers the gated graph verbatim
+/// (differential suites compare the two tapes byte-for-byte). The tape
+/// cache key covers every field.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompileOptions {
     /// Run constant folding / CSE / DCE / pressure-aware reordering
@@ -96,6 +101,15 @@ pub struct CompileOptions {
     /// never needs the module, and a `jit` evaluation of a lazily
     /// compiled tape builds it on first use anyway.
     pub codegen: bool,
+    /// Transport format of the PCS units (default
+    /// [`format_of`]`(FmaKind::Pcs)`). Ablation studies swap in
+    /// non-standard geometries; the `W*` width rules run on whichever
+    /// formats the graph's fused nodes reference, and a format carrying
+    /// `W*` errors refuses to compile.
+    pub pcs_format: CsFmaFormat,
+    /// Transport format of the FCS units (default
+    /// [`format_of`]`(FmaKind::Fcs)`), gated like `pcs_format`.
+    pub fcs_format: CsFmaFormat,
 }
 
 impl Default for CompileOptions {
@@ -103,6 +117,8 @@ impl Default for CompileOptions {
         CompileOptions {
             optimize: true,
             codegen: false,
+            pcs_format: format_of(FmaKind::Pcs),
+            fcs_format: format_of(FmaKind::Fcs),
         }
     }
 }
@@ -281,20 +297,6 @@ pub struct Tape {
     pub(crate) jit: OnceLock<Option<Arc<crate::jit::JitModule>>>,
 }
 
-/// Reusable per-worker register file for tape execution. One scratch per
-/// thread amortizes the carry-save slot allocations over a whole batch.
-#[derive(Clone, Debug)]
-pub struct TapeScratch {
-    pub(crate) f: Vec<f64>,
-    pub(crate) cs: Vec<CsOperand>,
-    // the f64 backend models CS-domain values as plain doubles
-    // (conversions are wiring there), so it shadows the CS bank here
-    pub(crate) cs_f: Vec<f64>,
-    pub(crate) pcs: CsFmaUnit,
-    pub(crate) fcs: CsFmaUnit,
-    pub(crate) fma: FmaScratch,
-}
-
 /// Per-worker structure-of-arrays register file for chunked batch
 /// execution: each register slot becomes a plane of [`CHUNK_ROWS`]
 /// contiguous lanes, evaluated column-wise one instruction at a time.
@@ -302,6 +304,8 @@ pub struct TapeScratch {
 pub(crate) struct ChunkScratch {
     pub(crate) f: Vec<f64>,
     pub(crate) cs: Vec<CsOperand>,
+    // the f64 backend models CS-domain values as plain doubles
+    // (conversions are wiring there), so it shadows the CS bank here
     pub(crate) cs_f: Vec<f64>,
     pub(crate) pcs: CsFmaUnit,
     pub(crate) fcs: CsFmaUnit,
@@ -354,6 +358,45 @@ impl Drop for PooledChunkScratch {
             }
         }
     }
+}
+
+/// The seam through which the robust executor ([`crate::robust`])
+/// drives the f64 and bit chunk interpreters: checked-unit dispatch and
+/// register-plane fault taps. Every other caller passes [`NoHook`],
+/// whose `CHECKED = false` removes each hook branch at compile time, so
+/// the fast paths' machine code does not change.
+pub(crate) trait ChunkHook {
+    /// Checked evaluation: every FMA lane runs [`ChunkHook::fma`] (never
+    /// the plane kernel), IEEE instructions take the guarded hosted path
+    /// even when promoted, and the `after_*` taps run after every
+    /// instruction.
+    const CHECKED: bool;
+
+    /// Lane `k` of FMA instruction `i`: `run` evaluates it on the checked
+    /// unit entry point under the lane's own control block.
+    fn fma(
+        &mut self,
+        _i: usize,
+        _k: usize,
+        _run: impl FnOnce(&mut FmaCtl) -> CsOperand,
+    ) -> CsOperand {
+        unreachable!("only checked hooks dispatch FMA lanes")
+    }
+
+    /// Instruction `i` of the bit interpreter has written its
+    /// destination plane (`f` and `cs` are the whole register banks).
+    fn after_bit(&mut self, _i: usize, _f: &mut [f64], _cs: &mut [CsOperand]) {}
+
+    /// Instruction `i` of the f64 interpreter has written its
+    /// destination plane (the CS bank is doubles there).
+    fn after_f64(&mut self, _i: usize, _f: &mut [f64], _cs_f: &mut [f64]) {}
+}
+
+/// The fast paths' [`ChunkHook`]: zero-sized and never consulted.
+pub(crate) struct NoHook;
+
+impl ChunkHook for NoHook {
+    const CHECKED: bool = false;
 }
 
 /// FNV-1a over the canonical graph encoding — the identity the tape
@@ -428,88 +471,31 @@ fn errors_only(diags: Vec<Diagnostic>) -> Vec<Diagnostic> {
         .collect()
 }
 
-/// Compile a graph into a tape, gating on the `D*` dataflow rules and
-/// the `W*` rules of the standard transport formats the graph uses.
-/// Runs the post-gate optimizer; see [`compile_with_options`] to turn
-/// it off.
+/// Compile a graph into a tape with the default [`CompileOptions`],
+/// gating on the `D*` dataflow rules and the `W*` rules of the standard
+/// transport formats the graph uses. Runs the post-gate optimizer; see
+/// [`compile_with`] to turn it off or swap formats.
 pub fn compile(g: &Cdfg) -> Result<Tape, CompileError> {
-    compile_with_options(g, CompileOptions::default())
+    compile_with(g, CompileOptions::default(), &mut Profiler::disabled())
 }
 
-/// [`compile`] with explicit [`CompileOptions`].
-pub fn compile_with_options(g: &Cdfg, opts: CompileOptions) -> Result<Tape, CompileError> {
-    compile_with_options_profiled(g, opts, &mut Profiler::disabled())
-}
-
-/// [`compile_with_options`], recording `compile` → `gate` / `optimize` /
-/// `lower` stage spans and optimizer counters into `prof`. The
-/// non-profiled entry points are this function with a disabled profiler;
-/// instrumentation never changes the produced tape.
-pub fn compile_with_options_profiled(
+/// [`compile`] with explicit [`CompileOptions`], recording `compile` →
+/// `gate` / `optimize` / `lower` stage spans and optimizer counters into
+/// `prof` (pass [`Profiler::disabled`] to record nothing;
+/// instrumentation never changes the produced tape). The checker gate
+/// always runs on the **caller's** graph; the optimizer (when enabled)
+/// runs strictly after it, and the tape's
+/// [`fingerprint`](Tape::fingerprint) / [`source_nodes`](Tape::source_nodes)
+/// always describe the original graph, not the optimized one.
+pub fn compile_with(
     g: &Cdfg,
     opts: CompileOptions,
     prof: &mut Profiler,
 ) -> Result<Tape, CompileError> {
     #[cfg(test)]
-    if PANIC_NEXT_COMPILE.swap(false, Ordering::Relaxed) {
+    if PANIC_NEXT_COMPILE.with(|p| p.replace(false)) {
         panic!("injected compiler panic (test hook)");
     }
-    compile_with_formats_and_options_profiled(
-        g,
-        format_of(FmaKind::Pcs),
-        format_of(FmaKind::Fcs),
-        opts,
-        prof,
-    )
-}
-
-/// Test hook: make the next [`compile_with_options`] call panic, to
-/// exercise the cache's poisoning guard.
-#[cfg(test)]
-static PANIC_NEXT_COMPILE: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
-
-/// [`compile`] with explicit transport formats (ablation studies swap in
-/// non-standard geometries). The `W*` width rules run on whichever
-/// formats the graph's fused nodes actually reference; a format carrying
-/// `W*` errors refuses to compile.
-pub fn compile_with_formats(
-    g: &Cdfg,
-    pcs_format: CsFmaFormat,
-    fcs_format: CsFmaFormat,
-) -> Result<Tape, CompileError> {
-    compile_with_formats_and_options(g, pcs_format, fcs_format, CompileOptions::default())
-}
-
-/// [`compile_with_formats`] with explicit [`CompileOptions`]. The
-/// checker gate always runs on the **caller's** graph; the optimizer
-/// (when enabled) runs strictly after it, and the tape's
-/// [`fingerprint`](Tape::fingerprint) / [`source_nodes`](Tape::source_nodes)
-/// always describe the original graph, not the optimized one.
-pub fn compile_with_formats_and_options(
-    g: &Cdfg,
-    pcs_format: CsFmaFormat,
-    fcs_format: CsFmaFormat,
-    opts: CompileOptions,
-) -> Result<Tape, CompileError> {
-    compile_with_formats_and_options_profiled(
-        g,
-        pcs_format,
-        fcs_format,
-        opts,
-        &mut Profiler::disabled(),
-    )
-}
-
-/// [`compile_with_formats_and_options`] with stage spans and counters
-/// recorded into `prof` (see [`compile_with_options_profiled`]).
-pub fn compile_with_formats_and_options_profiled(
-    g: &Cdfg,
-    pcs_format: CsFmaFormat,
-    fcs_format: CsFmaFormat,
-    opts: CompileOptions,
-    prof: &mut Profiler,
-) -> Result<Tape, CompileError> {
     let compile_tok = prof.enter("compile");
     let gate_tok = prof.enter("gate");
     let mut diags = errors_only(match g.validate_diagnostics() {
@@ -530,8 +516,8 @@ pub fn compile_with_formats_and_options_profiled(
         }
         for kind in kinds {
             let fmt = match kind {
-                FmaKind::Pcs => &pcs_format,
-                FmaKind::Fcs => &fcs_format,
+                FmaKind::Pcs => &opts.pcs_format,
+                FmaKind::Fcs => &opts.fcs_format,
             };
             diags.extend(errors_only(check_format(fmt)));
         }
@@ -541,21 +527,23 @@ pub fn compile_with_formats_and_options_profiled(
         prof.exit(compile_tok);
         return Err(CompileError { diagnostics: diags });
     }
-    let tape = build_tape(g, pcs_format, fcs_format, opts, prof);
+    let tape = build_tape(g, opts, prof);
     prof.exit(compile_tok);
     Ok(tape)
+}
+
+// Test hook: make the next `compile_with` call on this thread panic, to
+// exercise the cache's poisoning guard. Thread-local, so a concurrently
+// running test's compile can never consume it.
+#[cfg(test)]
+thread_local! {
+    static PANIC_NEXT_COMPILE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Optimize (optionally) and lower a gated graph. The tape identity
 /// (fingerprint, source node count) is pinned to the caller's graph so
 /// cache bookkeeping and reports stay in source terms.
-fn build_tape(
-    g: &Cdfg,
-    pcs_format: CsFmaFormat,
-    fcs_format: CsFmaFormat,
-    opts: CompileOptions,
-    prof: &mut Profiler,
-) -> Tape {
+fn build_tape(g: &Cdfg, opts: CompileOptions, prof: &mut Profiler) -> Tape {
     let (mut tape, build_us) = csfma_obs::time_us(|| {
         let mut stats = OptStats {
             nodes_before: g.len(),
@@ -576,7 +564,7 @@ fn build_tape(
             g
         };
         let lower_tok = prof.enter("lower");
-        let mut tape = lower(lowered_from, pcs_format, fcs_format);
+        let mut tape = lower(lowered_from, opts.pcs_format, opts.fcs_format);
         if let Some(origin) = &origin {
             // re-express per-instruction provenance in source-graph node ids
             for n in &mut tape.instr_nodes {
@@ -685,24 +673,6 @@ fn eliminate_dead_slots(instrs: &mut Vec<Instr>, nodes: &mut Vec<u32>) -> usize 
     *instrs = kept_instrs;
     *nodes = kept_nodes;
     before - instrs.len()
-}
-
-/// [`compile`], additionally gating on the `S*` schedule-hazard rules
-/// for a concrete schedule and resource allocation. Use this when the
-/// tape stands in for hardware that will run `s` — a premature start or
-/// resource overflow there is a miscompilation here.
-pub fn compile_scheduled(
-    g: &Cdfg,
-    t: &OpTiming,
-    s: &Schedule,
-    limits: &ResourceLimits,
-) -> Result<Tape, CompileError> {
-    let tape = compile(g)?;
-    let diags = errors_only(lint_schedule(g, t, s, limits));
-    if !diags.is_empty() {
-        return Err(CompileError { diagnostics: diags });
-    }
-    Ok(tape)
 }
 
 /// Resolve `Output` pass-throughs: the value of an `Output` node is its
@@ -964,11 +934,7 @@ impl Tape {
     pub fn jit_module(&self) -> Option<&Arc<crate::jit::JitModule>> {
         self.jit
             .get_or_init(|| {
-                let (m, us) = csfma_obs::time_us(|| {
-                    crate::jit::compile_module(self, crate::jit::JitSemantics::Bit)
-                });
-                profile::count_jit_compile_us(us as u64);
-                m.map(Arc::new)
+                crate::jit::compile_module(self, crate::jit::JitSemantics::Bit).map(Arc::new)
             })
             .as_ref()
     }
@@ -984,19 +950,6 @@ impl Tape {
     /// batch executor additionally requires a full chunk.
     pub fn plane_eligible_count(&self) -> usize {
         self.plane_eligible.iter().filter(|&&p| p).count()
-    }
-
-    /// A fresh register file sized for this tape. Reuse it across rows;
-    /// [`Tape::eval_batch`] keeps one per worker.
-    pub fn scratch(&self) -> TapeScratch {
-        TapeScratch {
-            f: vec![0.0; self.n_f64_regs],
-            cs: vec![CsOperand::zero(self.pcs_format, false); self.n_cs_regs],
-            cs_f: vec![0.0; self.n_cs_regs],
-            pcs: CsFmaUnit::new(self.pcs_format),
-            fcs: CsFmaUnit::new(self.fcs_format),
-            fma: FmaScratch::default(),
-        }
     }
 
     /// A structure-of-arrays register file for this tape, recycled from
@@ -1032,203 +985,11 @@ impl Tape {
     }
 
     /// Evaluate one input row (`row.len() == num_inputs()`) into `out`
-    /// (`out.len() == num_outputs()`).
-    pub fn eval_row(
-        &self,
-        backend: TapeBackend,
-        row: &[f64],
-        out: &mut [f64],
-        scratch: &mut TapeScratch,
-    ) {
+    /// (`out.len() == num_outputs()`): a one-row chunk.
+    pub fn eval_row(&self, backend: TapeBackend, row: &[f64], out: &mut [f64]) {
         assert_eq!(row.len(), self.inputs.len(), "row arity mismatch");
         assert_eq!(out.len(), self.outputs.len(), "output arity mismatch");
-        match backend {
-            TapeBackend::F64 => self.eval_row_f64(row, out, scratch),
-            // row-granular jit evaluation buys nothing (the native call
-            // and the per-row interpreter cost the same dispatch); the
-            // bit path IS the jit backend's semantics
-            TapeBackend::BitAccurate | TapeBackend::Jit => self.eval_row_bit(row, out, scratch),
-            TapeBackend::Oracle => self.eval_row_oracle(row, out, scratch),
-        }
-    }
-
-    fn eval_row_f64(&self, row: &[f64], out: &mut [f64], s: &mut TapeScratch) {
-        let f = &mut s.f;
-        let cs_f = &mut s.cs_f;
-        for ins in &self.instrs {
-            match *ins {
-                Instr::LoadInput { dst, input } => f[dst as usize] = row[input as usize],
-                Instr::LoadConst { dst, idx } => f[dst as usize] = self.consts[idx as usize],
-                Instr::Add { dst, a, b } => f[dst as usize] = f[a as usize] + f[b as usize],
-                Instr::Sub { dst, a, b } => f[dst as usize] = f[a as usize] - f[b as usize],
-                Instr::Mul { dst, a, b } => f[dst as usize] = f[a as usize] * f[b as usize],
-                Instr::Div { dst, a, b } => f[dst as usize] = f[a as usize] / f[b as usize],
-                Instr::Neg { dst, a } => f[dst as usize] = -f[a as usize],
-                Instr::Fma {
-                    negate_b,
-                    dst,
-                    acc,
-                    b,
-                    mulc,
-                    ..
-                } => {
-                    let bv = if negate_b {
-                        -f[b as usize]
-                    } else {
-                        f[b as usize]
-                    };
-                    cs_f[dst as usize] = bv.mul_add(cs_f[mulc as usize], cs_f[acc as usize]);
-                }
-                Instr::IeeeToCs { dst, src, .. } => cs_f[dst as usize] = f[src as usize],
-                Instr::CsToIeee { dst, src } => f[dst as usize] = cs_f[src as usize],
-                Instr::Store { output, src } => out[output as usize] = f[src as usize],
-            }
-        }
-    }
-
-    fn eval_row_bit(&self, row: &[f64], out: &mut [f64], s: &mut TapeScratch) {
-        let f = &mut s.f;
-        let cs = &mut s.cs;
-        let promoted = |i: usize| self.promoted.get(i).copied().unwrap_or(false);
-        for (i, ins) in self.instrs.iter().enumerate() {
-            match *ins {
-                Instr::LoadInput { dst, input } => {
-                    f[dst as usize] = sfb::canonicalize(row[input as usize])
-                }
-                Instr::LoadConst { dst, idx } => {
-                    f[dst as usize] = self.consts_canonical[idx as usize]
-                }
-                Instr::Add { dst, a, b } => {
-                    f[dst as usize] = if promoted(i) {
-                        f[a as usize] + f[b as usize]
-                    } else {
-                        sfb::hosted_add(f[a as usize], f[b as usize])
-                    }
-                }
-                Instr::Sub { dst, a, b } => {
-                    f[dst as usize] = if promoted(i) {
-                        f[a as usize] - f[b as usize]
-                    } else {
-                        sfb::hosted_sub(f[a as usize], f[b as usize])
-                    }
-                }
-                Instr::Mul { dst, a, b } => {
-                    f[dst as usize] = if promoted(i) {
-                        f[a as usize] * f[b as usize]
-                    } else {
-                        sfb::hosted_mul(f[a as usize], f[b as usize])
-                    }
-                }
-                Instr::Div { dst, a, b } => {
-                    f[dst as usize] = if promoted(i) {
-                        f[a as usize] / f[b as usize]
-                    } else {
-                        sfb::hosted_div(f[a as usize], f[b as usize])
-                    }
-                }
-                Instr::Neg { dst, a } => {
-                    f[dst as usize] = if promoted(i) {
-                        -f[a as usize]
-                    } else {
-                        sfb::hosted_neg(f[a as usize])
-                    }
-                }
-                Instr::Fma {
-                    kind,
-                    negate_b,
-                    dst,
-                    acc,
-                    b,
-                    mulc,
-                } => {
-                    let unit = match kind {
-                        FmaKind::Pcs => &s.pcs,
-                        FmaKind::Fcs => &s.fcs,
-                    };
-                    let mut bv = SoftFloat::from_f64(F, f[b as usize]);
-                    if negate_b {
-                        bv = bv.neg();
-                    }
-                    let r = unit.fma_with(&cs[acc as usize], &bv, &cs[mulc as usize], &mut s.fma);
-                    cs[dst as usize] = r;
-                }
-                Instr::IeeeToCs { kind, dst, src } => {
-                    let fmt = match kind {
-                        FmaKind::Pcs => self.pcs_format,
-                        FmaKind::Fcs => self.fcs_format,
-                    };
-                    cs[dst as usize] = CsOperand::from_f64(f[src as usize], fmt);
-                }
-                Instr::CsToIeee { dst, src } => {
-                    f[dst as usize] = cs[src as usize].to_ieee(F, Round::NearestEven).to_f64();
-                }
-                Instr::Store { output, src } => out[output as usize] = f[src as usize],
-            }
-        }
-    }
-
-    /// Oracle row evaluation: every IEEE operator runs the full
-    /// soft-float stack (no hosted fast paths, no shared [`FmaScratch`]),
-    /// fused nodes call the allocating [`CsFmaUnit::fma`] entry point —
-    /// the slowest, most literal replay of the model, structurally
-    /// independent of the scratch-based executors it backstops.
-    fn eval_row_oracle(&self, row: &[f64], out: &mut [f64], s: &mut TapeScratch) {
-        let sf = |v: f64| SoftFloat::from_f64(F, v);
-        let f = &mut s.f;
-        let cs = &mut s.cs;
-        for ins in &self.instrs {
-            match *ins {
-                Instr::LoadInput { dst, input } => {
-                    f[dst as usize] = sf(row[input as usize]).to_f64()
-                }
-                Instr::LoadConst { dst, idx } => {
-                    f[dst as usize] = sf(self.consts[idx as usize]).to_f64()
-                }
-                Instr::Add { dst, a, b } => {
-                    f[dst as usize] = sf(f[a as usize]).add(&sf(f[b as usize])).to_f64()
-                }
-                Instr::Sub { dst, a, b } => {
-                    f[dst as usize] = sf(f[a as usize]).sub(&sf(f[b as usize])).to_f64()
-                }
-                Instr::Mul { dst, a, b } => {
-                    f[dst as usize] = sf(f[a as usize]).mul(&sf(f[b as usize])).to_f64()
-                }
-                Instr::Div { dst, a, b } => {
-                    f[dst as usize] = sf(f[a as usize]).div(&sf(f[b as usize])).to_f64()
-                }
-                Instr::Neg { dst, a } => f[dst as usize] = sf(f[a as usize]).neg().to_f64(),
-                Instr::Fma {
-                    kind,
-                    negate_b,
-                    dst,
-                    acc,
-                    b,
-                    mulc,
-                } => {
-                    let unit = match kind {
-                        FmaKind::Pcs => &s.pcs,
-                        FmaKind::Fcs => &s.fcs,
-                    };
-                    let mut bv = sf(f[b as usize]);
-                    if negate_b {
-                        bv = bv.neg();
-                    }
-                    let r = unit.fma(&cs[acc as usize], &bv, &cs[mulc as usize]);
-                    cs[dst as usize] = r;
-                }
-                Instr::IeeeToCs { kind, dst, src } => {
-                    let fmt = match kind {
-                        FmaKind::Pcs => self.pcs_format,
-                        FmaKind::Fcs => self.fcs_format,
-                    };
-                    cs[dst as usize] = CsOperand::from_ieee(&sf(f[src as usize]), fmt);
-                }
-                Instr::CsToIeee { dst, src } => {
-                    f[dst as usize] = cs[src as usize].to_ieee(F, Round::NearestEven).to_f64();
-                }
-                Instr::Store { output, src } => out[output as usize] = f[src as usize],
-            }
-        }
+        self.eval_chunk(backend, row, 0, 1, out, &mut self.chunk_scratch());
     }
 
     /// Evaluate a batch of rows. `rows` is row-major,
@@ -1247,14 +1008,16 @@ impl Tape {
 
     /// [`Tape::eval_batch`] plus the scheduler's
     /// [`SchedStats`](csfma_core::SchedStats) for the run (worker count,
-    /// grain, claim/steal traffic). The output vector is the same —
-    /// stats only observe.
+    /// grain, claim/steal traffic) and this call's JIT tally
+    /// `(rows, bailouts)`: rows dispatched to the native path and how
+    /// many of them the interpreter re-ran (`(0, 0)` on the other
+    /// backends). The output vector is the same — stats only observe.
     pub fn eval_batch_with_stats(
         &self,
         backend: TapeBackend,
         rows: &[f64],
         threads: usize,
-    ) -> (Vec<f64>, csfma_core::SchedStats) {
+    ) -> (Vec<f64>, csfma_core::SchedStats, (u64, u64)) {
         let ni = self.inputs.len();
         assert!(ni > 0, "eval_batch on a tape with no inputs");
         assert_eq!(rows.len() % ni, 0, "rows not a multiple of num_inputs");
@@ -1262,8 +1025,9 @@ impl Tape {
         let no = self.outputs.len();
         let mut out = vec![0.0f64; n * no];
         if no == 0 {
-            return (out, csfma_core::SchedStats::default());
+            return (out, csfma_core::SchedStats::default(), (0, 0));
         }
+        let (jit_rows, jit_bailouts) = (AtomicU64::new(0), AtomicU64::new(0));
         let stats = par_chunks_indexed(
             &mut out,
             CHUNK_ROWS * no,
@@ -1271,15 +1035,25 @@ impl Tape {
             || self.chunk_scratch(),
             |scratch, chunk_idx, chunk| {
                 let len = chunk.len() / no;
-                self.eval_chunk(backend, rows, chunk_idx * CHUNK_ROWS, len, chunk, scratch);
+                let (r, b) =
+                    self.eval_chunk(backend, rows, chunk_idx * CHUNK_ROWS, len, chunk, scratch);
+                if r > 0 {
+                    jit_rows.fetch_add(r, Ordering::Relaxed);
+                    jit_bailouts.fetch_add(b, Ordering::Relaxed);
+                }
             },
         );
-        (out, stats)
+        (
+            out,
+            stats,
+            (jit_rows.into_inner(), jit_bailouts.into_inner()),
+        )
     }
 
     /// Evaluate one scheduling chunk (`len` rows starting at row `base`)
     /// into `chunk` — the shared per-chunk dispatch used by
-    /// [`Tape::eval_batch`] and [`crate::many::eval_many`].
+    /// [`Tape::eval_batch`] and [`crate::many::eval_many`]. Returns the
+    /// chunk's JIT tally (see [`Tape::eval_batch_with_stats`]).
     pub(crate) fn eval_chunk(
         &self,
         backend: TapeBackend,
@@ -1288,14 +1062,17 @@ impl Tape {
         len: usize,
         chunk: &mut [f64],
         scratch: &mut ChunkScratch,
-    ) {
+    ) -> (u64, u64) {
         profile::record_chunk_occupancy(len, CHUNK_ROWS);
         match backend {
-            TapeBackend::F64 => self.eval_chunk_f64(rows, base, len, chunk, scratch),
-            TapeBackend::BitAccurate => self.eval_chunk_bit(rows, base, len, chunk, scratch),
+            TapeBackend::F64 => self.eval_chunk_f64(rows, base, len, chunk, scratch, &mut NoHook),
+            TapeBackend::BitAccurate => {
+                self.eval_chunk_bit(rows, base, len, chunk, scratch, &mut NoHook)
+            }
             TapeBackend::Oracle => self.eval_chunk_oracle(rows, base, len, chunk, scratch),
-            TapeBackend::Jit => self.eval_chunk_jit(rows, base, len, chunk, scratch),
+            TapeBackend::Jit => return self.eval_chunk_jit(rows, base, len, chunk, scratch),
         }
+        (0, 0)
     }
 
     /// Chunk evaluation on the native JIT module, bit-identical to
@@ -1305,7 +1082,7 @@ impl Tape {
     /// because chunk lanes are independent — a one-row chunk computes
     /// exactly what that lane of any chunk computes). With no module at
     /// all the whole chunk keeps the interpreter and every row counts
-    /// as a bailout.
+    /// as a bailout. Returns the chunk's `(rows, bailouts)` tally.
     fn eval_chunk_jit(
         &self,
         rows: &[f64],
@@ -1313,11 +1090,10 @@ impl Tape {
         len: usize,
         out: &mut [f64],
         s: &mut ChunkScratch,
-    ) {
+    ) -> (u64, u64) {
         let Some(module) = self.jit_module() else {
-            profile::count_jit_chunk(len as u64, len as u64);
-            self.eval_chunk_bit(rows, base, len, out, s);
-            return;
+            self.eval_chunk_bit(rows, base, len, out, s, &mut NoHook);
+            return (len as u64, len as u64);
         };
         let module = Arc::clone(module);
         let ni = self.inputs.len();
@@ -1328,21 +1104,24 @@ impl Tape {
             let dst = &mut out[k * no..(k + 1) * no];
             if !module.run_row(row, dst) {
                 bailouts += 1;
-                self.eval_chunk_bit(rows, base + k, 1, dst, s);
+                self.eval_chunk_bit(rows, base + k, 1, dst, s, &mut NoHook);
             }
         }
-        profile::count_jit_chunk(len as u64, bailouts);
+        (len as u64, bailouts)
     }
 
     /// [`Tape::eval_batch`] wrapped in an `eval` stage span, with
-    /// throughput, chunk, hosted-fast-path and per-FMA-architecture
+    /// throughput, chunk, hosted-fast-path, per-FMA-architecture and JIT
     /// counters recorded into `prof`. The output vector is byte-identical
     /// to the unprofiled call — instrumentation only observes.
     ///
-    /// The op counters are deltas of process-wide tallies taken around
-    /// this call; when other threads evaluate batches concurrently their
-    /// ops land in whichever profiler is live, so treat them as
-    /// per-process traffic attribution, not an exact per-call census.
+    /// `jit_rows` and `jit_bailouts` are this call's exact tallies, and
+    /// `jit_compile_us` is the module build the `codegen` span forced (0
+    /// when the module already existed). The other op counters are
+    /// deltas of process-wide tallies taken around this call; when other
+    /// threads evaluate batches concurrently their ops land in whichever
+    /// profiler is live, so treat them as per-process traffic
+    /// attribution, not an exact per-call census.
     pub fn eval_batch_profiled(
         &self,
         backend: TapeBackend,
@@ -1355,21 +1134,24 @@ impl Tape {
         let units0 = csfma_core::unit_op_counts();
         let plane0 = csfma_core::plane_counts();
         let occ0 = profile::chunk_occupancy();
-        let jit_rows0 = profile::jit_rows();
-        let jit_bail0 = profile::jit_bailouts();
-        let jit_us0 = profile::jit_compile_us();
 
+        let mut jit_compile_us = 0.0;
         if backend == TapeBackend::Jit {
             // force the lazy module build here so its cost lands in a
             // `codegen` span instead of polluting the eval timing
             let codegen_tok = prof.enter("codegen");
-            let native = self.jit_module().map_or(0, |m| m.native_instr_count());
+            let built_here = self.jit.get().is_none();
+            let (native, us) =
+                csfma_obs::time_us(|| self.jit_module().map_or(0, |m| m.native_instr_count()));
             prof.exit(codegen_tok);
             prof.set_counter("jit_native_instrs", native as f64);
+            if built_here {
+                jit_compile_us = us;
+            }
         }
 
         let eval_tok = prof.enter("eval");
-        let ((out, sched), wall_us) =
+        let ((out, sched, (jit_rows, jit_bailouts)), wall_us) =
             csfma_obs::time_us(|| self.eval_batch_with_stats(backend, rows, threads));
         prof.exit(eval_tok);
 
@@ -1433,36 +1215,36 @@ impl Tape {
             (plane.transpose_ns - plane0.transpose_ns) as f64 / 1000.0,
         );
         if backend == TapeBackend::Jit {
-            prof.set_counter("jit_rows", (profile::jit_rows() - jit_rows0) as f64);
-            prof.set_counter("jit_bailouts", (profile::jit_bailouts() - jit_bail0) as f64);
-            prof.set_counter(
-                "jit_compile_us",
-                (profile::jit_compile_us() - jit_us0) as f64,
-            );
+            prof.set_counter("jit_rows", jit_rows as f64);
+            prof.set_counter("jit_bailouts", jit_bailouts as f64);
+            prof.set_counter("jit_compile_us", jit_compile_us);
         }
         out
     }
 
-    /// Column-wise chunk evaluation, host-double semantics. One pass over
-    /// the instruction stream; each instruction runs a branch-free loop
-    /// over the chunk's `len` lanes of its operand planes, so the
-    /// per-instruction dispatch cost is paid once per chunk instead of
-    /// once per row. Lane `k` computes exactly what [`Tape::eval_row`]
-    /// computes for row `base + k` — same operators, same order — so the
-    /// results are bitwise identical to the row loop.
-    fn eval_chunk_f64(
+    /// Column-wise chunk evaluation, host-double semantics — the one
+    /// interpreter of [`TapeBackend::F64`]. One pass over the instruction
+    /// stream; each instruction runs a branch-free loop over the chunk's
+    /// `len` lanes of its operand planes, so the per-instruction dispatch
+    /// cost is paid once per chunk instead of once per row. Lanes are
+    /// independent: lane `k` computes row `base + k` in program order, so
+    /// any chunking (including [`Tape::eval_row`]'s one-row chunk) gives
+    /// the same bits. `hook` taps each instruction's result in checked
+    /// mode (see [`ChunkHook`]).
+    pub(crate) fn eval_chunk_f64<H: ChunkHook>(
         &self,
         rows: &[f64],
         base: usize,
         len: usize,
         out: &mut [f64],
         s: &mut ChunkScratch,
+        hook: &mut H,
     ) {
         let ni = self.inputs.len();
         let no = self.outputs.len();
         const W: usize = CHUNK_ROWS;
         let p = |r: u32| r as usize * W;
-        for ins in &self.instrs {
+        for (i, ins) in self.instrs.iter().enumerate() {
             match *ins {
                 Instr::LoadInput { dst, input } => {
                     let d = p(dst);
@@ -1533,29 +1315,41 @@ impl Tape {
                     }
                 }
             }
+            if H::CHECKED {
+                hook.after_f64(i, &mut s.f, &mut s.cs_f);
+            }
         }
     }
 
-    /// Column-wise chunk evaluation, bit-accurate semantics: IEEE nodes
-    /// stream through the guarded host fast path of
-    /// [`csfma_softfloat::batch`], fused nodes run the behavioral
-    /// carry-save unit lane by lane with one shared [`FmaScratch`] — the
-    /// compressor-tree row and layer buffers are reused across every lane
-    /// of every FMA in the chunk instead of being reallocated per call.
-    fn eval_chunk_bit(
+    /// Column-wise chunk evaluation, bit-accurate semantics — the one
+    /// interpreter of [`TapeBackend::BitAccurate`], also behind the JIT's
+    /// bailouts. IEEE nodes stream through the guarded host fast path of
+    /// [`csfma_softfloat::batch`]; fused nodes run the bit-plane kernel
+    /// on full chunks and otherwise the behavioral carry-save unit lane by
+    /// lane with one shared [`FmaScratch`] — the compressor-tree row and
+    /// layer buffers are reused across every lane of every FMA in the
+    /// chunk instead of being reallocated per call.
+    ///
+    /// In checked mode (`H::CHECKED`, the robust executor) every FMA lane
+    /// goes through [`ChunkHook::fma`] instead, IEEE instructions ignore
+    /// the promotion mask, and `hook` taps each instruction's result.
+    pub(crate) fn eval_chunk_bit<H: ChunkHook>(
         &self,
         rows: &[f64],
         base: usize,
         len: usize,
         out: &mut [f64],
         s: &mut ChunkScratch,
+        hook: &mut H,
     ) {
         let ni = self.inputs.len();
         let no = self.outputs.len();
         const W: usize = CHUNK_ROWS;
         let p = |r: u32| r as usize * W;
-        profile::count_hosted_chunk(&self.instrs, len);
-        let promoted = |i: usize| self.promoted.get(i).copied().unwrap_or(false);
+        if !H::CHECKED {
+            profile::count_hosted_chunk(&self.instrs, len);
+        }
+        let promoted = |i: usize| !H::CHECKED && self.promoted.get(i).copied().unwrap_or(false);
         for (i, ins) in self.instrs.iter().enumerate() {
             match *ins {
                 Instr::LoadInput { dst, input } => {
@@ -1641,7 +1435,18 @@ impl Tape {
                         FmaKind::Fcs => &s.fcs,
                     };
                     let (d, pa, pb, pm) = (p(dst), p(acc), p(b), p(mulc));
-                    if len == W && self.plane_eligible.get(i).copied().unwrap_or(false) {
+                    if H::CHECKED {
+                        for k in 0..len {
+                            let mut bv = SoftFloat::from_f64(F, s.f[pb + k]);
+                            if negate_b {
+                                bv = bv.neg();
+                            }
+                            let (a, c, fma) = (&s.cs[pa + k], &s.cs[pm + k], &mut s.fma);
+                            let r =
+                                hook.fma(i, k, |ctl| unit.fma_checked_with(a, &bv, c, fma, ctl).0);
+                            s.cs[d + k] = r;
+                        }
+                    } else if len == W && self.plane_eligible.get(i).copied().unwrap_or(false) {
                         s.b_lane.clear();
                         for k in 0..len {
                             let mut bv = SoftFloat::from_f64(F, s.f[pb + k]);
@@ -1695,13 +1500,20 @@ impl Tape {
                     }
                 }
             }
+            if H::CHECKED {
+                hook.after_bit(i, &mut s.f, &mut s.cs);
+            }
         }
     }
 
     /// Column-wise chunk evaluation with [`TapeBackend::Oracle`]
-    /// semantics: lane `k` computes exactly what
-    /// [`Tape::eval_row`]`(Oracle, …)` computes for row `base + k`.
-    fn eval_chunk_oracle(
+    /// semantics — the one interpreter of that backend and the robust
+    /// executor's third rung: every IEEE operator runs the full soft-float
+    /// stack (no hosted fast paths) and fused nodes call the allocating
+    /// [`CsFmaUnit::fma`] entry point (no shared [`FmaScratch`]) — the
+    /// slowest, most literal replay of the model, structurally
+    /// independent of the scratch-based executors it backstops.
+    pub(crate) fn eval_chunk_oracle(
         &self,
         rows: &[f64],
         base: usize,
@@ -1939,22 +1751,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// default [`DEFAULT_TAPE_CACHE_CAPACITY`]) with least-recently-used
 /// eviction.
 pub fn compile_cached(g: &Cdfg) -> Result<Arc<Tape>, CompileError> {
-    compile_cached_with(g, CompileOptions::default())
+    compile_cached_with(g, CompileOptions::default(), &mut Profiler::disabled())
 }
 
-/// [`compile_cached`] with explicit [`CompileOptions`]. The cache key is
-/// the canonical encoding extended with the option bits, so optimized
-/// and unoptimized tapes of the same graph are distinct entries.
-pub fn compile_cached_with(g: &Cdfg, opts: CompileOptions) -> Result<Arc<Tape>, CompileError> {
-    compile_cached_with_profiled(g, opts, &mut Profiler::disabled())
-}
-
-/// [`compile_cached_with`] with stage spans and tape-cache counters
-/// recorded into `prof`: a `cache_lookup` span for the keyed probe, then
-/// (on a miss) the full `compile` span tree of
-/// [`compile_with_options_profiled`]. The `tape_cache_*` counters are
-/// the process-wide totals after this call.
-pub fn compile_cached_with_profiled(
+/// [`compile_cached`] with explicit [`CompileOptions`], recording stage
+/// spans and tape-cache counters into `prof`: a `cache_lookup` span for
+/// the keyed probe, then (on a miss) the full `compile` span tree of
+/// [`compile_with`]. The `tape_cache_*` counters are the process-wide
+/// totals after this call. The cache key is the canonical encoding
+/// extended with every option field, formats included, so tapes built
+/// with different options are distinct entries.
+pub fn compile_cached_with(
     g: &Cdfg,
     opts: CompileOptions,
     prof: &mut Profiler,
@@ -1975,8 +1782,9 @@ fn compile_cached_with_inner(
     prof: &mut Profiler,
 ) -> Result<Arc<Tape>, CompileError> {
     let mut key = canonical_encoding(g);
-    key.push(opts.optimize as u8);
-    key.push(opts.codegen as u8);
+    // the derived Debug form spells out every field, so a new option can
+    // never be left out of the key
+    key.extend_from_slice(format!("{opts:?}").as_bytes());
     {
         let lookup_tok = prof.enter("cache_lookup");
         let cached = with_shard(&key, |st| {
@@ -1997,9 +1805,8 @@ fn compile_cached_with_inner(
     // (both tapes are identical) and the first one wins. The compiler
     // runs under `catch_unwind` so an internal bug surfaces as a
     // structured X001 error and the poisoned attempt is never cached.
-    let compiled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        compile_with_options_profiled(g, opts, prof)
-    }));
+    let compiled =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| compile_with(g, opts, prof)));
     let mut tape = match compiled {
         Ok(result) => result?,
         Err(payload) => {
@@ -2178,7 +1985,7 @@ mod tests {
 
     fn run_one(tape: &Tape, backend: TapeBackend, row: &[f64]) -> Vec<f64> {
         let mut out = vec![0.0; tape.num_outputs()];
-        tape.eval_row(backend, row, &mut out, &mut tape.scratch());
+        tape.eval_row(backend, row, &mut out);
         out
     }
 
@@ -2243,11 +2050,10 @@ mod tests {
             .collect();
         for backend in [TapeBackend::F64, TapeBackend::BitAccurate] {
             let seq: Vec<f64> = {
-                let mut s = tape.scratch();
                 let mut out = vec![0.0; n * tape.num_outputs()];
                 for r in 0..n {
                     let (lo, hi) = (r * ni, (r + 1) * ni);
-                    tape.eval_row(backend, &rows[lo..hi], &mut out[r..r + 1], &mut s);
+                    tape.eval_row(backend, &rows[lo..hi], &mut out[r..r + 1]);
                 }
                 out
             };
@@ -2323,7 +2129,7 @@ mod tests {
         let mut g = listing1();
         g.output("panic_probe", g.outputs()[0] - 1);
         let before = tape_cache_stats();
-        PANIC_NEXT_COMPILE.store(true, Ordering::Relaxed);
+        PANIC_NEXT_COMPILE.with(|p| p.set(true));
         let err = compile_cached(&g).unwrap_err();
         assert!(
             err.diagnostics
@@ -2351,12 +2157,13 @@ mod tests {
         let src = "unused = u * u;\nscale = 2.0 * 2.0 + 1.0;\nout y = a*b + a*b + scale;\n";
         let g = crate::parse_program(src).unwrap();
         let opt = compile(&g).unwrap();
-        let plain = compile_with_options(
+        let plain = compile_with(
             &g,
             CompileOptions {
                 optimize: false,
                 ..CompileOptions::default()
             },
+            &mut Profiler::disabled(),
         )
         .unwrap();
         assert_eq!(opt.input_names(), plain.input_names());
@@ -2407,12 +2214,34 @@ mod tests {
                 optimize: false,
                 ..CompileOptions::default()
             },
+            &mut Profiler::disabled(),
         )
         .unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
         // but both identify as the same source graph
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.source_nodes(), b.source_nodes());
+    }
+
+    #[test]
+    fn cache_distinguishes_formats() {
+        let _guard = cache_test_lock();
+        let g = fuse_critical_paths(&listing1(), &FusionConfig::new(FmaKind::Pcs)).fused;
+        let lza = CompileOptions {
+            pcs_format: CsFmaFormat::PCS_58_LZA,
+            ..CompileOptions::default()
+        };
+        // the non-default build goes in first: a default request must
+        // still never be served its tape
+        let b = compile_cached_with(&g, lza, &mut Profiler::disabled()).unwrap();
+        let a = compile_cached(&g).unwrap();
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(a.pcs_format, format_of(FmaKind::Pcs));
+        assert_eq!(b.pcs_format, CsFmaFormat::PCS_58_LZA);
+        assert!(Arc::ptr_eq(
+            &b,
+            &compile_cached_with(&g, lza, &mut Profiler::disabled()).unwrap()
+        ));
     }
 
     /// Mutation test for the sharding refactor: a single-shard cache
@@ -2530,9 +2359,8 @@ mod tests {
             "oracle backend diverged from bit-accurate"
         );
         // and through the row entry point
-        let mut s = tape.scratch();
         let mut o1 = vec![0.0; tape.num_outputs()];
-        tape.eval_row(TapeBackend::Oracle, &rows[..ni], &mut o1, &mut s);
+        tape.eval_row(TapeBackend::Oracle, &rows[..ni], &mut o1);
         assert_eq!(o1[0].to_bits(), bit[0].to_bits());
     }
 
@@ -2552,7 +2380,7 @@ mod tests {
                 ..CompileOptions::default()
             },
         ] {
-            let tape = compile_with_options(&g, opts).unwrap();
+            let tape = compile_with(&g, opts, &mut Profiler::disabled()).unwrap();
             assert_eq!(tape.instrs().len(), tape.instr_nodes.len());
             for i in 0..tape.instrs().len() {
                 let node = tape.source_node_of(i).expect("every instr maps to a node");

@@ -47,12 +47,10 @@ pub mod sched;
 
 pub use cdfg::{Cdfg, Domain, FmaKind, NodeId, Op};
 pub use compile::{
-    clear_tape_cache, compile, compile_cached, compile_cached_with, compile_cached_with_profiled,
-    compile_scheduled, compile_with_formats, compile_with_formats_and_options,
-    compile_with_formats_and_options_profiled, compile_with_options, compile_with_options_profiled,
+    clear_tape_cache, compile, compile_cached, compile_cached_with, compile_with,
     graph_fingerprint, set_tape_cache_capacity, set_tape_cache_shards, tape_cache_shards,
     tape_cache_stats, CompileError, CompileOptions, Instr, Tape, TapeBackend, TapeCacheStats,
-    TapeScratch, DEFAULT_TAPE_CACHE_CAPACITY, MAX_TAPE_CACHE_SHARDS,
+    DEFAULT_TAPE_CACHE_CAPACITY, MAX_TAPE_CACHE_SHARDS,
 };
 pub use fuse::{fuse_critical_paths, FusionConfig, FusionReport};
 pub use jit::{

@@ -126,7 +126,11 @@ fn eval_many_with_stats(
         threads,
         || (),
         |_, i, slot| {
-            slot[0] = Some(compile_cached_with(reqs[i].graph, reqs[i].options));
+            slot[0] = Some(compile_cached_with(
+                reqs[i].graph,
+                reqs[i].options,
+                &mut Profiler::disabled(),
+            ));
         },
     );
     let tapes: Vec<Result<Arc<Tape>, CompileError>> = tapes

@@ -1,7 +1,8 @@
 //! Pipeline observability: the glue between the engine and `csfma-obs`.
 //!
-//! Every `*_profiled` entry point in this crate
-//! ([`compile_with_options_profiled`](crate::compile_with_options_profiled),
+//! Every profiled entry point in this crate
+//! ([`compile_with`](crate::compile_with),
+//! [`compile_cached_with`](crate::compile_cached_with),
 //! [`Tape::eval_batch_profiled`](crate::Tape::eval_batch_profiled),
 //! [`Tape::eval_batch_robust_profiled`](crate::Tape::eval_batch_robust_profiled))
 //! takes a `&mut` [`Profiler`] and records hierarchical stage spans
@@ -75,54 +76,6 @@ pub(crate) fn record_chunk_occupancy(lanes: usize, capacity: usize) {
         return;
     }
     CHUNK_OCCUPANCY.record(lanes * 10 / capacity.max(1));
-}
-
-// JIT tallies, incremented per chunk by the `TapeBackend::Jit` executor
-// and once per module build. `jit_bailouts <= jit_rows` always; the
-// bailout *rate* is what the J001 advisory (docs/DIAGNOSTICS.md) and
-// `csfma-run --backend jit` report on.
-static JIT_ROWS: Counter = Counter::new();
-static JIT_BAILOUTS: Counter = Counter::new();
-static JIT_COMPILE_US: Counter = Counter::new();
-
-/// Rows dispatched to the native JIT path process-wide (`0` when the
-/// `obs` feature is compiled out). Includes rows that subsequently
-/// bailed, and rows evaluated on the interpreter because no module
-/// could be built (those all count as bailouts too).
-pub fn jit_rows() -> u64 {
-    JIT_ROWS.get()
-}
-
-/// Rows the JIT path handed back to the interpreter: a guard fired, or
-/// no native module exists for the tape (`0` when the `obs` feature is
-/// compiled out).
-pub fn jit_bailouts() -> u64 {
-    JIT_BAILOUTS.get()
-}
-
-/// Cumulative wall time spent building JIT modules, microseconds (`0`
-/// when the `obs` feature is compiled out).
-pub fn jit_compile_us() -> u64 {
-    JIT_COMPILE_US.get()
-}
-
-/// Tally one JIT chunk's outcome (called by the worker that ran it).
-#[inline]
-pub(crate) fn count_jit_chunk(rows: u64, bailouts: u64) {
-    if !cfg!(feature = "obs") {
-        return;
-    }
-    JIT_ROWS.add(rows);
-    JIT_BAILOUTS.add(bailouts);
-}
-
-/// Tally one JIT module build's wall time.
-#[inline]
-pub(crate) fn count_jit_compile_us(us: u64) {
-    if !cfg!(feature = "obs") {
-        return;
-    }
-    JIT_COMPILE_US.add(us);
 }
 
 // Robust-executor tallies, incremented inside `robust_chunk` — i.e. on

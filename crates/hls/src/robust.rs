@@ -9,26 +9,30 @@
 //! with bounded retry, and a row whose checks fire is re-evaluated down a
 //! ladder of increasingly conservative engines:
 //!
-//! 1. **chunk** — the normal chunked executor, checks on. A panicking
-//!    chunk is retried up to [`RobustOptions::chunk_retries`] times
-//!    (transient faults have been claimed, so the retry runs clean).
-//! 2. **row** — the flagged row alone, re-evaluated on the same backend
-//!    (`Recovered { backend: "row-bit" | "row-f64" | "row-oracle" }`).
+//! 1. **chunk** — the chunk interpreter with the checked hook: every FMA
+//!    lane on the checked unit entry point, instruction by instruction
+//!    over the whole chunk. A panicking chunk is retried up to
+//!    [`RobustOptions::chunk_retries`] times (transient faults have been
+//!    claimed, so the retry runs clean). On full bit-accurate chunks the
+//!    plane kernel then runs as a shadow differential (DESIGN.md §10.5).
+//! 2. **row** — the flagged row alone, a one-row chunk through the same
+//!    checked interpreter (`Recovered { backend: "row-bit" | "row-f64" |
+//!    "row-oracle" }`).
 //!    Transient faults cannot strike twice; only sticky faults re-arm.
-//! 3. **oracle** — [`TapeBackend::Oracle`]: the pure soft-float operator
-//!    stack plus the allocating behavioral units, structurally
-//!    independent of the scratch-based executors
-//!    (`Recovered { backend: "oracle" }`).
+//! 3. **oracle** — the [`TapeBackend::Oracle`] chunk interpreter on the
+//!    one row: the pure soft-float operator stack plus the allocating
+//!    behavioral units, structurally independent of the scratch-based
+//!    executors (`Recovered { backend: "oracle" }`).
 //! 4. **quarantine** — the row's outputs are poisoned with NaN and a
 //!    structured `F001` [`Diagnostic`] names the offending source-graph
 //!    node (via [`Tape::source_node_of`]). One bad row never corrupts or
 //!    aborts its neighbors.
 //!
-//! Recovered outputs are bit-identical to a fault-free evaluation: rung 2
-//! replays the exact row semantics and rung 3 is bit-identical to the
-//! bit-accurate backend by construction. Chunking follows
-//! `par_chunks_indexed`, so the filled buffer — and the whole
-//! [`BatchReport`] — is byte-identical for any worker count.
+//! Recovered outputs are bit-identical to a fault-free evaluation: chunk
+//! lanes are independent, so rung 2 replays the exact row semantics, and
+//! rung 3 is bit-identical to the bit-accurate backend by construction.
+//! Chunking follows `par_chunks_indexed`, so the filled buffer — and the
+//! whole [`BatchReport`] — is byte-identical for any worker count.
 //!
 //! Coverage boundary: the residue and duplicate-compute checks guard the
 //! *arithmetic datapath* (multiplier words, PCS carry lanes, block-mux
@@ -37,22 +41,16 @@
 //! the register file, which this model deliberately does not implement —
 //! campaigns report it as the undetected remainder (DESIGN.md §10).
 
-use crate::cdfg::FmaKind;
-use crate::compile::{Tape, TapeBackend};
+use crate::compile::{ChunkHook, ChunkScratch, Instr, Tape, TapeBackend};
 use csfma_core::batch::{par_chunks_indexed, CHUNK_ROWS};
 use csfma_core::fault::{
     CheckKind, FaultDetected, FaultHook, FaultPlan, FaultStage, FmaCtl, RowFaults,
 };
 use csfma_core::CsOperand;
-use csfma_softfloat::{FpFormat, SoftFloat};
 use csfma_verify::{Diagnostic, Rule, Span};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
-
-use crate::compile::{Instr, TapeScratch};
-
-const F: FpFormat = FpFormat::BINARY64;
 
 /// Knobs for [`Tape::eval_batch_robust`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -219,7 +217,7 @@ impl Tape {
             &mut out,
             CHUNK_ROWS * no,
             opts.threads,
-            || self.scratch(),
+            || self.chunk_scratch(),
             |scratch, chunk_idx, chunk| {
                 let base = chunk_idx * CHUNK_ROWS;
                 let len = chunk.len() / no;
@@ -271,7 +269,7 @@ impl Tape {
         (out, report)
     }
 
-    /// One chunk of the robust executor: guarded evaluation with bounded
+    /// One chunk of the robust executor: checked evaluation with bounded
     /// retry, then the ladder for every flagged lane.
     #[allow(clippy::too_many_arguments)]
     fn robust_chunk(
@@ -281,10 +279,9 @@ impl Tape {
         base: usize,
         len: usize,
         chunk_out: &mut [f64],
-        s: &mut TapeScratch,
+        s: &mut ChunkScratch,
         opts: &RobustOptions,
     ) -> ChunkRecord {
-        let ni = self.num_inputs();
         let no = self.num_outputs();
         let mut rec = ChunkRecord::default();
         let mut lane_findings: Vec<Vec<(usize, FaultDetected)>> = vec![Vec::new(); len];
@@ -298,21 +295,16 @@ impl Tape {
                 fl.clear();
             }
             let result = catch_unwind(AssertUnwindSafe(|| {
-                for k in 0..len {
-                    let row_idx = base + k;
-                    let hook = opts
-                        .fault
-                        .and_then(|p| p.for_row(row_idx as u64, FaultStage::Primary));
-                    self.guarded_row(
-                        backend,
-                        row_idx,
-                        &rows[row_idx * ni..(row_idx + 1) * ni],
-                        &mut chunk_out[k * no..(k + 1) * no],
-                        s,
-                        hook.as_ref(),
-                        &mut lane_findings[k],
-                    );
-                }
+                self.checked_chunk(
+                    backend,
+                    rows,
+                    base,
+                    chunk_out,
+                    s,
+                    opts.fault,
+                    FaultStage::Primary,
+                    &mut lane_findings,
+                );
             }));
             match result {
                 Ok(()) => break true,
@@ -341,25 +333,22 @@ impl Tape {
         {
             #[cfg(feature = "fault-inject")]
             if let Some(plan) = opts.fault {
-                let mut strikes: Vec<csfma_core::PlaneStrike> = Vec::new();
                 for k in 0..len {
                     if let Some(rf) = plan.for_row((base + k) as u64, FaultStage::Primary) {
                         if let Some((site, sel)) = rf.plane_strike() {
-                            strikes.push(csfma_core::PlaneStrike { site, lane: k, sel });
+                            let strike = csfma_core::PlaneStrike { site, lane: k, sel };
+                            s.plane.strikes.push(strike);
                         }
                     }
                 }
-                if !strikes.is_empty() {
-                    csfma_core::arm_plane_strikes(&strikes);
-                }
             }
             let mut shadow = vec![0.0f64; len * no];
-            let mut cs = self.chunk_scratch();
             let ran = catch_unwind(AssertUnwindSafe(|| {
-                self.eval_chunk(backend, rows, base, len, &mut shadow, &mut cs);
+                self.eval_chunk(backend, rows, base, len, &mut shadow, s);
             }));
+            // the scratch outlives this chunk: no strike may leak past it
             #[cfg(feature = "fault-inject")]
-            csfma_core::disarm_plane_strikes();
+            s.plane.strikes.clear();
             match ran {
                 Ok(()) => {
                     let instr_idx = self.plane_eligible.iter().position(|&p| p).unwrap_or(0);
@@ -398,8 +387,8 @@ impl Tape {
             rec.detections += findings.len();
             let outcome = self.ladder_row(
                 backend,
+                rows,
                 row_idx,
-                &rows[row_idx * ni..(row_idx + 1) * ni],
                 &mut chunk_out[k * no..(k + 1) * no],
                 s,
                 opts,
@@ -428,10 +417,10 @@ impl Tape {
     fn ladder_row(
         &self,
         backend: TapeBackend,
+        rows: &[f64],
         row_idx: usize,
-        row: &[f64],
         out: &mut [f64],
-        s: &mut TapeScratch,
+        s: &mut ChunkScratch,
         opts: &RobustOptions,
         mut findings: Vec<(usize, FaultDetected)>,
         rec: &mut ChunkRecord,
@@ -444,19 +433,17 @@ impl Tape {
             TapeBackend::Oracle => "row-oracle",
             TapeBackend::Jit => "row-jit",
         };
-        let mut retry_findings: Vec<(usize, FaultDetected)> = Vec::new();
+        let mut retry_findings = Vec::new();
         let retried = catch_unwind(AssertUnwindSafe(|| {
-            let hook = opts
-                .fault
-                .and_then(|p| p.for_row(row_idx as u64, FaultStage::Fallback));
-            self.guarded_row(
+            self.checked_chunk(
                 backend,
+                rows,
                 row_idx,
-                row,
                 out,
                 s,
-                hook.as_ref(),
-                &mut retry_findings,
+                opts.fault,
+                FaultStage::Fallback,
+                std::slice::from_mut(&mut retry_findings),
             );
         }));
         rec.detections += retry_findings.len();
@@ -477,7 +464,7 @@ impl Tape {
                     panic!("injected executor panic at row {row_idx} (oracle)");
                 }
             }
-            self.eval_row(TapeBackend::Oracle, row, out, s);
+            self.eval_chunk_oracle(rows, row_idx, 1, out, s);
         }));
         if oracle.is_ok() {
             return RowOutcome::Recovered { backend: "oracle" };
@@ -510,215 +497,136 @@ impl Tape {
         RowOutcome::Quarantined { diag }
     }
 
-    /// One row with checks enabled and the fault hook plugged into every
-    /// tamper point this layer owns (executor panic, register-plane
-    /// upsets); the datapath sites live inside the units themselves.
-    /// With `hook = None` this computes exactly what [`Tape::eval_row`]
-    /// computes on the same backend, bit for bit.
+    /// Rungs 1 and 2: the rows from `base` that `out` and `findings`
+    /// cover, through the chunk interpreter with the [`Checked`] hook,
+    /// every row's faults armed for `stage`. Fault claims match a
+    /// row-by-row evaluation exactly: every spec targets one row and each
+    /// lane runs the tape in program order, so only an injected panic
+    /// needs care — the rows before the first row that wants one run (as
+    /// one chunk) and claim their faults, then the chunk panics. With no
+    /// plan this computes exactly what the backend's fast path computes,
+    /// bit for bit.
     #[allow(clippy::too_many_arguments)]
-    fn guarded_row(
+    fn checked_chunk(
         &self,
         backend: TapeBackend,
-        row_idx: usize,
-        row: &[f64],
+        rows: &[f64],
+        base: usize,
         out: &mut [f64],
-        s: &mut TapeScratch,
-        hook: Option<&RowFaults>,
-        findings: &mut Vec<(usize, FaultDetected)>,
+        s: &mut ChunkScratch,
+        plan: Option<&FaultPlan>,
+        stage: FaultStage,
+        findings: &mut [Vec<(usize, FaultDetected)>],
     ) {
-        if let Some(h) = hook {
-            if h.wants_panic() {
-                panic!("injected executor panic at row {row_idx}");
+        let mut lanes: Vec<Option<RowFaults>> = Vec::with_capacity(findings.len());
+        let mut panic_row = None;
+        for k in 0..findings.len() {
+            let hook = plan.and_then(|p| p.for_row((base + k) as u64, stage));
+            if hook.as_ref().is_some_and(|h| h.wants_panic()) {
+                panic_row = Some(base + k);
+                break;
             }
+            lanes.push(hook);
         }
-        let tape_fault = hook.and_then(|h| h.tape_fault(self.instrs.len()));
-        match backend {
-            TapeBackend::F64 => self.guarded_row_f64(row, out, s, tape_fault),
-            // a JIT row that reaches this rung re-runs on the guarded
-            // interpreter: same bits by the bailout contract, and the
-            // tamper points stay armed for the differential
-            TapeBackend::BitAccurate | TapeBackend::Oracle | TapeBackend::Jit => {
-                self.guarded_row_bit(row, out, s, hook, tape_fault, findings)
-            }
-        }
-    }
-
-    /// Host-double semantics with register-plane fault injection (no
-    /// residue checks exist on this backend — there is no carry-save
-    /// datapath to check).
-    fn guarded_row_f64(
-        &self,
-        row: &[f64],
-        out: &mut [f64],
-        s: &mut TapeScratch,
-        tape_fault: Option<(usize, u32)>,
-    ) {
-        let f = &mut s.f;
-        let cs_f = &mut s.cs_f;
-        for (i, ins) in self.instrs.iter().enumerate() {
-            match *ins {
-                Instr::LoadInput { dst, input } => f[dst as usize] = row[input as usize],
-                Instr::LoadConst { dst, idx } => f[dst as usize] = self.consts[idx as usize],
-                Instr::Add { dst, a, b } => f[dst as usize] = f[a as usize] + f[b as usize],
-                Instr::Sub { dst, a, b } => f[dst as usize] = f[a as usize] - f[b as usize],
-                Instr::Mul { dst, a, b } => f[dst as usize] = f[a as usize] * f[b as usize],
-                Instr::Div { dst, a, b } => f[dst as usize] = f[a as usize] / f[b as usize],
-                Instr::Neg { dst, a } => f[dst as usize] = -f[a as usize],
-                Instr::Fma {
-                    negate_b,
-                    dst,
-                    acc,
-                    b,
-                    mulc,
-                    ..
-                } => {
-                    let bv = if negate_b {
-                        -f[b as usize]
-                    } else {
-                        f[b as usize]
-                    };
-                    cs_f[dst as usize] = bv.mul_add(cs_f[mulc as usize], cs_f[acc as usize]);
-                }
-                Instr::IeeeToCs { dst, src, .. } => cs_f[dst as usize] = f[src as usize],
-                Instr::CsToIeee { dst, src } => f[dst as usize] = cs_f[src as usize],
-                Instr::Store { output, src } => out[output as usize] = f[src as usize],
-            }
-            if let Some((fi, bit)) = tape_fault {
-                if fi == i {
-                    flip_f64_dst(ins, bit, f, cs_f);
+        let strikes = lanes
+            .iter()
+            .enumerate()
+            .filter_map(|(k, h)| {
+                let (i, bit) = h.as_ref()?.tape_fault(self.instrs.len())?;
+                let (in_cs, dst) = dst_plane(&self.instrs[i])?;
+                Some((i, in_cs, dst as usize * CHUNK_ROWS + k, bit))
+            })
+            .collect();
+        let run = lanes.len();
+        let mut hook = Checked {
+            lanes,
+            strikes,
+            findings,
+        };
+        if run > 0 {
+            match backend {
+                TapeBackend::F64 => self.eval_chunk_f64(rows, base, run, out, s, &mut hook),
+                // a JIT or oracle row reaching rungs 1-2 runs the checked
+                // bit interpreter: same bits by the bailout contract, and
+                // the tamper points stay armed for the differential
+                TapeBackend::BitAccurate | TapeBackend::Oracle | TapeBackend::Jit => {
+                    self.eval_chunk_bit(rows, base, run, out, s, &mut hook)
                 }
             }
         }
-    }
-
-    /// Bit-accurate semantics with every FMA running the checked entry
-    /// point, plus register-plane fault injection.
-    fn guarded_row_bit(
-        &self,
-        row: &[f64],
-        out: &mut [f64],
-        s: &mut TapeScratch,
-        hook: Option<&RowFaults>,
-        tape_fault: Option<(usize, u32)>,
-        findings: &mut Vec<(usize, FaultDetected)>,
-    ) {
-        use csfma_softfloat::batch as sfb;
-        use csfma_softfloat::Round;
-        let f = &mut s.f;
-        let cs = &mut s.cs;
-        for (i, ins) in self.instrs.iter().enumerate() {
-            match *ins {
-                Instr::LoadInput { dst, input } => {
-                    f[dst as usize] = sfb::canonicalize(row[input as usize])
-                }
-                Instr::LoadConst { dst, idx } => {
-                    f[dst as usize] = self.consts_canonical[idx as usize]
-                }
-                Instr::Add { dst, a, b } => {
-                    f[dst as usize] = sfb::hosted_add(f[a as usize], f[b as usize])
-                }
-                Instr::Sub { dst, a, b } => {
-                    f[dst as usize] = sfb::hosted_sub(f[a as usize], f[b as usize])
-                }
-                Instr::Mul { dst, a, b } => {
-                    f[dst as usize] = sfb::hosted_mul(f[a as usize], f[b as usize])
-                }
-                Instr::Div { dst, a, b } => {
-                    f[dst as usize] = sfb::hosted_div(f[a as usize], f[b as usize])
-                }
-                Instr::Neg { dst, a } => f[dst as usize] = sfb::hosted_neg(f[a as usize]),
-                Instr::Fma {
-                    kind,
-                    negate_b,
-                    dst,
-                    acc,
-                    b,
-                    mulc,
-                } => {
-                    let unit = match kind {
-                        FmaKind::Pcs => &s.pcs,
-                        FmaKind::Fcs => &s.fcs,
-                    };
-                    let mut bv = SoftFloat::from_f64(F, f[b as usize]);
-                    if negate_b {
-                        bv = bv.neg();
-                    }
-                    let mut dets: Vec<FaultDetected> = Vec::new();
-                    let mut ctl = match hook {
-                        Some(h) => FmaCtl::with_hook(h, &mut dets),
-                        None => FmaCtl::checked(&mut dets),
-                    };
-                    let (r, _) = unit.fma_checked_with(
-                        &cs[acc as usize],
-                        &bv,
-                        &cs[mulc as usize],
-                        &mut s.fma,
-                        &mut ctl,
-                    );
-                    findings.extend(dets.into_iter().map(|d| (i, d)));
-                    cs[dst as usize] = r;
-                }
-                Instr::IeeeToCs { kind, dst, src } => {
-                    let fmt = match kind {
-                        FmaKind::Pcs => self.pcs_format,
-                        FmaKind::Fcs => self.fcs_format,
-                    };
-                    cs[dst as usize] = CsOperand::from_f64(f[src as usize], fmt);
-                }
-                Instr::CsToIeee { dst, src } => {
-                    f[dst as usize] = cs[src as usize].to_ieee(F, Round::NearestEven).to_f64();
-                }
-                Instr::Store { output, src } => out[output as usize] = f[src as usize],
-            }
-            if let Some((fi, bit)) = tape_fault {
-                if fi == i {
-                    flip_bit_dst(ins, bit, f, cs);
-                }
-            }
+        if let Some(row) = panic_row {
+            panic!("injected executor panic at row {row}");
         }
     }
 }
 
-/// Flip a register-plane bit behind instruction `ins` on the f64
-/// backend (both banks are doubles there).
-fn flip_f64_dst(ins: &Instr, bit: u32, f: &mut [f64], cs_f: &mut [f64]) {
-    match *ins {
-        Instr::LoadInput { dst, .. }
-        | Instr::LoadConst { dst, .. }
-        | Instr::Add { dst, .. }
-        | Instr::Sub { dst, .. }
-        | Instr::Mul { dst, .. }
-        | Instr::Div { dst, .. }
-        | Instr::Neg { dst, .. }
-        | Instr::CsToIeee { dst, .. } => flip_f64(&mut f[dst as usize], bit),
-        Instr::Fma { dst, .. } | Instr::IeeeToCs { dst, .. } => {
-            flip_f64(&mut cs_f[dst as usize], bit)
-        }
-        // a Store writes memory the caller owns, not a register plane —
-        // the strike lands on already-committed data and is masked
-        Instr::Store { .. } => {}
-    }
+/// The robust executor's [`ChunkHook`]: each lane's FMAs run the checked
+/// unit entry point with the lane's own fault hook, and the
+/// register-plane strikes claimed for the chunk flip their lane's
+/// destination bit right after the struck instruction.
+struct Checked<'a, 'p> {
+    /// Armed faults per lane (`None`: checks only).
+    lanes: Vec<Option<RowFaults<'p>>>,
+    /// Register-plane strikes as `(instruction, in the CS bank, plane
+    /// index, bit)`.
+    strikes: Vec<(usize, bool, usize, u32)>,
+    /// Detections per lane, tagged with the instruction that raised them.
+    findings: &'a mut [Vec<(usize, FaultDetected)>],
 }
 
-/// Flip a register-plane bit behind instruction `ins` on the
-/// bit-accurate backend (CS bank holds real carry-save operands).
-fn flip_bit_dst(ins: &Instr, bit: u32, f: &mut [f64], cs: &mut [CsOperand]) {
-    match *ins {
-        Instr::LoadInput { dst, .. }
-        | Instr::LoadConst { dst, .. }
-        | Instr::Add { dst, .. }
-        | Instr::Sub { dst, .. }
-        | Instr::Mul { dst, .. }
-        | Instr::Div { dst, .. }
-        | Instr::Neg { dst, .. }
-        | Instr::CsToIeee { dst, .. } => flip_f64(&mut f[dst as usize], bit),
-        Instr::Fma { dst, .. } | Instr::IeeeToCs { dst, .. } => {
+impl ChunkHook for Checked<'_, '_> {
+    const CHECKED: bool = true;
+
+    fn fma(&mut self, i: usize, k: usize, run: impl FnOnce(&mut FmaCtl) -> CsOperand) -> CsOperand {
+        let mut dets: Vec<FaultDetected> = Vec::new();
+        let mut ctl = match &self.lanes[k] {
+            Some(h) => FmaCtl::with_hook(h, &mut dets),
+            None => FmaCtl::checked(&mut dets),
+        };
+        let r = run(&mut ctl);
+        self.findings[k].extend(dets.into_iter().map(|d| (i, d)));
+        r
+    }
+
+    fn after_bit(&mut self, i: usize, f: &mut [f64], cs: &mut [CsOperand]) {
+        for &(at, in_cs, p, bit) in &self.strikes {
+            if at == i && !in_cs {
+                flip_f64(&mut f[p], bit);
+            }
             #[cfg(feature = "fault-inject")]
-            cs[dst as usize].fault_flip_mant_bit(bit as usize);
-            #[cfg(not(feature = "fault-inject"))]
-            let _ = (cs, dst);
+            if at == i && in_cs {
+                cs[p].fault_flip_mant_bit(bit as usize);
+            }
         }
-        Instr::Store { .. } => {}
+        #[cfg(not(feature = "fault-inject"))]
+        let _ = cs;
+    }
+
+    fn after_f64(&mut self, i: usize, f: &mut [f64], cs_f: &mut [f64]) {
+        for &(at, in_cs, p, bit) in &self.strikes {
+            if at == i {
+                flip_f64(if in_cs { &mut cs_f[p] } else { &mut f[p] }, bit);
+            }
+        }
+    }
+}
+
+/// The register plane instruction `ins` writes, as `(in the CS bank,
+/// slot)`. `None` for a `Store`: it writes memory the caller owns, not a
+/// register plane, so a strike there lands on committed data and is
+/// masked.
+fn dst_plane(ins: &Instr) -> Option<(bool, u32)> {
+    match *ins {
+        Instr::Store { .. } => None,
+        Instr::Fma { dst, .. } | Instr::IeeeToCs { dst, .. } => Some((true, dst)),
+        Instr::LoadInput { dst, .. }
+        | Instr::LoadConst { dst, .. }
+        | Instr::Add { dst, .. }
+        | Instr::Sub { dst, .. }
+        | Instr::Mul { dst, .. }
+        | Instr::Div { dst, .. }
+        | Instr::Neg { dst, .. }
+        | Instr::CsToIeee { dst, .. } => Some((false, dst)),
     }
 }
 
@@ -732,6 +640,7 @@ mod tests {
     use crate::compile::compile;
     use crate::fuse::{fuse_critical_paths, FusionConfig};
     use crate::parse_program;
+    use crate::FmaKind;
     use csfma_core::fault::{FaultSite, FaultSpec};
 
     fn fused_listing1() -> Tape {

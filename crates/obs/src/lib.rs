@@ -13,12 +13,7 @@
 //!   statistics (FMA ops per unit class, hosted-FPU fallbacks, cache
 //!   traffic), cheap enough to live inside the behavioral units;
 //! * [`Histogram`] — fixed-bucket atomic histograms (SoA chunk
-//!   occupancy);
-//! * an opt-in subscriber bridge (`ObsSubscriber`, feature
-//!   `obs-tracing`) that streams span/counter events to a process-global
-//!   sink — an offline stand-in for a `tracing` `Subscriber` (the
-//!   workspace builds without registry access, so the real `tracing`
-//!   crate is deliberately not a dependency).
+//!   occupancy).
 //!
 //! ## The determinism contract
 //!
@@ -276,7 +271,6 @@ impl Profiler {
             });
             inner.starts.push(Some(Instant::now()));
             inner.stack.push(idx);
-            subscriber::span_enter(name, inner.stack.len() - 1);
             return SpanToken(idx);
         }
         let _ = name;
@@ -296,7 +290,6 @@ impl Profiler {
             while let Some(open) = inner.stack.pop() {
                 if let Some(start) = inner.starts[open].take() {
                     inner.records[open].wall_us = start.elapsed().as_secs_f64() * 1e6;
-                    subscriber::span_exit(inner.records[open].name, inner.records[open].wall_us);
                 }
                 if open == token.0 {
                     return;
@@ -328,7 +321,6 @@ impl Profiler {
     pub fn set_counter(&mut self, name: &'static str, value: f64) {
         #[cfg(feature = "enabled")]
         if let Some(inner) = &mut self.inner {
-            subscriber::counter(name, value);
             if let Some(slot) = inner.counters.iter_mut().find(|(n, _)| *n == name) {
                 slot.1 = value;
                 return;
@@ -344,7 +336,6 @@ impl Profiler {
     pub fn add_counter(&mut self, name: &'static str, value: f64) {
         #[cfg(feature = "enabled")]
         if let Some(inner) = &mut self.inner {
-            subscriber::counter(name, value);
             if let Some(slot) = inner.counters.iter_mut().find(|(n, _)| *n == name) {
                 slot.1 += value;
                 return;
@@ -522,73 +513,6 @@ impl fmt::Display for PipelineReport {
         }
         Ok(())
     }
-}
-
-// ---------------------------------------------------------------------
-// subscriber bridge (feature `obs-tracing`)
-// ---------------------------------------------------------------------
-
-/// Event sink for the opt-in streaming bridge (feature `obs-tracing`):
-/// an offline stand-in for a `tracing` `Subscriber`. Install one with
-/// [`set_subscriber`]; every recording [`Profiler`] then forwards span
-/// and counter events as they happen, in addition to building its
-/// report. Implementations must tolerate concurrent calls from multiple
-/// profilers on multiple threads.
-#[cfg(feature = "obs-tracing")]
-pub trait ObsSubscriber: Send + Sync {
-    /// A span opened (`depth` as in [`StageRecord`]).
-    fn on_span_enter(&self, name: &'static str, depth: usize);
-    /// A span closed after `wall_us` microseconds.
-    fn on_span_exit(&self, name: &'static str, wall_us: f64);
-    /// A counter was set or bumped to `value`.
-    fn on_counter(&self, name: &'static str, value: f64);
-}
-
-/// Install the process-global subscriber. Returns `false` (and keeps
-/// the existing one) if a subscriber was already installed — the global
-/// is write-once, mirroring `tracing::subscriber::set_global_default`.
-#[cfg(feature = "obs-tracing")]
-pub fn set_subscriber(sub: Box<dyn ObsSubscriber>) -> bool {
-    subscriber::GLOBAL.set(sub).is_ok()
-}
-
-#[cfg(feature = "obs-tracing")]
-mod subscriber {
-    use super::ObsSubscriber;
-    use std::sync::OnceLock;
-
-    pub(crate) static GLOBAL: OnceLock<Box<dyn ObsSubscriber>> = OnceLock::new();
-
-    #[inline]
-    pub(crate) fn span_enter(name: &'static str, depth: usize) {
-        if let Some(s) = GLOBAL.get() {
-            s.on_span_enter(name, depth);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn span_exit(name: &'static str, wall_us: f64) {
-        if let Some(s) = GLOBAL.get() {
-            s.on_span_exit(name, wall_us);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn counter(name: &'static str, value: f64) {
-        if let Some(s) = GLOBAL.get() {
-            s.on_counter(name, value);
-        }
-    }
-}
-
-#[cfg(all(feature = "enabled", not(feature = "obs-tracing")))]
-mod subscriber {
-    #[inline(always)]
-    pub(crate) fn span_enter(_: &'static str, _: usize) {}
-    #[inline(always)]
-    pub(crate) fn span_exit(_: &'static str, _: f64) {}
-    #[inline(always)]
-    pub(crate) fn counter(_: &'static str, _: f64) {}
 }
 
 // ---------------------------------------------------------------------

@@ -77,9 +77,8 @@ fuzz_target!(|data: &[u8]| {
         Ok(tape) => {
             let row = vec![1.5f64; tape.num_inputs()];
             let mut out = vec![0.0f64; tape.num_outputs()];
-            let mut scratch = tape.scratch();
-            tape.eval_row(TapeBackend::BitAccurate, &row, &mut out, &mut scratch);
-            tape.eval_row(TapeBackend::F64, &row, &mut out, &mut scratch);
+            tape.eval_row(TapeBackend::BitAccurate, &row, &mut out);
+            tape.eval_row(TapeBackend::F64, &row, &mut out);
         }
     }
 });

@@ -8,8 +8,8 @@
 //! miscompilation or a validator false positive; both are bugs.
 
 use csfma_hls::{
-    compile_with_options, fuse_critical_paths, lint_ranges, parse_program_with_ranges, verify_tape,
-    CompileOptions, FmaKind, FusionConfig,
+    compile_with, fuse_critical_paths, lint_ranges, parse_program_with_ranges, verify_tape,
+    CompileOptions, FmaKind, FusionConfig, Profiler,
 };
 use libfuzzer_sys::fuzz_target;
 
@@ -34,7 +34,7 @@ fuzz_target!(|data: &[u8]| {
                 optimize,
                 ..CompileOptions::default()
             };
-            let Ok(tape) = compile_with_options(g, opts) else {
+            let Ok(tape) = compile_with(g, opts, &mut Profiler::disabled()) else {
                 continue; // structured compile errors are a fine outcome
             };
             let diags = verify_tape(&tape, g);

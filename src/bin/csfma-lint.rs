@@ -35,9 +35,9 @@ use std::io::Read as _;
 use std::process::ExitCode;
 
 use csfma_hls::{
-    asap_schedule, compile_with_options, fuse_critical_paths, interp::format_of, lint_ranges,
+    asap_schedule, compile_with, fuse_critical_paths, interp::format_of, lint_ranges,
     list_schedule, parse_program_with_ranges, verify_tape, CompileOptions, FmaKind, FusionConfig,
-    OpTiming, ResourceLimits,
+    OpTiming, Profiler, ResourceLimits,
 };
 use csfma_verify::{
     check_standard_formats, has_errors, render_json, render_report, window_plan, Diagnostic,
@@ -155,7 +155,7 @@ fn lint_source(src: &str, opts: &Options) -> (Vec<Diagnostic>, Option<String>) {
                 optimize,
                 ..CompileOptions::default()
             };
-            match compile_with_options(&g, c) {
+            match compile_with(&g, c, &mut Profiler::disabled()) {
                 Ok(tape) => {
                     diags.extend(verify_tape(&tape, &g));
                     // opt-in: fused tapes legitimately refuse the JIT, so

@@ -55,9 +55,9 @@ use std::process::ExitCode;
 
 use csfma_core::fault::{FaultPlan, FaultSite, FaultSpec};
 use csfma_hls::{
-    compile_cached_with_profiled, eval_many, fuse_critical_paths, lint_ranges,
-    parse_program_with_ranges, promotion_mask, verify_tape, CompileOptions, EvalManyRequest,
-    FmaKind, FusionConfig, Instr, Op, Profiler, RobustOptions, RowOutcome, Tape, TapeBackend,
+    compile_cached_with, eval_many, fuse_critical_paths, lint_ranges, parse_program_with_ranges,
+    promotion_mask, verify_tape, CompileOptions, EvalManyRequest, FmaKind, FusionConfig, Instr, Op,
+    PipelineReport, Profiler, RobustOptions, RowOutcome, Tape, TapeBackend,
 };
 use csfma_verify::{has_errors, render_report, Diagnostic, RangeDecl, Rule, Span};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -246,13 +246,11 @@ fn dump(tape: &Tape) {
     }
 }
 
-/// Finish the profiler and, when `--profile` was given, emit the report:
-/// the JSON document or the indented text tree on stdout, plus `O*`
+/// When `--profile` was given, emit the finished report: the JSON
+/// document or the indented text tree on stdout, plus `O*`
 /// observability diagnostics (compiled-out layer, unbalanced spans) on
-/// stderr. A run without `--profile` finishes a disabled profiler — this
-/// is free and prints nothing.
-fn emit_profile(prof: Profiler, format: Option<ProfileFormat>) {
-    let report = prof.finish();
+/// stderr. A run without `--profile` prints nothing.
+fn emit_profile(report: PipelineReport, format: Option<ProfileFormat>) {
     let Some(format) = format else { return };
     if !report.recorded {
         eprintln!(
@@ -339,6 +337,7 @@ fn run_many(opts: &Options) -> ExitCode {
             options: CompileOptions {
                 optimize: opts.optimize,
                 codegen: opts.backend == TapeBackend::Jit,
+                ..CompileOptions::default()
             },
         })
         .collect();
@@ -379,11 +378,9 @@ fn main() -> ExitCode {
     if opts.many {
         return run_many(&opts);
     }
-    let mut prof = if opts.profile.is_some() {
-        Profiler::new()
-    } else {
-        Profiler::disabled()
-    };
+    // recording even without --profile: the J001 advisory reads this
+    // run's own JIT counters from the report
+    let mut prof = Profiler::new();
 
     let src = match &opts.file {
         Some(f) if f != "-" => match std::fs::read_to_string(f) {
@@ -417,11 +414,12 @@ fn main() -> ExitCode {
     };
     prof.exit(parse_tok);
 
-    let tape = match compile_cached_with_profiled(
+    let tape = match compile_cached_with(
         &g,
         CompileOptions {
             optimize: opts.optimize,
             codegen: opts.backend == TapeBackend::Jit,
+            ..CompileOptions::default()
         },
         &mut prof,
     ) {
@@ -494,11 +492,11 @@ fn main() -> ExitCode {
     if tape.num_inputs() == 0 {
         // constant graph: a single row is the whole story
         let mut out = vec![0.0; tape.num_outputs()];
-        tape.eval_row(opts.backend, &[], &mut out, &mut tape.scratch());
+        tape.eval_row(opts.backend, &[], &mut out);
         for (name, v) in tape.output_names().iter().zip(&out) {
             println!("{name} = {v:?}");
         }
-        emit_profile(prof, opts.profile);
+        emit_profile(prof.finish(), opts.profile);
         return ExitCode::SUCCESS;
     }
 
@@ -536,8 +534,6 @@ fn main() -> ExitCode {
         prof.set_counter(c, 0.0);
     }
 
-    let jit_rows0 = csfma_hls::profile::jit_rows();
-    let jit_bail0 = csfma_hls::profile::jit_bailouts();
     let t0 = std::time::Instant::now();
     let (out, faulted) = match opts.fault_seed {
         None => (
@@ -583,13 +579,14 @@ fn main() -> ExitCode {
         }
     };
     let dt = t0.elapsed();
+    let report = prof.finish();
 
     // advisory only — the bailed rows were interpreted bit-exactly, the
     // run just did not get the native speedup it asked for. Silent when
-    // the obs layer is compiled out (the counters stay zero).
+    // the obs layer is compiled out (nothing is recorded).
     if opts.backend == TapeBackend::Jit {
-        let jit_rows = csfma_hls::profile::jit_rows() - jit_rows0;
-        let jit_bails = csfma_hls::profile::jit_bailouts() - jit_bail0;
+        let jit_rows = report.counter("jit_rows").unwrap_or(0.0) as u64;
+        let jit_bails = report.counter("jit_bailouts").unwrap_or(0.0) as u64;
         if jit_rows > 0 && jit_bails * 2 > jit_rows {
             eprintln!(
                 "csfma-run: {}",
@@ -619,7 +616,7 @@ fn main() -> ExitCode {
         per_row * 1e6,
         digest(&out),
     );
-    emit_profile(prof, opts.profile);
+    emit_profile(report, opts.profile);
     if faulted {
         ExitCode::from(3)
     } else {

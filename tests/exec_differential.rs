@@ -8,8 +8,8 @@
 
 use csfma::hls::interp::{eval_bit_accurate, eval_f64};
 use csfma::hls::{
-    compile, compile_with_options, fuse_critical_paths, Cdfg, CompileOptions, FmaKind,
-    FusionConfig, NodeId, Op, Tape, TapeBackend,
+    compile, compile_with, fuse_critical_paths, Cdfg, CompileOptions, FmaKind, FusionConfig,
+    NodeId, Op, Profiler, Tape, TapeBackend,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -83,10 +83,9 @@ fn input_map(g: &Cdfg, tape: &Tape, vals: &[f64]) -> (Vec<f64>, HashMap<String, 
 fn assert_tape_matches(g: &Cdfg, vals: &[f64]) {
     let tape = compile(g).expect("generated graphs are valid");
     let (row, map) = input_map(g, &tape, vals);
-    let mut scratch = tape.scratch();
     let mut got = vec![0.0; tape.num_outputs()];
 
-    tape.eval_row(TapeBackend::BitAccurate, &row, &mut got, &mut scratch);
+    tape.eval_row(TapeBackend::BitAccurate, &row, &mut got);
     let want = eval_bit_accurate(g, &map);
     for (name, v) in tape.output_names().iter().zip(&got) {
         prop_assert_eq!(
@@ -99,7 +98,7 @@ fn assert_tape_matches(g: &Cdfg, vals: &[f64]) {
         );
     }
 
-    tape.eval_row(TapeBackend::F64, &row, &mut got, &mut scratch);
+    tape.eval_row(TapeBackend::F64, &row, &mut got);
     let want = eval_f64(g, &map);
     for (name, v) in tape.output_names().iter().zip(&got) {
         prop_assert_eq!(
@@ -120,12 +119,13 @@ fn assert_tape_matches(g: &Cdfg, vals: &[f64]) {
 /// the optimizer.
 fn assert_optimizer_equivalent(g: &Cdfg, vals: &[f64]) {
     let opt = compile(g).expect("generated graphs are valid");
-    let plain = compile_with_options(
+    let plain = compile_with(
         g,
         CompileOptions {
             optimize: false,
             ..CompileOptions::default()
         },
+        &mut Profiler::disabled(),
     )
     .expect("same gate, same graph");
     prop_assert_eq!(opt.input_names(), plain.input_names());

@@ -65,6 +65,53 @@ fn assert_contained(
     }
 }
 
+/// Pins the order in which the robust executor claims faults: the
+/// panicking attempt claims the faults of the rows before the panicking
+/// row (so row 3's strike and row 5's register flip land in the
+/// discarded attempt), the retry claims the rest, and only rows 20 and
+/// 40 need the row rung.
+#[test]
+fn fault_claims_follow_row_order_across_a_chunk_retry() {
+    let tape = fused_listing1();
+    let rows = stimulus(&tape, 64);
+    let plan = FaultPlan::new(5)
+        .with_fault(FaultSpec::transient(FaultSite::MulSum, 3))
+        .with_fault(FaultSpec::transient(FaultSite::ExecPanic, 9))
+        .with_fault(FaultSpec::transient(FaultSite::MulSum, 20))
+        .with_fault(FaultSpec::transient(FaultSite::TapeReg, 5))
+        .with_fault(FaultSpec::transient(FaultSite::TapeReg, 40));
+    let opts = RobustOptions {
+        threads: 1,
+        chunk_retries: 2,
+        fault: Some(&plan),
+    };
+    let fired = |plan: &FaultPlan| (0..5).map(|i| plan.fired(i)).collect::<Vec<_>>();
+
+    let clean = tape.eval_batch(TapeBackend::BitAccurate, &rows, 1);
+    let (got, report) = tape.eval_batch_robust(TapeBackend::BitAccurate, &rows, &opts);
+    for (r, outcome) in report.outcomes.iter().enumerate() {
+        let want = if r == 20 || r == 40 {
+            RowOutcome::Recovered { backend: "row-bit" }
+        } else {
+            RowOutcome::Ok
+        };
+        assert_eq!(*outcome, want, "row {r}");
+    }
+    assert_eq!(report.detections, 2, "{report}");
+    assert_eq!(report.chunk_panics, 1, "{report}");
+    assert_eq!(report.chunk_retries, 1, "{report}");
+    assert_eq!(fired(&plan), [1, 1, 1, 1, 1]);
+    assert_contained(&tape, &clean, &got, &report.outcomes, &[]);
+
+    plan.reset();
+    let (_, report) = tape.eval_batch_robust(TapeBackend::F64, &rows, &opts);
+    assert!(
+        report.outcomes.iter().all(|o| *o == RowOutcome::Ok),
+        "{report}"
+    );
+    assert_eq!(fired(&plan), [0, 1, 0, 1, 1]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

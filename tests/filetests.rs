@@ -56,9 +56,9 @@
 //! in any backend fails on pinned bits.
 
 use csfma::hls::{
-    apply_mutation, compile, compile_with_options, eval_many, fuse_critical_paths, interp,
-    lint_ranges, parse_program_with_ranges, verify_tape, Cdfg, CompileOptions, EvalManyRequest,
-    FmaKind, FusionConfig, OpTiming, Tape, TapeBackend,
+    apply_mutation, compile, compile_with, eval_many, fuse_critical_paths, interp, lint_ranges,
+    parse_program_with_ranges, verify_tape, Cdfg, CompileOptions, EvalManyRequest, FmaKind,
+    FusionConfig, OpTiming, Profiler, Tape, TapeBackend,
 };
 use csfma::verify::Diagnostic;
 use std::collections::HashMap;
@@ -385,12 +385,13 @@ fn run_filetest(path: &std::path::Path) -> Vec<Diagnostic> {
     if let Some(name) = &d.mutate {
         // a correct compiler never emits a T*-dirty tape, so T* rule
         // reproducers seed their defect with a named mutation
-        let mut tape = compile_with_options(
+        let mut tape = compile_with(
             &g,
             CompileOptions {
                 optimize: false,
                 ..CompileOptions::default()
             },
+            &mut Profiler::disabled(),
         )
         .expect("must compile");
         assert!(
@@ -401,12 +402,13 @@ fn run_filetest(path: &std::path::Path) -> Vec<Diagnostic> {
     } else {
         diags.extend(csfma::hls::lint_dataflow(&g, &OpTiming::default()));
         for optimize in [false, true] {
-            if let Ok(tape) = compile_with_options(
+            if let Ok(tape) = compile_with(
                 &g,
                 CompileOptions {
                     optimize,
                     ..CompileOptions::default()
                 },
+                &mut Profiler::disabled(),
             ) {
                 diags.extend(verify_tape(&tape, &g));
             }

@@ -373,11 +373,17 @@ fn bits_hex(b: &csfma::bits::Bits) -> String {
     s
 }
 
-/// Evaluate one plane-kernel golden case: a 64-lane chunk chained
-/// through the bit-plane kernel (results feed back as the accumulator),
-/// returning the packed transport word of every lane after the final
-/// link plus the lane exponents.
-fn run_plane_case(fmt: CsFmaFormat, a: &[f64], b: &[f64], c: &[f64]) -> Vec<String> {
+/// Evaluate one plane-kernel golden case on `scratch`: a 64-lane chunk
+/// chained through the bit-plane kernel (results feed back as the
+/// accumulator), returning the packed transport word of every lane after
+/// the final link plus the lane exponents.
+fn run_plane_case(
+    fmt: CsFmaFormat,
+    a: &[f64],
+    b: &[f64],
+    c: &[f64],
+    scratch: &mut PlaneScratch,
+) -> Vec<String> {
     let unit = CsFmaUnit::new(fmt);
     let bfmt = plane_b_format(&fmt);
     // bank layout: slot 0 = acc, slot 1 = mulc, slot 2 = dst
@@ -387,7 +393,6 @@ fn run_plane_case(fmt: CsFmaFormat, a: &[f64], b: &[f64], c: &[f64]) -> Vec<Stri
         bank[PLANE_CHUNK + k] = CsOperand::from_ieee(&SoftFloat::from_f64(bfmt, c[k]), fmt);
     }
     let bv: Vec<SoftFloat> = b.iter().map(|&v| SoftFloat::from_f64(bfmt, v)).collect();
-    let mut scratch = PlaneScratch::default();
     for _ in 0..PLANE_LINKS {
         plane_fma_chunk(
             &unit,
@@ -397,7 +402,7 @@ fn run_plane_case(fmt: CsFmaFormat, a: &[f64], b: &[f64], c: &[f64]) -> Vec<Stri
             2 * PLANE_CHUNK,
             &bv,
             PLANE_CHUNK,
-            &mut scratch,
+            scratch,
         );
         for k in 0..PLANE_CHUNK {
             bank[k] = bank[2 * PLANE_CHUNK + k].clone();
@@ -411,10 +416,11 @@ fn run_plane_case(fmt: CsFmaFormat, a: &[f64], b: &[f64], c: &[f64]) -> Vec<Stri
         .collect()
 }
 
-/// Recompute every plane-kernel case and report mismatches against the
-/// pinned corpus (empty = corpus holds). Factored out so the mutation
-/// test below can assert the corpus *fails* under a seeded defect.
-fn plane_golden_mismatches(doc: &Json) -> Vec<String> {
+/// Recompute every plane-kernel case on `scratch` and report mismatches
+/// against the pinned corpus (empty = corpus holds). Factored out so the
+/// mutation test below can assert the corpus *fails* under a seeded
+/// defect armed on the scratch.
+fn plane_golden_mismatches(doc: &Json, scratch: &mut PlaneScratch) -> Vec<String> {
     let mut mismatches = Vec::new();
     for case in doc.get("cases").arr() {
         let name = case.get("format").str_();
@@ -423,7 +429,7 @@ fn plane_golden_mismatches(doc: &Json) -> Vec<String> {
         let b: Vec<f64> = case.get("b").arr().iter().map(Json::bits).collect();
         let c: Vec<f64> = case.get("c").arr().iter().map(Json::bits).collect();
         let want: Vec<&str> = case.get("packed").arr().iter().map(Json::str_).collect();
-        let got = run_plane_case(fmt, &a, &b, &c);
+        let got = run_plane_case(fmt, &a, &b, &c, scratch);
         assert_eq!(got.len(), want.len(), "{name}: lane count drifted");
         for (k, (g, w)) in got.iter().zip(want.iter()).enumerate() {
             if g != w {
@@ -543,7 +549,7 @@ fn golden_datapath_vectors_hold() {
 #[test]
 fn golden_plane_kernel_vectors_hold() {
     let doc = load("plane_kernel.json");
-    let mismatches = plane_golden_mismatches(&doc);
+    let mismatches = plane_golden_mismatches(&doc, &mut PlaneScratch::default());
     assert!(
         mismatches.is_empty(),
         "plane-kernel corpus violated:\n{}",
@@ -551,19 +557,19 @@ fn golden_plane_kernel_vectors_hold() {
     );
 }
 
-/// Mutation coverage of the corpus itself: arm the kernel's one-shot
-/// corruption hook (flips a single bit-plane word — lane 0, mantissa
-/// sum bit 0 — after the block select) and require the golden suite to
-/// notice. If this test fails, the corpus has a blind spot.
+/// Mutation coverage of the corpus itself: arm the one-shot corruption
+/// hook of the kernel scratch (flips a single bit-plane word — lane 0,
+/// mantissa sum bit 0 — after the block select) and require the golden
+/// suite to notice. If this test fails, the corpus has a blind spot.
 #[test]
 fn golden_suite_catches_plane_word_corruption() {
-    use std::sync::atomic::Ordering;
     let doc = load("plane_kernel.json");
-    csfma::core::plane::CORRUPT_NEXT_PLANE_WORD.store(true, Ordering::Relaxed);
-    let mismatches = plane_golden_mismatches(&doc);
+    let mut scratch = PlaneScratch::default();
+    scratch.corrupt_next_plane_word = true;
+    let mismatches = plane_golden_mismatches(&doc, &mut scratch);
     // one-shot hook: consumed by the first chunk evaluation
     assert!(
-        !csfma::core::plane::CORRUPT_NEXT_PLANE_WORD.load(Ordering::Relaxed),
+        !scratch.corrupt_next_plane_word,
         "corruption hook was never consumed"
     );
     assert!(
@@ -644,7 +650,7 @@ fn regenerate_golden_files() {
     let mut first = true;
     for &(name, fmt) in PLANE_FORMATS {
         let (a, b, c) = plane_stimulus(name);
-        let packed = run_plane_case(fmt, &a, &b, &c);
+        let packed = run_plane_case(fmt, &a, &b, &c, &mut PlaneScratch::default());
         if !first {
             s.push_str(",\n");
         }

@@ -15,7 +15,7 @@
 use csfma::hls::jit::{compile_module, jit_available, JitSemantics};
 use csfma::hls::{
     compile, fuse_critical_paths, lint_ranges, parse_program, parse_program_with_ranges,
-    promotion_mask, Cdfg, FmaKind, FusionConfig, NodeId, Op, TapeBackend,
+    promotion_mask, Cdfg, FmaKind, FusionConfig, NodeId, Op, Profiler, Tape, TapeBackend,
 };
 use proptest::prelude::*;
 
@@ -212,6 +212,22 @@ fn jit_matches_interpreter_on_promoted_tape() {
     }
 }
 
+/// Evaluate `rows` on the JIT backend through the profiled entry point,
+/// require bit-identity with the bit-accurate interpreter, and return
+/// this call's own `(jit_rows, jit_bailouts)` report counters.
+fn jit_counts(tape: &Tape, rows: &[f64], threads: usize) -> (f64, f64) {
+    let want = tape.eval_batch(TapeBackend::BitAccurate, rows, threads);
+    let mut prof = Profiler::new();
+    let got = tape.eval_batch_profiled(TapeBackend::Jit, rows, threads, &mut prof);
+    assert!(want
+        .iter()
+        .zip(got.iter())
+        .all(|(a, b)| a.to_bits() == b.to_bits()));
+    let report = prof.finish();
+    let counter = |name: &str| report.counter(name).unwrap_or(0.0);
+    (counter("jit_rows"), counter("jit_bailouts"))
+}
+
 /// Bailout accounting: a batch saturated with NaN rows must run (and
 /// match) with every row bailing; an ordinary batch must not bail at
 /// all. Counter assertions need the obs feature and a real module.
@@ -226,42 +242,63 @@ fn nan_rows_bail_and_ordinary_rows_do_not() {
     let nan_rows: Vec<f64> = vec![f64::NAN; 70 * ni];
     let ok_rows: Vec<f64> = (0..70 * ni).map(|i| (i % 97) as f64 * 0.5 - 24.0).collect();
 
-    let r0 = csfma::hls::profile::jit_rows();
-    let b0 = csfma::hls::profile::jit_bailouts();
-    let want = tape.eval_batch(TapeBackend::BitAccurate, &nan_rows, 1);
-    let got = tape.eval_batch(TapeBackend::Jit, &nan_rows, 1);
-    assert!(want
-        .iter()
-        .zip(got.iter())
-        .all(|(a, b)| a.to_bits() == b.to_bits()));
+    let (rows, bailouts) = jit_counts(&tape, &nan_rows, 1);
     if cfg!(feature = "obs") {
-        assert_eq!(
-            csfma::hls::profile::jit_rows() - r0,
-            70,
-            "every row goes through the jit dispatcher"
-        );
-        assert_eq!(
-            csfma::hls::profile::jit_bailouts() - b0,
-            70,
-            "every NaN row must bail on a load guard"
-        );
+        assert_eq!(rows, 70.0, "every row goes through the jit dispatcher");
+        assert_eq!(bailouts, 70.0, "every NaN row must bail on a load guard");
     }
 
-    let r1 = csfma::hls::profile::jit_rows();
-    let b1 = csfma::hls::profile::jit_bailouts();
-    let want = tape.eval_batch(TapeBackend::BitAccurate, &ok_rows, 1);
-    let got = tape.eval_batch(TapeBackend::Jit, &ok_rows, 1);
-    assert!(want
-        .iter()
-        .zip(got.iter())
-        .all(|(a, b)| a.to_bits() == b.to_bits()));
+    let (rows, bailouts) = jit_counts(&tape, &ok_rows, 1);
     if cfg!(feature = "obs") {
-        assert_eq!(csfma::hls::profile::jit_rows() - r1, 70);
-        assert_eq!(
-            csfma::hls::profile::jit_bailouts() - b1,
-            0,
-            "ordinary rows must run native"
-        );
+        assert_eq!(rows, 70.0);
+        assert_eq!(bailouts, 0.0, "ordinary rows must run native");
+    }
+}
+
+/// Per-call JIT counts: two threads evaluate two different graphs on the
+/// JIT backend at the same time, and each call reports exactly its own
+/// rows and bailouts — nothing of the other's.
+#[test]
+fn concurrent_jit_calls_report_their_own_counts() {
+    let g1 = parse_program("x1 = a*b + c*d;\nx2 = e*f + g*x1;\nout x3 = h*i + k*x2;\n").unwrap();
+    let g2 = parse_program("out y = (a + b) * (a - b) / c;\n").unwrap();
+    let (t1, t2) = (compile(&g1).unwrap(), compile(&g2).unwrap());
+    if !jit_available() || t1.jit_module().is_none() || t2.jit_module().is_none() {
+        return;
+    }
+    // g1: 300 rows, every 3rd one NaN (bails); g2: 517 ordinary rows
+    let n1 = 300usize;
+    let rows1: Vec<f64> = (0..n1 * t1.num_inputs())
+        .map(|i| {
+            if (i / t1.num_inputs()) % 3 == 0 {
+                f64::NAN
+            } else {
+                (i % 89) as f64 * 0.25 - 11.0
+            }
+        })
+        .collect();
+    let n2 = 517usize;
+    let rows2: Vec<f64> = (0..n2 * t2.num_inputs())
+        .map(|i| (i % 53) as f64 * 0.5 + 1.0)
+        .collect();
+    for _ in 0..8 {
+        // both calls start together, so their chunks overlap in time
+        let start = std::sync::Barrier::new(2);
+        let ((r1, b1), (r2, b2)) = std::thread::scope(|s| {
+            let h1 = s.spawn(|| {
+                start.wait();
+                jit_counts(&t1, &rows1, 2)
+            });
+            let h2 = s.spawn(|| {
+                start.wait();
+                jit_counts(&t2, &rows2, 2)
+            });
+            (h1.join().unwrap(), h2.join().unwrap())
+        });
+        if cfg!(feature = "obs") {
+            assert_eq!((r1, b1), (n1 as f64, (n1 / 3) as f64), "graph 1");
+            assert_eq!((r2, b2), (n2 as f64, 0.0), "graph 2");
+        }
     }
 }
 
@@ -277,7 +314,6 @@ fn f64_semantics_module_matches_f64_interpreter() {
         return; // platform without jit or without hardware fma
     };
     let ni = tape.num_inputs();
-    let mut s = tape.scratch();
     for seed in 0..50u64 {
         let row: Vec<f64> = (0..ni)
             .map(|k| {
@@ -286,7 +322,7 @@ fn f64_semantics_module_matches_f64_interpreter() {
             })
             .collect();
         let mut want = vec![0.0; tape.num_outputs()];
-        tape.eval_row(TapeBackend::F64, &row, &mut want, &mut s);
+        tape.eval_row(TapeBackend::F64, &row, &mut want);
         let mut got = vec![0.0; tape.num_outputs()];
         assert!(m.run_row(&row, &mut got), "f64 mode has no guards");
         for (x, y) in want.iter().zip(&got) {

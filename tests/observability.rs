@@ -17,8 +17,8 @@
 //!   what was actually executed.
 
 use csfma::hls::{
-    compile_with_options, compile_with_options_profiled, fuse_critical_paths, Cdfg, CompileOptions,
-    FmaKind, FusionConfig, NodeId, Op, PipelineReport, Profiler, TapeBackend,
+    compile, compile_with, fuse_critical_paths, Cdfg, CompileOptions, FmaKind, FusionConfig,
+    NodeId, Op, PipelineReport, Profiler, TapeBackend,
 };
 use proptest::prelude::*;
 
@@ -66,10 +66,9 @@ fn stimulus() -> impl Strategy<Value = f64> {
 /// require byte-identical tapes and outputs on both backends.
 fn assert_obs_invisible(g: &Cdfg, vals: &[f64]) -> PipelineReport {
     let mut prof = Profiler::new();
-    let profiled = compile_with_options_profiled(g, CompileOptions::default(), &mut prof)
-        .expect("generated graphs are valid");
-    let plain =
-        compile_with_options(g, CompileOptions::default()).expect("generated graphs are valid");
+    let profiled =
+        compile_with(g, CompileOptions::default(), &mut prof).expect("generated graphs are valid");
+    let plain = compile(g).expect("generated graphs are valid");
 
     // The compiled artifacts themselves must be identical.
     prop_assert_eq!(
@@ -179,7 +178,7 @@ fn span_tree_is_nested_and_counters_match() {
     let fused = fuse_critical_paths(&g, &FusionConfig::new(FmaKind::Pcs)).fused;
 
     let mut prof = Profiler::new();
-    let tape = compile_with_options_profiled(&fused, CompileOptions::default(), &mut prof)
+    let tape = compile_with(&fused, CompileOptions::default(), &mut prof)
         .expect("fused listing1 compiles");
     let rows = 50usize;
     let stim: Vec<f64> = (0..rows * tape.num_inputs())
@@ -249,8 +248,7 @@ fn span_tree_is_nested_and_counters_match() {
 fn disabled_profiler_records_nothing() {
     let g = csfma::hls::parse_program("out y = a*b + c;").expect("parses");
     let mut prof = Profiler::disabled();
-    let tape =
-        compile_with_options_profiled(&g, CompileOptions::default(), &mut prof).expect("compiles");
+    let tape = compile_with(&g, CompileOptions::default(), &mut prof).expect("compiles");
     let _ = tape.eval_batch_profiled(TapeBackend::F64, &[1.0, 2.0, 3.0], 1, &mut prof);
     let report = prof.finish();
     assert!(!report.recorded);

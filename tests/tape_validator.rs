@@ -12,21 +12,22 @@
 //!   strictly tighter alignment-shift bound than the format worst case.
 
 use csfma::hls::{
-    apply_mutation, compile_with_options, fuse_critical_paths, lint_ranges, parse_program,
+    apply_mutation, compile_with, fuse_critical_paths, lint_ranges, parse_program,
     parse_program_with_ranges, promotion_mask, verify_tape, Cdfg, CompileOptions, FmaKind,
-    FusionConfig, Tape, TapeBackend, ALL_MUTATIONS,
+    FusionConfig, Profiler, Tape, TapeBackend, ALL_MUTATIONS,
 };
 use csfma::verify::{has_errors, window_plan};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
 fn compile_opts(g: &Cdfg, optimize: bool) -> Tape {
-    compile_with_options(
+    compile_with(
         g,
         CompileOptions {
             optimize,
             ..CompileOptions::default()
         },
+        &mut Profiler::disabled(),
     )
     .expect("fixture graph must compile")
 }

@@ -276,7 +276,14 @@ fn compile_gate_refuses_dataflow_errors() {
 /// fused format: a cramped geometry refuses, the standard one compiles.
 #[test]
 fn compile_gate_refuses_broken_formats() {
-    use csfma_hls::{compile_with_formats, interp::format_of};
+    use csfma_hls::{compile_with, CompileOptions, Profiler};
+    let with_pcs = |g: &Cdfg, pcs_format: CsFmaFormat| {
+        let opts = CompileOptions {
+            pcs_format,
+            ..CompileOptions::default()
+        };
+        compile_with(g, opts, &mut Profiler::disabled())
+    };
 
     let g = csfma_hls::parse_program("x1 = a*b + c*d;\n out x3 = e*f + g*x1;").unwrap();
     let fused = fuse_critical_paths(&g, &FusionConfig::new(FmaKind::Pcs)).fused;
@@ -295,29 +302,28 @@ fn compile_gate_refuses_broken_formats() {
         normalizer: Normalizer::ZeroDetect,
         b_sig_bits: 27,
     };
-    let err = compile_with_formats(&fused, cramped, format_of(FmaKind::Fcs))
-        .expect_err("W-rule errors must refuse to compile");
+    let err = with_pcs(&fused, cramped).expect_err("W-rule errors must refuse to compile");
     assert!(
         err.diagnostics.iter().any(|d| d.rule.id().starts_with('W')),
         "{err}"
     );
 
     // the same graph with the shipped formats compiles
-    compile_with_formats(&fused, format_of(FmaKind::Pcs), format_of(FmaKind::Fcs))
+    compile_with(&fused, CompileOptions::default(), &mut Profiler::disabled())
         .expect("standard formats are clean");
 
     // a discrete graph never touches the formats, so even a broken PCS
     // geometry is irrelevant to it — the gate only fires on use
-    compile_with_formats(&g, cramped, format_of(FmaKind::Fcs))
-        .expect("unused formats must not gate a discrete graph");
+    with_pcs(&g, cramped).expect("unused formats must not gate a discrete graph");
 }
 
-/// The `S*` schedule-hazard rules gate `compile_scheduled`: a schedule
-/// that overloads the declared resources is a miscompilation risk for
-/// the hardware the tape stands in for.
+/// The `S*` schedule-hazard rules refuse a schedule that overloads the
+/// declared resources — a miscompilation risk for the hardware a tape
+/// stands in for. A tape for a concrete schedule is `compile` followed
+/// by `lint_schedule`.
 #[test]
 fn compile_gate_refuses_hazardous_schedules() {
-    use csfma_hls::compile_scheduled;
+    use csfma_hls::compile;
 
     let t = OpTiming::default();
     let mut g = Cdfg::new();
@@ -327,6 +333,7 @@ fn compile_gate_refuses_hazardous_schedules() {
     let m2 = g.mul(b, b);
     let s = g.add(m, m2);
     g.output("y", s);
+    compile(&g).expect("the graph itself is clean");
 
     let asap = asap_schedule(&g, &t);
     let one_mul = ResourceLimits {
@@ -334,14 +341,25 @@ fn compile_gate_refuses_hazardous_schedules() {
         ..Default::default()
     };
     // both multiplies at cycle 0 with one declared multiplier: S003
-    let err = compile_scheduled(&g, &t, &asap, &one_mul)
-        .expect_err("resource overflow must refuse to compile");
+    let diags = lint_schedule(&g, &t, &asap, &one_mul);
     assert!(
-        err.diagnostics.iter().any(|d| d.rule.id() == "S003"),
-        "{err}"
+        has_errors(&diags),
+        "resource overflow must refuse the schedule"
+    );
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.severity == Severity::Error && d.rule.id() == "S003"),
+        "{}",
+        render_report(&diags)
     );
 
     // the list scheduler respects the limit; the same gate passes
     let listed = list_schedule(&g, &t, &one_mul);
-    compile_scheduled(&g, &t, &listed, &one_mul).expect("resource-feasible schedule must compile");
+    let diags = lint_schedule(&g, &t, &listed, &one_mul);
+    assert!(
+        !has_errors(&diags),
+        "resource-feasible schedule must pass: {}",
+        render_report(&diags)
+    );
 }
