@@ -21,6 +21,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 # instrumentation compiled out (the zero-overhead configuration)
 cargo test -q -p csfma-obs --no-default-features
 
+# per-call evaluation counts (DESIGN.md §11.1): the exact-count
+# assertions of the observability suite run again with 8 harness
+# threads, so sibling tests evaluate while each profile is taken — any
+# shared counter reintroduced on the evaluation path trips them
+RUST_TEST_THREADS=8 cargo test -q --test observability
+
 # batch execution engine smoke: compile every example datapath and run a
 # tiny batch through both backends (exit 1 on checker errors or panics);
 # the profiled run must produce the same digest as the plain one (the

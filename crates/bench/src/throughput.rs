@@ -241,7 +241,7 @@ fn measure(
 
     // one un-timed 8-thread pass to capture the scheduler's own view of
     // the workload (grain, fielded workers, claim/steal mix)
-    let (_, sched, _) = tape.eval_batch_with_stats(backend, stim, 8);
+    let sched = tape.eval_batch_with_stats(backend, stim, 8).1.sched;
 
     let tape_1t = tape_us[0].1;
     let tape_8t = tape_us[2].1;

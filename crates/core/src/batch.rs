@@ -33,10 +33,6 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 
-use crate::obs::{
-    SCHED_CLAIMS, SCHED_GRAIN, SCHED_INLINE_JOBS, SCHED_JOBS, SCHED_STEALS, SCHED_STEAL_MISSES,
-};
-
 /// Rows per scheduling chunk used by the batch evaluators. This is the
 /// SoA register-plane width: the bit-plane kernel (DESIGN.md §13) runs
 /// on exactly-full 64-row chunks, so the chunk size is fixed and the
@@ -48,9 +44,9 @@ pub const CHUNK_ROWS: usize = 64;
 pub const MAX_WORKERS: usize = 16;
 
 /// Owner-side claims per worker the grain policy aims for. Chosen from
-/// the obs chunk-occupancy histogram of the bench workloads: 10 k-row
-/// batches produce 157 chunks, and 8 claims per worker keeps the tail
-/// imbalance under one grain while the claim traffic stays noise.
+/// the chunk counts of the bench workloads: 10 k-row batches produce
+/// 157 chunks, and 8 claims per worker keeps the tail imbalance under
+/// one grain while the claim traffic stays noise.
 const TARGET_CLAIMS_PER_WORKER: usize = 8;
 
 /// Upper bound on the grain (work items per claim).
@@ -177,8 +173,9 @@ pub fn adaptive_grain(n_items: usize, workers: usize) -> usize {
 
 /// What one scheduler invocation did: worker/grain decisions and
 /// claim/steal traffic. Returned by [`steal_indexed`] and
-/// [`par_chunks_indexed`]; the same tallies accumulate process-wide in
-/// [`crate::obs::sched_counts`].
+/// [`par_chunks_indexed`] for that invocation alone; nothing is
+/// tallied process-wide, so concurrent jobs never see each other's
+/// traffic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Work items in the job.
@@ -245,10 +242,8 @@ pub fn steal_indexed<S>(
         grain: grain as u64,
         ..SchedStats::default()
     };
-    SCHED_GRAIN.record(grain.max(1).ilog2() as usize);
 
     if workers <= 1 {
-        SCHED_INLINE_JOBS.add(1);
         let mut state = init();
         for i in 0..n_items {
             f(&mut state, i);
@@ -256,7 +251,6 @@ pub fn steal_indexed<S>(
         stats.claims = u64::from(n_items > 0);
         return stats;
     }
-    SCHED_JOBS.add(1);
 
     // one contiguous segment of the index space per worker
     let deques: Vec<IndexDeque> = (0..workers)
@@ -342,9 +336,6 @@ pub fn steal_indexed<S>(
     stats.claims = claims.load(Ordering::Relaxed);
     stats.steals = steals.load(Ordering::Relaxed);
     stats.steal_misses = misses.load(Ordering::Relaxed);
-    SCHED_CLAIMS.add(stats.claims);
-    SCHED_STEALS.add(stats.steals);
-    SCHED_STEAL_MISSES.add(stats.steal_misses);
     stats
 }
 

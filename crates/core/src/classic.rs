@@ -48,7 +48,6 @@ impl ClassicFma {
     /// `A + B * C` with one rounding at the end (the defining property of
     /// the fused operation: no intermediate normalization, Fig. 3/4).
     pub fn fma(&self, a: &SoftFloat, b: &SoftFloat, c: &SoftFloat) -> SoftFloat {
-        crate::obs::CLASSIC_FMA_OPS.incr();
         // B*C + A: SoftFloat::fma_r computes product-exact, adds exact,
         // rounds once — the value semantics of the Fig. 4 datapath.
         b.fma_r(c, a, self.mode)

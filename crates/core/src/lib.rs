@@ -29,7 +29,6 @@ mod classic;
 mod dot;
 pub mod fault;
 mod format;
-pub mod obs;
 mod operand;
 mod pipeline;
 pub mod plane;
@@ -42,15 +41,11 @@ pub use chain::{run_recurrence_exact, run_recurrence_softfloat, ChainEvaluator, 
 pub use classic::ClassicFma;
 pub use dot::CsDotUnit;
 pub use format::{CsFmaFormat, Normalizer};
-pub use obs::{
-    count_plane_fallback, plane_counts, sched_counts, sched_grain_histogram, unit_op_counts,
-    PlaneCounts, SchedCounts, UnitOpCounts,
-};
 pub use operand::CsOperand;
 pub use pipeline::PipelinedFma;
 #[cfg(feature = "fault-inject")]
 pub use plane::PlaneStrike;
-pub use plane::{plane_fma_chunk, PlaneScratch};
+pub use plane::{plane_fma_chunk, PlaneScratch, PlaneStats};
 pub use reference::{exact_fma, ulp_error_vs_exact};
 pub use trace::{NopSink, TraceSink, VecSink};
 pub use unit::{CsFmaUnit, FmaReport, FmaScratch};

@@ -47,7 +47,6 @@
 //! engine, so a plane-path fault is contained by construction.
 
 use crate::format::Normalizer;
-use crate::obs;
 use crate::operand::CsOperand;
 use crate::unit::{CsFmaUnit, FmaScratch};
 use csfma_bits::Bits;
@@ -167,12 +166,28 @@ pub struct PlaneScratch {
     rnd_c: Vec<u64>,
 }
 
+/// What one [`plane_fma_chunk`] call did, returned to its caller: the
+/// batch engine sums these into the evaluation's own stats, so nothing
+/// is tallied process-wide or left behind in a recycled scratch.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PlaneStats {
+    /// Lanes the plane datapath evaluated.
+    pub lanes: u64,
+    /// Lanes resolved by the scalar exception path (NaN / Inf / zero
+    /// products never reach the datapath).
+    pub exception_lanes: u64,
+    /// Nanoseconds spent transposing between lane-major and plane-major
+    /// form (`0` unless the `obs` feature is on).
+    pub transpose_ns: u64,
+}
+
+/// Run `f`, adding its wall time to `ns` when the `obs` feature is on.
 #[inline]
-fn timed<R>(out: &csfma_obs::Counter, f: impl FnOnce() -> R) -> R {
+fn timed<R>(ns: &mut u64, f: impl FnOnce() -> R) -> R {
     if cfg!(feature = "obs") {
         let t0 = std::time::Instant::now();
         let r = f();
-        out.add(t0.elapsed().as_nanos() as u64);
+        *ns += t0.elapsed().as_nanos() as u64;
         r
     } else {
         f()
@@ -183,7 +198,7 @@ fn timed<R>(out: &csfma_obs::Counter, f: impl FnOnce() -> R) -> R {
 /// `bank[dst + k] = bank[acc + k] + b[k] * bank[mulc + k]` for
 /// `k < len`, bit-identical to calling [`CsFmaUnit::fma_with`] per
 /// lane (including when `dst` aliases `acc` or `mulc` — inputs are
-/// latched before writeback).
+/// latched before writeback). Returns the call's [`PlaneStats`].
 ///
 /// # Panics
 /// If `len > PLANE_LANES`, `b.len() < len`, or the bank slices are out
@@ -198,7 +213,7 @@ pub fn plane_fma_chunk(
     b: &[SoftFloat],
     len: usize,
     s: &mut PlaneScratch,
-) {
+) -> PlaneStats {
     assert!(len <= PLANE_LANES, "chunk wider than a plane word");
     #[cfg(feature = "fault-inject")]
     let strikes: Vec<PlaneStrike> = std::mem::take(&mut s.strikes);
@@ -272,13 +287,11 @@ pub fn plane_fma_chunk(
             skip_cap,
         };
     }
-    if f.carry_spacing.is_some() {
-        obs::PCS_FMA_OPS.add(n_plane);
-    } else {
-        obs::FCS_FMA_OPS.add(n_plane);
-    }
-    obs::PLANE_FMA_LANES.add(n_plane);
-    obs::PLANE_EXCEPTION_LANES.add(len as u64 - n_plane);
+    let mut stats = PlaneStats {
+        lanes: n_plane,
+        exception_lanes: len as u64 - n_plane,
+        transpose_ns: 0,
+    };
 
     // lane masks driving the per-lane selects
     let mut up_c_mask = 0u64;
@@ -293,7 +306,7 @@ pub fn plane_fma_chunk(
     }
 
     // ---- plane multiplier (Fig. 6, fixed 2·b_sig+1-row tree) ----
-    timed(&obs::PLANE_TRANSPOSE_NS, || {
+    timed(&mut stats.transpose_ns, || {
         s.lane_bits.clear();
         s.lane_bits2.clear();
         for c in &s.c_ops {
@@ -466,7 +479,7 @@ pub fn plane_fma_chunk(
             a_shifts[k] = p.a_shift;
         }
     }
-    timed(&obs::PLANE_TRANSPOSE_NS, || {
+    timed(&mut stats.transpose_ns, || {
         planes_to_lane_limbs(&s.prod_s, out_w, &mut s.lane_limbs);
         align_lanes_to_planes(
             &s.lane_limbs,
@@ -502,7 +515,7 @@ pub fn plane_fma_chunk(
         s.lane_limbs[k * mg..k * mg + sl.len()].copy_from_slice(sl);
         s.lane_limbs2[k * mg..k * mg + cl.len()].copy_from_slice(cl);
     }
-    timed(&obs::PLANE_TRANSPOSE_NS, || {
+    timed(&mut stats.transpose_ns, || {
         align_lanes_to_planes(
             &s.lane_limbs,
             m,
@@ -712,7 +725,7 @@ pub fn plane_fma_chunk(
     let mut res_c_l: Vec<Bits> = Vec::new();
     let mut rnd_s_l: Vec<Bits> = Vec::new();
     let mut rnd_c_l: Vec<Bits> = Vec::new();
-    timed(&obs::PLANE_TRANSPOSE_NS, || {
+    timed(&mut stats.transpose_ns, || {
         planes_to_lanes(&s.res_s, rw, len, &mut res_s_l);
         planes_to_lanes(&s.res_c, rw, len, &mut res_c_l);
         planes_to_lanes(&s.rnd_s, bb, len, &mut rnd_s_l);
@@ -737,6 +750,7 @@ pub fn plane_fma_chunk(
         let exp = BiasedExp::from_unbiased_saturating(e_r);
         bank[dst + k] = CsOperand::from_raw(f, FpClass::Normal, sign_hint, mant, round, exp);
     }
+    stats
 }
 
 #[cfg(test)]
@@ -818,7 +832,7 @@ mod tests {
                         .map(|_| SoftFloat::from_f64(bfmt, gen_f64(&mut state)))
                         .collect();
                     // acc = previous dst, so CS-form results feed back in
-                    plane_fma_chunk(
+                    let stats = plane_fma_chunk(
                         &unit,
                         &mut plane_bank,
                         0,
@@ -828,6 +842,7 @@ mod tests {
                         len,
                         &mut plane_scratch,
                     );
+                    assert_eq!(stats.lanes + stats.exception_lanes, len as u64);
                     for k in 0..len {
                         let r = unit.fma_with(
                             &scalar_bank[k].clone(),

@@ -174,11 +174,6 @@ impl CsFmaUnit {
         let f = &self.format;
         assert_eq!(a.format(), f, "A operand format mismatch");
         assert_eq!(c.format(), f, "C operand format mismatch");
-        if f.carry_spacing.is_some() {
-            crate::obs::PCS_FMA_OPS.incr();
-        } else {
-            crate::obs::FCS_FMA_OPS.incr();
-        }
 
         // ---- exception classes (separate wires, resolved up front) ----
         if a.class() == FpClass::Nan || b.is_nan() || c.class() == FpClass::Nan {

@@ -47,7 +47,7 @@ use crate::cdfg::{Cdfg, FmaKind, Op};
 use crate::interp::format_of;
 use crate::lint::lint_dataflow;
 use crate::opt::{optimize_graph, OptStats};
-use crate::profile;
+use crate::profile::EvalStats;
 use crate::sched::OpTiming;
 use csfma_core::batch::{par_chunks_indexed, CHUNK_ROWS};
 use csfma_core::fault::FmaCtl;
@@ -287,6 +287,9 @@ pub struct Tape {
     /// path); a separate flag so future analyses can veto instructions
     /// and so tests can audit the dispatch decision.
     pub(crate) plane_eligible: Vec<bool>,
+    /// Per-row instruction counts behind the fixed part of a batch's
+    /// [`EvalStats`].
+    pub(crate) row_work: RowWork,
     /// Lazily built native module for [`TapeBackend::Jit`]
     /// ([`crate::jit`], bit-accurate semantics). `None` inside the cell
     /// means module construction was attempted and refused (fused tape,
@@ -315,6 +318,66 @@ pub(crate) struct ChunkScratch {
     pub(crate) b_lane: Vec<SoftFloat>,
 }
 
+/// The work one row puts on each execution resource, counted once when
+/// the tape is built. A batch's fixed [`EvalStats`] counts are these
+/// times the rows each interpreter ran, not per-lane tallies.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct RowWork {
+    /// Hosted-FPU-eligible instructions (add/sub/mul/div/neg).
+    hosted: u64,
+    /// Fused instructions on the PCS unit.
+    fma_pcs: u64,
+    /// Fused instructions on the FCS unit.
+    fma_fcs: u64,
+}
+
+impl RowWork {
+    fn of(instrs: &[Instr]) -> Self {
+        let mut w = RowWork::default();
+        for ins in instrs {
+            match ins {
+                Instr::Add { .. }
+                | Instr::Sub { .. }
+                | Instr::Mul { .. }
+                | Instr::Div { .. }
+                | Instr::Neg { .. } => w.hosted += 1,
+                Instr::Fma { kind, .. } => match kind {
+                    FmaKind::Pcs => w.fma_pcs += 1,
+                    FmaKind::Fcs => w.fma_fcs += 1,
+                },
+                _ => {}
+            }
+        }
+        w
+    }
+
+    /// The FMA ops of `len` rows through the behavioral units.
+    fn fma_ops(&self, len: usize) -> EvalStats {
+        EvalStats {
+            fma_ops_pcs: self.fma_pcs * len as u64,
+            fma_ops_fcs: self.fma_fcs * len as u64,
+            ..EvalStats::default()
+        }
+    }
+}
+
+/// One worker's state in [`Tape::eval_batch_with_stats`]: its register
+/// file and the counts of the chunks it ran, merged into the call's
+/// total when the worker finishes (the scheduler drops every worker
+/// state before it returns).
+struct StatsWorker<'a> {
+    scratch: PooledChunkScratch,
+    stats: EvalStats,
+    total: &'a Mutex<EvalStats>,
+}
+
+impl Drop for StatsWorker<'_> {
+    fn drop(&mut self) {
+        let mut total = self.total.lock().unwrap_or_else(|e| e.into_inner());
+        total.merge(&self.stats);
+    }
+}
+
 /// Process-wide recycling pool for [`ChunkScratch`] register files.
 ///
 /// The work-stealing scheduler builds one scratch per participating
@@ -325,7 +388,9 @@ pub(crate) struct ChunkScratch {
 /// written before it is read (validated by the T001 def-before-use rule,
 /// `crates/verify/src/tape.rs`), so stale contents can never reach an
 /// output byte — which is also why recycling across *different* tapes is
-/// sound.
+/// sound. A scratch keeps no counts either (the plane kernel returns its
+/// [`PlaneStats`](csfma_core::PlaneStats) per call), so a recycled one
+/// cannot carry one call's [`EvalStats`] into the next.
 static CHUNK_SCRATCH_POOL: Mutex<Vec<ChunkScratch>> = Mutex::new(Vec::new());
 
 /// Retained-scratch cap: two full worker complements
@@ -575,6 +640,13 @@ fn build_tape(g: &Cdfg, opts: CompileOptions, prof: &mut Profiler) -> Tape {
             stats.dead_slots_removed =
                 eliminate_dead_slots(&mut tape.instrs, &mut tape.instr_nodes);
         }
+        // per-instruction tables describe the final instruction list
+        tape.plane_eligible = tape
+            .instrs
+            .iter()
+            .map(|i| matches!(i, Instr::Fma { .. }))
+            .collect();
+        tape.row_work = RowWork::of(&tape.instrs);
         prof.exit(lower_tok);
         // `lower` recorded the allocator's slot reuses on its fresh
         // OptStats; carry them over the optimizer-stats overwrite
@@ -817,10 +889,6 @@ fn lower(g: &Cdfg, pcs_format: CsFmaFormat, fcs_format: CsFmaFormat) -> Tape {
     }
 
     let consts_canonical = consts.iter().map(|&c| sfb::canonicalize(c)).collect();
-    let plane_eligible = instrs
-        .iter()
-        .map(|i| matches!(i, Instr::Fma { .. }))
-        .collect();
     Tape {
         instrs,
         inputs,
@@ -839,7 +907,9 @@ fn lower(g: &Cdfg, pcs_format: CsFmaFormat, fcs_format: CsFmaFormat) -> Tape {
         },
         instr_nodes,
         promoted: Vec::new(),
-        plane_eligible,
+        // filled by `build_tape` once the instruction list is final
+        plane_eligible: Vec::new(),
+        row_work: RowWork::default(),
         jit: OnceLock::new(),
     }
 }
@@ -1006,54 +1076,53 @@ impl Tape {
         self.eval_batch_with_stats(backend, rows, threads).0
     }
 
-    /// [`Tape::eval_batch`] plus the scheduler's
-    /// [`SchedStats`](csfma_core::SchedStats) for the run (worker count,
-    /// grain, claim/steal traffic) and this call's JIT tally
-    /// `(rows, bailouts)`: rows dispatched to the native path and how
-    /// many of them the interpreter re-ran (`(0, 0)` on the other
-    /// backends). The output vector is the same — stats only observe.
+    /// [`Tape::eval_batch`] plus this call's [`EvalStats`]: rows and
+    /// chunks, hosted and FMA ops, plane-kernel lanes, JIT rows and
+    /// bailouts, and the scheduler's [`SchedStats`](csfma_core::SchedStats).
+    /// The counts cover this call alone, however many other evaluations
+    /// run at the same time. The output vector is the same — stats only
+    /// observe.
     pub fn eval_batch_with_stats(
         &self,
         backend: TapeBackend,
         rows: &[f64],
         threads: usize,
-    ) -> (Vec<f64>, csfma_core::SchedStats, (u64, u64)) {
+    ) -> (Vec<f64>, EvalStats) {
         let ni = self.inputs.len();
         assert!(ni > 0, "eval_batch on a tape with no inputs");
         assert_eq!(rows.len() % ni, 0, "rows not a multiple of num_inputs");
         let n = rows.len() / ni;
         let no = self.outputs.len();
         let mut out = vec![0.0f64; n * no];
+        let mut stats = EvalStats::for_rows(n);
         if no == 0 {
-            return (out, csfma_core::SchedStats::default(), (0, 0));
+            return (out, stats);
         }
-        let (jit_rows, jit_bailouts) = (AtomicU64::new(0), AtomicU64::new(0));
-        let stats = par_chunks_indexed(
+        let total = Mutex::new(EvalStats::default());
+        stats.sched = par_chunks_indexed(
             &mut out,
             CHUNK_ROWS * no,
             threads,
-            || self.chunk_scratch(),
-            |scratch, chunk_idx, chunk| {
+            || StatsWorker {
+                scratch: self.chunk_scratch(),
+                stats: EvalStats::default(),
+                total: &total,
+            },
+            |w, chunk_idx, chunk| {
                 let len = chunk.len() / no;
-                let (r, b) =
-                    self.eval_chunk(backend, rows, chunk_idx * CHUNK_ROWS, len, chunk, scratch);
-                if r > 0 {
-                    jit_rows.fetch_add(r, Ordering::Relaxed);
-                    jit_bailouts.fetch_add(b, Ordering::Relaxed);
-                }
+                let base = chunk_idx * CHUNK_ROWS;
+                let st = self.eval_chunk(backend, rows, base, len, chunk, &mut w.scratch);
+                w.stats.merge(&st);
             },
         );
-        (
-            out,
-            stats,
-            (jit_rows.into_inner(), jit_bailouts.into_inner()),
-        )
+        stats.merge(&total.into_inner().unwrap_or_else(|e| e.into_inner()));
+        (out, stats)
     }
 
     /// Evaluate one scheduling chunk (`len` rows starting at row `base`)
     /// into `chunk` — the shared per-chunk dispatch used by
     /// [`Tape::eval_batch`] and [`crate::many::eval_many`]. Returns the
-    /// chunk's JIT tally (see [`Tape::eval_batch_with_stats`]).
+    /// chunk's counts (see [`EvalStats`]); the scratch keeps none.
     pub(crate) fn eval_chunk(
         &self,
         backend: TapeBackend,
@@ -1062,17 +1131,21 @@ impl Tape {
         len: usize,
         chunk: &mut [f64],
         scratch: &mut ChunkScratch,
-    ) -> (u64, u64) {
-        profile::record_chunk_occupancy(len, CHUNK_ROWS);
+    ) -> EvalStats {
         match backend {
-            TapeBackend::F64 => self.eval_chunk_f64(rows, base, len, chunk, scratch, &mut NoHook),
+            TapeBackend::F64 => {
+                self.eval_chunk_f64(rows, base, len, chunk, scratch, &mut NoHook);
+                EvalStats::default()
+            }
             TapeBackend::BitAccurate => {
                 self.eval_chunk_bit(rows, base, len, chunk, scratch, &mut NoHook)
             }
-            TapeBackend::Oracle => self.eval_chunk_oracle(rows, base, len, chunk, scratch),
-            TapeBackend::Jit => return self.eval_chunk_jit(rows, base, len, chunk, scratch),
+            TapeBackend::Oracle => {
+                self.eval_chunk_oracle(rows, base, len, chunk, scratch);
+                self.row_work.fma_ops(len)
+            }
+            TapeBackend::Jit => self.eval_chunk_jit(rows, base, len, chunk, scratch),
         }
-        (0, 0)
     }
 
     /// Chunk evaluation on the native JIT module, bit-identical to
@@ -1082,7 +1155,7 @@ impl Tape {
     /// because chunk lanes are independent — a one-row chunk computes
     /// exactly what that lane of any chunk computes). With no module at
     /// all the whole chunk keeps the interpreter and every row counts
-    /// as a bailout. Returns the chunk's `(rows, bailouts)` tally.
+    /// as a bailout.
     fn eval_chunk_jit(
         &self,
         rows: &[f64],
@@ -1090,24 +1163,29 @@ impl Tape {
         len: usize,
         out: &mut [f64],
         s: &mut ChunkScratch,
-    ) -> (u64, u64) {
+    ) -> EvalStats {
         let Some(module) = self.jit_module() else {
-            self.eval_chunk_bit(rows, base, len, out, s, &mut NoHook);
-            return (len as u64, len as u64);
+            let mut st = self.eval_chunk_bit(rows, base, len, out, s, &mut NoHook);
+            st.jit_rows = len as u64;
+            st.jit_bailouts = len as u64;
+            return st;
         };
         let module = Arc::clone(module);
         let ni = self.inputs.len();
         let no = self.outputs.len();
-        let mut bailouts = 0u64;
+        let mut st = EvalStats {
+            jit_rows: len as u64,
+            ..EvalStats::default()
+        };
         for k in 0..len {
             let row = &rows[(base + k) * ni..(base + k + 1) * ni];
             let dst = &mut out[k * no..(k + 1) * no];
             if !module.run_row(row, dst) {
-                bailouts += 1;
-                self.eval_chunk_bit(rows, base + k, 1, dst, s, &mut NoHook);
+                st.jit_bailouts += 1;
+                st.merge(&self.eval_chunk_bit(rows, base + k, 1, dst, s, &mut NoHook));
             }
         }
-        (len as u64, bailouts)
+        st
     }
 
     /// [`Tape::eval_batch`] wrapped in an `eval` stage span, with
@@ -1115,13 +1193,10 @@ impl Tape {
     /// counters recorded into `prof`. The output vector is byte-identical
     /// to the unprofiled call — instrumentation only observes.
     ///
-    /// `jit_rows` and `jit_bailouts` are this call's exact tallies, and
-    /// `jit_compile_us` is the module build the `codegen` span forced (0
-    /// when the module already existed). The other op counters are
-    /// deltas of process-wide tallies taken around this call; when other
-    /// threads evaluate batches concurrently their ops land in whichever
-    /// profiler is live, so treat them as per-process traffic
-    /// attribution, not an exact per-call census.
+    /// Every count comes from this call's [`EvalStats`], so it is exact
+    /// even while other threads evaluate: a profile never includes work
+    /// it did not run. `jit_compile_us` is the module build the `codegen`
+    /// span forced (0 when the module already existed).
     pub fn eval_batch_profiled(
         &self,
         backend: TapeBackend,
@@ -1129,12 +1204,6 @@ impl Tape {
         threads: usize,
         prof: &mut Profiler,
     ) -> Vec<f64> {
-        let hosted0 = profile::hosted_ops();
-        let fallback0 = sfb::softfloat_fallbacks();
-        let units0 = csfma_core::unit_op_counts();
-        let plane0 = csfma_core::plane_counts();
-        let occ0 = profile::chunk_occupancy();
-
         let mut jit_compile_us = 0.0;
         if backend == TapeBackend::Jit {
             // force the lazy module build here so its cost lands in a
@@ -1151,72 +1220,39 @@ impl Tape {
         }
 
         let eval_tok = prof.enter("eval");
-        let ((out, sched, (jit_rows, jit_bailouts)), wall_us) =
+        let ((out, st), wall_us) =
             csfma_obs::time_us(|| self.eval_batch_with_stats(backend, rows, threads));
         prof.exit(eval_tok);
 
-        let n = rows.len() / self.inputs.len();
-        prof.set_counter("rows", n as f64);
+        let c = |v: u64| v as f64;
+        prof.set_counter("rows", c(st.rows));
         prof.set_counter("threads", threads as f64);
-        prof.set_counter("sched_workers", sched.workers as f64);
-        prof.set_counter(
-            "sched_grain_rows",
-            (sched.grain as usize * CHUNK_ROWS) as f64,
-        );
-        prof.set_counter("sched_claims", sched.claims as f64);
-        prof.set_counter("sched_steals", sched.steals as f64);
-        prof.set_counter("sched_steal_misses", sched.steal_misses as f64);
+        prof.set_counter("sched_workers", c(st.sched.workers));
+        prof.set_counter("sched_grain_rows", c(st.sched.grain * CHUNK_ROWS as u64));
+        prof.set_counter("sched_claims", c(st.sched.claims));
+        prof.set_counter("sched_steals", c(st.sched.steals));
+        prof.set_counter("sched_steal_misses", c(st.sched.steal_misses));
         if wall_us > 0.0 {
-            prof.set_counter("rows_per_sec", n as f64 / (wall_us * 1e-6));
+            prof.set_counter("rows_per_sec", c(st.rows) / (wall_us * 1e-6));
         }
-        prof.set_counter("chunks", n.div_ceil(CHUNK_ROWS) as f64);
-        let occ = profile::chunk_occupancy();
-        let (mut full, mut partial) = (0u64, 0u64);
-        for (i, (a, b)) in occ0.iter().zip(occ.iter()).enumerate() {
-            let d = b - a;
-            if i == 9 {
-                full += d;
-            } else {
-                partial += d;
-            }
+        prof.set_counter("chunks", c(st.chunks_full + st.chunks_partial));
+        prof.set_counter("chunks_full", c(st.chunks_full));
+        prof.set_counter("chunks_partial", c(st.chunks_partial));
+        prof.set_counter("hosted_ops", c(st.hosted_ops));
+        prof.set_counter("softfloat_fallbacks", c(st.softfloat_fallbacks));
+        if st.hosted_ops > 0 {
+            let missed = st.softfloat_fallbacks.min(st.hosted_ops);
+            prof.set_counter("hosted_hit_rate", 1.0 - c(missed) / c(st.hosted_ops));
         }
-        prof.set_counter("chunks_full", full as f64);
-        prof.set_counter("chunks_partial", partial as f64);
-
-        let hosted = profile::hosted_ops() - hosted0;
-        let fallbacks = sfb::softfloat_fallbacks() - fallback0;
-        prof.set_counter("hosted_ops", hosted as f64);
-        prof.set_counter("softfloat_fallbacks", fallbacks as f64);
-        if hosted > 0 {
-            prof.set_counter(
-                "hosted_hit_rate",
-                1.0 - fallbacks.min(hosted) as f64 / hosted as f64,
-            );
-        }
-        let units = csfma_core::unit_op_counts();
-        prof.set_counter("fma_ops_classic", (units.classic - units0.classic) as f64);
-        prof.set_counter("fma_ops_pcs", (units.pcs - units0.pcs) as f64);
-        prof.set_counter("fma_ops_fcs", (units.fcs - units0.fcs) as f64);
-        let plane = csfma_core::plane_counts();
-        prof.set_counter(
-            "plane_lanes",
-            (plane.plane_lanes - plane0.plane_lanes) as f64,
-        );
-        prof.set_counter(
-            "plane_exception_lanes",
-            (plane.exception_lanes - plane0.exception_lanes) as f64,
-        );
-        prof.set_counter(
-            "plane_fallback_lanes",
-            (plane.fallback_lanes - plane0.fallback_lanes) as f64,
-        );
-        prof.set_counter(
-            "plane_transpose_us",
-            (plane.transpose_ns - plane0.transpose_ns) as f64 / 1000.0,
-        );
+        prof.set_counter("fma_ops_pcs", c(st.fma_ops_pcs));
+        prof.set_counter("fma_ops_fcs", c(st.fma_ops_fcs));
+        prof.set_counter("plane_lanes", c(st.plane_lanes));
+        prof.set_counter("plane_exception_lanes", c(st.plane_exception_lanes));
+        prof.set_counter("plane_fallback_lanes", c(st.plane_fallback_lanes));
+        prof.set_counter("plane_transpose_us", c(st.plane_transpose_ns) / 1000.0);
         if backend == TapeBackend::Jit {
-            prof.set_counter("jit_rows", jit_rows as f64);
-            prof.set_counter("jit_bailouts", jit_bailouts as f64);
+            prof.set_counter("jit_rows", c(st.jit_rows));
+            prof.set_counter("jit_bailouts", c(st.jit_bailouts));
             prof.set_counter("jit_compile_us", jit_compile_us);
         }
         out
@@ -1330,9 +1366,14 @@ impl Tape {
     /// layer buffers are reused across every lane of every FMA in the
     /// chunk instead of being reallocated per call.
     ///
+    /// Returns the chunk's [`EvalStats`]: the hosted and FMA ops of its
+    /// `len` rows, the soft-float fallbacks the hosted ops reported, and
+    /// the plane-kernel and scalar-fallback lanes.
+    ///
     /// In checked mode (`H::CHECKED`, the robust executor) every FMA lane
     /// goes through [`ChunkHook::fma`] instead, IEEE instructions ignore
-    /// the promotion mask, and `hook` taps each instruction's result.
+    /// the promotion mask, and `hook` taps each instruction's result;
+    /// the robust executor discards the counts.
     pub(crate) fn eval_chunk_bit<H: ChunkHook>(
         &self,
         rows: &[f64],
@@ -1341,14 +1382,16 @@ impl Tape {
         out: &mut [f64],
         s: &mut ChunkScratch,
         hook: &mut H,
-    ) {
+    ) -> EvalStats {
         let ni = self.inputs.len();
         let no = self.outputs.len();
         const W: usize = CHUNK_ROWS;
         let p = |r: u32| r as usize * W;
-        if !H::CHECKED {
-            profile::count_hosted_chunk(&self.instrs, len);
-        }
+        let mut st = EvalStats {
+            hosted_ops: self.row_work.hosted * len as u64,
+            ..self.row_work.fma_ops(len)
+        };
+        let fb = &mut 0u64; // soft-float fallbacks, reported by the hosted ops
         let promoted = |i: usize| !H::CHECKED && self.promoted.get(i).copied().unwrap_or(false);
         for (i, ins) in self.instrs.iter().enumerate() {
             match *ins {
@@ -1370,7 +1413,7 @@ impl Tape {
                         }
                     } else {
                         for k in 0..len {
-                            s.f[d + k] = sfb::hosted_add(s.f[x + k], s.f[y + k]);
+                            s.f[d + k] = sfb::hosted_add(s.f[x + k], s.f[y + k], fb);
                         }
                     }
                 }
@@ -1382,7 +1425,7 @@ impl Tape {
                         }
                     } else {
                         for k in 0..len {
-                            s.f[d + k] = sfb::hosted_sub(s.f[x + k], s.f[y + k]);
+                            s.f[d + k] = sfb::hosted_sub(s.f[x + k], s.f[y + k], fb);
                         }
                     }
                 }
@@ -1394,7 +1437,7 @@ impl Tape {
                         }
                     } else {
                         for k in 0..len {
-                            s.f[d + k] = sfb::hosted_mul(s.f[x + k], s.f[y + k]);
+                            s.f[d + k] = sfb::hosted_mul(s.f[x + k], s.f[y + k], fb);
                         }
                     }
                 }
@@ -1406,7 +1449,7 @@ impl Tape {
                         }
                     } else {
                         for k in 0..len {
-                            s.f[d + k] = sfb::hosted_div(s.f[x + k], s.f[y + k]);
+                            s.f[d + k] = sfb::hosted_div(s.f[x + k], s.f[y + k], fb);
                         }
                     }
                 }
@@ -1455,7 +1498,7 @@ impl Tape {
                             }
                             s.b_lane.push(bv);
                         }
-                        csfma_core::plane_fma_chunk(
+                        st.add_plane(csfma_core::plane_fma_chunk(
                             unit,
                             &mut s.cs,
                             pa,
@@ -1464,9 +1507,9 @@ impl Tape {
                             &s.b_lane,
                             len,
                             &mut s.plane,
-                        );
+                        ));
                     } else {
-                        csfma_core::count_plane_fallback(len);
+                        st.plane_fallback_lanes += len as u64;
                         for k in 0..len {
                             let mut bv = SoftFloat::from_f64(F, s.f[pb + k]);
                             if negate_b {
@@ -1504,6 +1547,8 @@ impl Tape {
                 hook.after_bit(i, &mut s.f, &mut s.cs);
             }
         }
+        st.softfloat_fallbacks = *fb;
+        st
     }
 
     /// Column-wise chunk evaluation with [`TapeBackend::Oracle`]

@@ -66,7 +66,7 @@ pub use opt::OptStats;
 pub use optimize::{optimize, OptimizeReport};
 pub use parser::{parse_program, parse_program_with_ranges, ParseError};
 pub use printer::{to_source, to_source_with_ranges};
-pub use profile::{robust_counts, PipelineReport, Profiler, RobustCounts, StageRecord};
+pub use profile::{EvalStats, PipelineReport, Profiler, StageRecord};
 pub use robust::{BatchReport, RobustOptions, RowOutcome};
 pub use sched::{
     alap_schedule, asap_schedule, critical_path, list_schedule, occupancy_chart, OpTiming,

@@ -13,112 +13,93 @@
 //! byte-identity contract (`tests/observability.rs`) holds by
 //! construction.
 //!
-//! This module also owns the process-wide executor counters that are too
-//! hot to thread a profiler through: hosted-FPU op totals (tallied once
-//! per instruction per chunk, not per lane) and the SoA chunk-occupancy
-//! histogram (one record per chunk).
+//! The evaluation counters come from [`EvalStats`], which belongs to one
+//! batch call: there is no process-wide tally to take deltas of, so a
+//! profile counts its own call and nothing that runs beside it.
 
-use crate::compile::Instr;
-use csfma_obs::{Counter, Histogram};
+use csfma_core::batch::CHUNK_ROWS;
+use csfma_core::{PlaneStats, SchedStats};
 
 pub use csfma_obs::{PipelineReport, Profiler, SpanToken, StageRecord};
 
-/// Hosted-FPU-eligible scalar ops (add/sub/mul/div/neg) executed by the
-/// bit-accurate backend. Together with
-/// [`csfma_softfloat::batch::softfloat_fallbacks`] this gives the
-/// fast-path hit rate: `1 - fallbacks / hosted_ops`.
-static HOSTED_OPS: Counter = Counter::new();
-
-/// SoA chunk occupancy by decile of `CHUNK_ROWS`: bucket 9 is a full
-/// chunk, lower buckets are the ragged tail of a batch.
-static CHUNK_OCCUPANCY: Histogram<10> = Histogram::new();
-
-/// Process-wide hosted-FPU-eligible op total (see [`hosted_ops`]
-/// internals; `0` when the `obs` feature is compiled out).
-pub fn hosted_ops() -> u64 {
-    HOSTED_OPS.get()
-}
-
-/// Snapshot of the SoA chunk-occupancy histogram: bucket `i` counts
-/// chunks with occupancy in `[i*10%, (i+1)*10%)` of `CHUNK_ROWS`
-/// (bucket 9 includes exactly-full chunks).
-pub fn chunk_occupancy() -> [u64; 10] {
-    CHUNK_OCCUPANCY.snapshot()
-}
-
-/// Tally the hosted-FPU-eligible work of one chunk: one atomic add per
-/// chunk covering `lanes` rows across every scalar IEEE instruction.
-#[inline]
-pub(crate) fn count_hosted_chunk(instrs: &[Instr], lanes: usize) {
-    if !cfg!(feature = "obs") {
-        return;
-    }
-    let scalar_ops = instrs
-        .iter()
-        .filter(|i| {
-            matches!(
-                i,
-                Instr::Add { .. }
-                    | Instr::Sub { .. }
-                    | Instr::Mul { .. }
-                    | Instr::Div { .. }
-                    | Instr::Neg { .. }
-            )
-        })
-        .count();
-    HOSTED_OPS.add((scalar_ops * lanes) as u64);
-}
-
-/// Record one chunk's occupancy (`lanes` of `capacity` rows used).
-#[inline]
-pub(crate) fn record_chunk_occupancy(lanes: usize, capacity: usize) {
-    if !cfg!(feature = "obs") {
-        return;
-    }
-    CHUNK_OCCUPANCY.record(lanes * 10 / capacity.max(1));
-}
-
-// Robust-executor tallies, incremented inside `robust_chunk` — i.e. on
-// whichever stealing worker actually ran the chunk — so the counters
-// follow the work through the scheduler rather than being derived from
-// the merged report afterwards. `tests/scheduler.rs` asserts the two
-// views agree under stealing.
-static ROBUST_DETECTIONS: Counter = Counter::new();
-static ROBUST_ROWS_RECOVERED: Counter = Counter::new();
-static ROBUST_ROWS_QUARANTINED: Counter = Counter::new();
-
-/// Snapshot of the robust executor's process-wide fault tallies (all
-/// zeros when the `obs` feature is compiled out). Unlike the per-call
-/// [`BatchReport`](crate::BatchReport), these accumulate across every
-/// `eval_batch_robust` call in the process and are recorded on the
-/// worker that executed each chunk.
+/// What one [`Tape::eval_batch_with_stats`](crate::Tape::eval_batch_with_stats)
+/// call did, counted for that call alone.
+///
+/// Counts fixed by the tape and the chunk length (hosted ops, FMA ops
+/// per architecture, chunk fullness) are per-tape instruction counts
+/// times the rows each interpreter ran. Data-dependent counts (plane
+/// vs exception lanes, soft-float fallbacks, JIT bailouts) are reported
+/// by the code that incurred them, summed on the worker that ran each
+/// chunk, and merged when the workers join. No process-global,
+/// thread-local or per-lane atomic state is involved.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RobustCounts {
-    /// Self-check detections across all ladder rungs.
-    pub detections: u64,
-    /// Rows recovered by a fallback rung.
-    pub rows_recovered: u64,
-    /// Rows quarantined (every rung failed).
-    pub rows_quarantined: u64,
+pub struct EvalStats {
+    /// Rows evaluated.
+    pub rows: u64,
+    /// Chunks of exactly [`CHUNK_ROWS`] rows.
+    pub chunks_full: u64,
+    /// Ragged-tail chunks (`0` or `1`).
+    pub chunks_partial: u64,
+    /// Hosted-FPU-eligible scalar ops (add/sub/mul/div/neg) the
+    /// bit-accurate interpreter executed, promoted ones included.
+    pub hosted_ops: u64,
+    /// Hosted results the trust guard recomputed with soft-float; the
+    /// fast-path hit rate is `1 - softfloat_fallbacks / hosted_ops`.
+    pub softfloat_fallbacks: u64,
+    /// Behavioral FMA ops on a partial carry-save (PCS) unit.
+    pub fma_ops_pcs: u64,
+    /// Behavioral FMA ops on a full carry-save (FCS) unit.
+    pub fma_ops_fcs: u64,
+    /// FMA lanes the bit-plane kernel evaluated.
+    pub plane_lanes: u64,
+    /// Lanes of plane chunks resolved on the scalar exception path.
+    pub plane_exception_lanes: u64,
+    /// FMA lanes the bit-accurate interpreter ran scalar: ragged-tail
+    /// chunks, JIT bailout rows, and instructions not plane-eligible.
+    pub plane_fallback_lanes: u64,
+    /// Nanoseconds the plane kernel spent transposing (`0` without the
+    /// `obs` feature).
+    pub plane_transpose_ns: u64,
+    /// Rows dispatched to native code ([`TapeBackend::Jit`](crate::TapeBackend::Jit) only).
+    pub jit_rows: u64,
+    /// JIT rows the interpreter re-ran: a guard fired, or no module
+    /// could be built.
+    pub jit_bailouts: u64,
+    /// The scheduler's view of the call.
+    pub sched: SchedStats,
 }
 
-/// Read the process-wide robust-executor counters.
-pub fn robust_counts() -> RobustCounts {
-    RobustCounts {
-        detections: ROBUST_DETECTIONS.get(),
-        rows_recovered: ROBUST_ROWS_RECOVERED.get(),
-        rows_quarantined: ROBUST_ROWS_QUARANTINED.get(),
+impl EvalStats {
+    /// The per-call totals of a batch of `rows` rows; the chunk counts
+    /// follow from the row count alone.
+    pub(crate) fn for_rows(rows: usize) -> Self {
+        EvalStats {
+            rows: rows as u64,
+            chunks_full: (rows / CHUNK_ROWS) as u64,
+            chunks_partial: u64::from(!rows.is_multiple_of(CHUNK_ROWS)),
+            ..EvalStats::default()
+        }
     }
-}
 
-/// Tally one robust chunk's outcome counts (called by the worker that
-/// ran the chunk).
-#[inline]
-pub(crate) fn count_robust_chunk(detections: u64, recovered: u64, quarantined: u64) {
-    if !cfg!(feature = "obs") {
-        return;
+    /// Add another share's work counts (`rows`, chunk counts and
+    /// `sched` describe the whole call and are left alone).
+    pub(crate) fn merge(&mut self, o: &EvalStats) {
+        self.hosted_ops += o.hosted_ops;
+        self.softfloat_fallbacks += o.softfloat_fallbacks;
+        self.fma_ops_pcs += o.fma_ops_pcs;
+        self.fma_ops_fcs += o.fma_ops_fcs;
+        self.plane_lanes += o.plane_lanes;
+        self.plane_exception_lanes += o.plane_exception_lanes;
+        self.plane_fallback_lanes += o.plane_fallback_lanes;
+        self.plane_transpose_ns += o.plane_transpose_ns;
+        self.jit_rows += o.jit_rows;
+        self.jit_bailouts += o.jit_bailouts;
     }
-    ROBUST_DETECTIONS.add(detections);
-    ROBUST_ROWS_RECOVERED.add(recovered);
-    ROBUST_ROWS_QUARANTINED.add(quarantined);
+
+    /// Add one plane-kernel call.
+    pub(crate) fn add_plane(&mut self, p: PlaneStats) {
+        self.plane_lanes += p.lanes;
+        self.plane_exception_lanes += p.exception_lanes;
+        self.plane_transpose_ns += p.transpose_ns;
+    }
 }

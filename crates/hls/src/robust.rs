@@ -397,17 +397,6 @@ impl Tape {
             );
             rec.outcomes.push((row_idx, outcome));
         }
-        // tally on the worker that ran the chunk, so the process-wide
-        // counters travel through the stealing path with the work
-        let (recovered, quarantined) =
-            rec.outcomes
-                .iter()
-                .fold((0u64, 0u64), |(r, q), (_, o)| match o {
-                    RowOutcome::Recovered { .. } => (r + 1, q),
-                    RowOutcome::Quarantined { .. } => (r, q + 1),
-                    RowOutcome::Ok => (r, q),
-                });
-        crate::profile::count_robust_chunk(rec.detections as u64, recovered, quarantined);
         rec
     }
 
@@ -550,7 +539,7 @@ impl Tape {
                 // bit interpreter: same bits by the bailout contract, and
                 // the tamper points stay armed for the differential
                 TapeBackend::BitAccurate | TapeBackend::Oracle | TapeBackend::Jit => {
-                    self.eval_chunk_bit(rows, base, run, out, s, &mut hook)
+                    self.eval_chunk_bit(rows, base, run, out, s, &mut hook);
                 }
             }
         }

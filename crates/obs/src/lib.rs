@@ -4,16 +4,15 @@
 //! is a black box at runtime without instrumentation, and the paper's own
 //! methodology (per-architecture latency/schedule tables, Secs. IV–V)
 //! only works because every stage is measured. This crate is the one
-//! instrumentation substrate the whole workspace shares:
+//! instrumentation substrate the whole workspace shares: a [`Profiler`]
+//! records hierarchical stage **spans** with monotonic wall times and
+//! named counters into a [`PipelineReport`] (flattened pre-order tree:
+//! each [`StageRecord`] carries its nesting depth).
 //!
-//! * [`Profiler`] — hierarchical stage **spans** with monotonic wall
-//!   times, collected into a [`PipelineReport`] (flattened pre-order
-//!   tree: each [`StageRecord`] carries its nesting depth);
-//! * [`Counter`] — process-wide relaxed atomic counters for hot-path
-//!   statistics (FMA ops per unit class, hosted-FPU fallbacks, cache
-//!   traffic), cheap enough to live inside the behavioral units;
-//! * [`Histogram`] — fixed-bucket atomic histograms (SoA chunk
-//!   occupancy).
+//! The crate holds no process-wide state. A profiler belongs to one
+//! pipeline run, and the counters it reports come from that run's own
+//! plain-data stats (`csfma_hls::EvalStats`, `csfma_hls::BatchReport`),
+//! so concurrent runs cannot count each other's work.
 //!
 //! ## The determinism contract
 //!
@@ -39,8 +38,6 @@
 use std::fmt;
 
 #[cfg(feature = "enabled")]
-use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "enabled")]
 use std::time::Instant;
 
 /// Measure the wall time of `f` in microseconds (monotonic clock). This
@@ -51,127 +48,6 @@ pub fn time_us<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let t0 = std::time::Instant::now();
     let r = f();
     (r, t0.elapsed().as_secs_f64() * 1e6)
-}
-
-// ---------------------------------------------------------------------
-// counters & histograms
-// ---------------------------------------------------------------------
-
-/// A process-wide monotonic event counter. Increments are relaxed
-/// atomics when observability is compiled in and literal no-ops
-/// otherwise, so the type can sit inside the behavioral units' hot
-/// paths. Construct as a `static`:
-///
-/// ```
-/// static FMA_OPS: csfma_obs::Counter = csfma_obs::Counter::new();
-/// FMA_OPS.add(3);
-/// FMA_OPS.incr();
-/// # #[cfg(feature = "enabled")]
-/// assert!(FMA_OPS.get() >= 4);
-/// ```
-#[derive(Debug)]
-pub struct Counter {
-    #[cfg(feature = "enabled")]
-    v: AtomicU64,
-}
-
-impl Counter {
-    /// A zeroed counter (const: usable in `static` position).
-    pub const fn new() -> Self {
-        Counter {
-            #[cfg(feature = "enabled")]
-            v: AtomicU64::new(0),
-        }
-    }
-
-    /// Add `n` events.
-    #[inline(always)]
-    pub fn add(&self, n: u64) {
-        #[cfg(feature = "enabled")]
-        self.v.fetch_add(n, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
-    }
-
-    /// Add one event.
-    #[inline(always)]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Current value (always `0` when observability is compiled out).
-    #[inline]
-    pub fn get(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        return self.v.load(Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        0
-    }
-}
-
-impl Default for Counter {
-    fn default() -> Self {
-        Counter::new()
-    }
-}
-
-/// A fixed-bucket atomic histogram; `N` is the bucket count and the
-/// caller owns the bucket semantics (the SoA executor uses one bucket
-/// per occupancy decile). Out-of-range samples clamp into the last
-/// bucket. Zero-sized and inert when observability is compiled out.
-#[derive(Debug)]
-pub struct Histogram<const N: usize> {
-    #[cfg(feature = "enabled")]
-    buckets: [AtomicU64; N],
-}
-
-impl<const N: usize> Histogram<N> {
-    /// A zeroed histogram (const: usable in `static` position).
-    pub const fn new() -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            // [AtomicU64::new(0); N] needs Copy; build element-wise
-            #[allow(clippy::declare_interior_mutable_const)]
-            const ZERO: AtomicU64 = AtomicU64::new(0);
-            Histogram { buckets: [ZERO; N] }
-        }
-        #[cfg(not(feature = "enabled"))]
-        Histogram {}
-    }
-
-    /// Record one sample in `bucket` (clamped to the last bucket).
-    #[inline(always)]
-    pub fn record(&self, bucket: usize) {
-        #[cfg(feature = "enabled")]
-        self.buckets[bucket.min(N - 1)].fetch_add(1, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = bucket;
-    }
-
-    /// Snapshot every bucket (all zeros when compiled out).
-    pub fn snapshot(&self) -> [u64; N] {
-        #[cfg(feature = "enabled")]
-        {
-            let mut out = [0u64; N];
-            for (o, b) in out.iter_mut().zip(self.buckets.iter()) {
-                *o = b.load(Ordering::Relaxed);
-            }
-            out
-        }
-        #[cfg(not(feature = "enabled"))]
-        [0u64; N]
-    }
-
-    /// Total samples recorded.
-    pub fn total(&self) -> u64 {
-        self.snapshot().iter().sum()
-    }
-}
-
-impl<const N: usize> Default for Histogram<N> {
-    fn default() -> Self {
-        Histogram::new()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -515,91 +391,6 @@ impl fmt::Display for PipelineReport {
     }
 }
 
-// ---------------------------------------------------------------------
-// serve counters
-// ---------------------------------------------------------------------
-
-/// Bucket count of the [`serve_counts`] queue-depth histogram: one
-/// bucket per admission-queue depth `0..N-1`, deeper clamps into the
-/// last bucket.
-pub const SERVE_QUEUE_BUCKETS: usize = 16;
-
-static SERVE_ACCEPTED: Counter = Counter::new();
-static SERVE_SHED: Counter = Counter::new();
-static SERVE_DEADLINE: Counter = Counter::new();
-static SERVE_RETRY: Counter = Counter::new();
-static SERVE_QUARANTINE: Counter = Counter::new();
-static SERVE_QUEUE_DEPTH: Histogram<SERVE_QUEUE_BUCKETS> = Histogram::new();
-
-/// Snapshot of the batch-evaluation server's process-wide counters
-/// (`serve_*` in profile output). All zeros when observability is
-/// compiled out — `csfma-serve` keeps its own authoritative
-/// `ServeStats` independent of this layer, so responses do not change.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServeCounts {
-    /// Requests admitted past the admission gate.
-    pub accepted: u64,
-    /// Requests rejected with a `SHED` response (queue or byte budget).
-    pub shed: u64,
-    /// Requests that ran out of deadline at a chunk boundary.
-    pub deadline: u64,
-    /// Engine-level retries after a contained evaluation panic.
-    pub retries: u64,
-    /// Rows quarantined (NaN-poisoned) by the robust ladder under serve.
-    pub quarantined: u64,
-    /// Admission-queue depth observed at each submit, one bucket per
-    /// depth (clamped into the last bucket).
-    pub queue_depth: [u64; SERVE_QUEUE_BUCKETS],
-}
-
-/// Snapshot the `serve_*` counters.
-pub fn serve_counts() -> ServeCounts {
-    ServeCounts {
-        accepted: SERVE_ACCEPTED.get(),
-        shed: SERVE_SHED.get(),
-        deadline: SERVE_DEADLINE.get(),
-        retries: SERVE_RETRY.get(),
-        quarantined: SERVE_QUARANTINE.get(),
-        queue_depth: SERVE_QUEUE_DEPTH.snapshot(),
-    }
-}
-
-/// Count one admitted request.
-#[inline(always)]
-pub fn count_serve_accepted() {
-    SERVE_ACCEPTED.incr();
-}
-
-/// Count one load-shed rejection.
-#[inline(always)]
-pub fn count_serve_shed() {
-    SERVE_SHED.incr();
-}
-
-/// Count one deadline expiry.
-#[inline(always)]
-pub fn count_serve_deadline() {
-    SERVE_DEADLINE.incr();
-}
-
-/// Count `n` engine-level retries.
-#[inline(always)]
-pub fn count_serve_retries(n: u64) {
-    SERVE_RETRY.add(n);
-}
-
-/// Count `n` quarantined rows.
-#[inline(always)]
-pub fn count_serve_quarantined(n: u64) {
-    SERVE_QUARANTINE.add(n);
-}
-
-/// Record the admission-queue depth observed at one submit.
-#[inline(always)]
-pub fn record_serve_queue_depth(depth: usize) {
-    SERVE_QUEUE_DEPTH.record(depth);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -673,32 +464,6 @@ mod tests {
         assert!(json.contains("\"rows\": 15"), "{json}");
         assert!(json.contains("\"rate\": 3.5"), "{json}");
         assert!(json.contains("\"recorded\": true"), "{json}");
-    }
-
-    #[test]
-    fn static_counter_and_histogram_accumulate() {
-        static C: Counter = Counter::new();
-        static H: Histogram<4> = Histogram::new();
-        let before = C.get();
-        C.add(2);
-        C.incr();
-        H.record(0);
-        H.record(3);
-        H.record(99); // clamps into the last bucket
-        #[cfg(feature = "enabled")]
-        {
-            assert_eq!(C.get() - before, 3);
-            let snap = H.snapshot();
-            assert_eq!(snap[0], 1);
-            assert_eq!(snap[3], 2);
-            assert_eq!(H.total(), 3);
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            assert_eq!(C.get(), 0);
-            assert_eq!(before, 0);
-            assert_eq!(H.total(), 0);
-        }
     }
 
     #[test]

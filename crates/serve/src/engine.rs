@@ -167,8 +167,6 @@ pub fn process_submit(
             stats
                 .deadline
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            #[cfg(feature = "obs")]
-            csfma_obs::count_serve_deadline();
             return Frame::Deadline {
                 elapsed_ms: started.elapsed().as_millis() as u32,
             };
@@ -195,8 +193,6 @@ pub fn process_submit(
                     stats
                         .retries
                         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    #[cfg(feature = "obs")]
-                    csfma_obs::count_serve_retries(1);
                     std::thread::sleep(backoff);
                     backoff *= 2;
                 }
@@ -226,8 +222,6 @@ pub fn process_submit(
     stats
         .quarantined_rows
         .fetch_add(quarantined, std::sync::atomic::Ordering::Relaxed);
-    #[cfg(feature = "obs")]
-    csfma_obs::count_serve_quarantined(quarantined);
     Frame::Result {
         digest: digest(&out),
         rows: rows as u32,

@@ -428,15 +428,11 @@ fn handle_frame(sh: &Shared, sock: &mut TcpStream, f: Frame) -> bool {
                 }
                 Err(Refusal::Shed { retry_after_ms }) => {
                     sh.stats.shed.fetch_add(1, Ordering::Relaxed);
-                    #[cfg(feature = "obs")]
-                    csfma_obs::count_serve_shed();
                     Frame::Shed { retry_after_ms }
                 }
                 Ok(queue_depth) => {
                     sh.stats.record_queue_depth(queue_depth);
                     sh.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                    #[cfg(feature = "obs")]
-                    csfma_obs::count_serve_accepted();
                     let started = Instant::now();
                     let deadline = started
                         + if deadline_ms == 0 {

@@ -1,11 +1,11 @@
 //! Server statistics: always-on relaxed atomics plus a JSON snapshot.
 //!
-//! These are the *authoritative* counters the acceptance gate reconciles
-//! against client-observed outcomes (every submitted frame gets exactly
-//! one terminal response, and `accepted + shed + refusals` must cover
-//! every SUBMIT seen). The `serve_*` counters in `csfma-obs` mirror a
-//! subset for profile output but compile away with observability;
-//! these do not.
+//! These are the server's only counters. Each
+//! [`Server`](crate::Server) owns its own set (nothing is process-wide),
+//! the STATS frame carries their [`StatsSnapshot`], and the acceptance
+//! gate reconciles them against client-observed outcomes (every
+//! submitted frame gets exactly one terminal response, and `accepted +
+//! shed + refusals` must cover every SUBMIT seen).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -81,8 +81,6 @@ impl ServeStats {
     /// Record the admission-queue depth observed at one SUBMIT.
     pub fn record_queue_depth(&self, depth: usize) {
         self.queue_depth[depth.min(QUEUE_DEPTH_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "obs")]
-        csfma_obs::record_serve_queue_depth(depth);
     }
 
     /// Copy every counter.

@@ -30,26 +30,15 @@
 //! normal-range grid, so the results are bit-identical; the differential
 //! suites (`softfloat::tests`, `tests/exec_differential.rs`) enforce
 //! this on random and special operands.
+//!
+//! The guarded operators report each soft-float recomputation to their
+//! caller by incrementing its `fallbacks` tally, so a batch engine can
+//! attribute the slow path to the evaluation that took it.
 
 use crate::format::FpFormat;
 use crate::value::SoftFloat;
-use csfma_obs::Counter;
 
 const F: FpFormat = FpFormat::BINARY64;
-
-/// Process-wide count of hosted results that failed the trust guard and
-/// were recomputed with the soft-float operator. The *total* hosted-op
-/// count is tallied per-chunk by the tape executor (one add per
-/// instruction, not per lane), so the fast-path hit rate is
-/// `1 - fallbacks/total`; only this rare slow path pays a per-call
-/// atomic. No-op unless the `obs` feature is enabled.
-static SOFTFLOAT_FALLBACKS: Counter = Counter::new();
-
-/// Hosted-FPU results recomputed via soft-float since process start
-/// (always `0` when the `obs` feature is compiled out).
-pub fn softfloat_fallbacks() -> u64 {
-    SOFTFLOAT_FALLBACKS.get()
-}
 
 /// Canonicalize a host double into the workspace value domain: subnormals
 /// flush to signed zero, every NaN collapses to `f64::NAN`. This is
@@ -70,13 +59,6 @@ pub fn canonicalize(v: f64) -> f64 {
     }
 }
 
-/// Canonicalize a slice in place.
-pub fn canonicalize_slice(vs: &mut [f64]) {
-    for v in vs {
-        *v = canonicalize(*v);
-    }
-}
-
 /// True when a host-computed result cannot be trusted to match the
 /// soft-float operator bit-for-bit and must be recomputed.
 #[inline]
@@ -91,11 +73,13 @@ fn sf(v: f64) -> SoftFloat {
 
 /// `a + b` with soft-float binary64 semantics at host speed.
 /// Operands must be canonical (see [`canonicalize`]); the result is.
+/// A result the trust guard recomputes with soft-float adds one to
+/// `*fallbacks` (likewise for the other guarded operators).
 #[inline]
-pub fn hosted_add(a: f64, b: f64) -> f64 {
+pub fn hosted_add(a: f64, b: f64, fallbacks: &mut u64) -> f64 {
     let r = a + b;
     if needs_softfloat(r) {
-        SOFTFLOAT_FALLBACKS.incr();
+        *fallbacks += 1;
         sf(a).add(&sf(b)).to_f64()
     } else {
         r
@@ -104,10 +88,10 @@ pub fn hosted_add(a: f64, b: f64) -> f64 {
 
 /// `a - b` with soft-float binary64 semantics at host speed.
 #[inline]
-pub fn hosted_sub(a: f64, b: f64) -> f64 {
+pub fn hosted_sub(a: f64, b: f64, fallbacks: &mut u64) -> f64 {
     let r = a - b;
     if needs_softfloat(r) {
-        SOFTFLOAT_FALLBACKS.incr();
+        *fallbacks += 1;
         sf(a).sub(&sf(b)).to_f64()
     } else {
         r
@@ -116,10 +100,10 @@ pub fn hosted_sub(a: f64, b: f64) -> f64 {
 
 /// `a * b` with soft-float binary64 semantics at host speed.
 #[inline]
-pub fn hosted_mul(a: f64, b: f64) -> f64 {
+pub fn hosted_mul(a: f64, b: f64, fallbacks: &mut u64) -> f64 {
     let r = a * b;
     if needs_softfloat(r) {
-        SOFTFLOAT_FALLBACKS.incr();
+        *fallbacks += 1;
         sf(a).mul(&sf(b)).to_f64()
     } else {
         r
@@ -128,10 +112,10 @@ pub fn hosted_mul(a: f64, b: f64) -> f64 {
 
 /// `a / b` with soft-float binary64 semantics at host speed.
 #[inline]
-pub fn hosted_div(a: f64, b: f64) -> f64 {
+pub fn hosted_div(a: f64, b: f64, fallbacks: &mut u64) -> f64 {
     let r = a / b;
     if needs_softfloat(r) {
-        SOFTFLOAT_FALLBACKS.incr();
+        *fallbacks += 1;
         sf(a).div(&sf(b)).to_f64()
     } else {
         r
@@ -147,72 +131,6 @@ pub fn hosted_neg(a: f64) -> f64 {
         f64::NAN
     } else {
         -a
-    }
-}
-
-/// Elementwise `dst[i] = a[i] + b[i]` over canonical slices.
-pub fn add_slices(dst: &mut [f64], a: &[f64], b: &[f64]) {
-    assert!(
-        dst.len() == a.len() && a.len() == b.len(),
-        "length mismatch"
-    );
-    for i in 0..dst.len() {
-        dst[i] = hosted_add(a[i], b[i]);
-    }
-}
-
-/// Elementwise `dst[i] = a[i] * b[i]` over canonical slices.
-pub fn mul_slices(dst: &mut [f64], a: &[f64], b: &[f64]) {
-    assert!(
-        dst.len() == a.len() && a.len() == b.len(),
-        "length mismatch"
-    );
-    for i in 0..dst.len() {
-        dst[i] = hosted_mul(a[i], b[i]);
-    }
-}
-
-/// Elementwise `dst[i] = a[i] - b[i]` over canonical slices.
-pub fn sub_slices(dst: &mut [f64], a: &[f64], b: &[f64]) {
-    assert!(
-        dst.len() == a.len() && a.len() == b.len(),
-        "length mismatch"
-    );
-    for i in 0..dst.len() {
-        dst[i] = hosted_sub(a[i], b[i]);
-    }
-}
-
-/// Elementwise `dst[i] = a[i] / b[i]` over canonical slices.
-pub fn div_slices(dst: &mut [f64], a: &[f64], b: &[f64]) {
-    assert!(
-        dst.len() == a.len() && a.len() == b.len(),
-        "length mismatch"
-    );
-    for i in 0..dst.len() {
-        dst[i] = hosted_div(a[i], b[i]);
-    }
-}
-
-/// Elementwise `dst[i] = -a[i]` over canonical slices.
-pub fn neg_slices(dst: &mut [f64], a: &[f64]) {
-    assert!(dst.len() == a.len(), "length mismatch");
-    for i in 0..dst.len() {
-        dst[i] = hosted_neg(a[i]);
-    }
-}
-
-/// Elementwise true fused `dst[i] = a[i] * b[i] + c[i]` via the
-/// soft-float `fma` (single rounding). There is no host fast path here:
-/// `f64::mul_add` may lower to separate multiply/add on targets without
-/// an FMA instruction, so only the soft-float operator is trustworthy.
-pub fn fma_slices(dst: &mut [f64], a: &[f64], b: &[f64], c: &[f64]) {
-    assert!(
-        dst.len() == a.len() && a.len() == b.len() && b.len() == c.len(),
-        "length mismatch"
-    );
-    for i in 0..dst.len() {
-        dst[i] = sf(a[i]).fma(&sf(b[i]), &sf(c[i])).to_f64();
     }
 }
 
@@ -244,25 +162,34 @@ mod tests {
     fn hosted_ops_agree_with_softfloat_on_underflow_boundary() {
         // exactly the divergence window the guard exists for: a product
         // that lands between the largest subnormal and MIN_POSITIVE
+        let mut fallbacks = 0;
         let a = f64::MIN_POSITIVE * 1.999999;
         let b = 0.5;
         assert_eq!(
-            hosted_mul(a, b).to_bits(),
+            hosted_mul(a, b, &mut fallbacks).to_bits(),
             sf(a).mul(&sf(b)).to_f64().to_bits()
         );
         // and straight into the subnormal range
         let c = f64::MIN_POSITIVE * 0.3;
         assert_eq!(
-            hosted_mul(c, 0.5).to_bits(),
+            hosted_mul(c, 0.5, &mut fallbacks).to_bits(),
             sf(c).mul(&sf(0.5)).to_f64().to_bits()
         );
+        // both results took the soft-float path, and said so
+        assert_eq!(fallbacks, 2);
+        hosted_add(1.5, 2.25, &mut fallbacks);
+        assert_eq!(fallbacks, 2, "an ordinary result stays on the host");
     }
 
     #[test]
     fn hosted_nan_is_canonical() {
-        let r = hosted_mul(0.0, f64::INFINITY);
+        let mut fallbacks = 0;
+        let r = hosted_mul(0.0, f64::INFINITY, &mut fallbacks);
         assert_eq!(r.to_bits(), f64::NAN.to_bits());
         assert_eq!(hosted_neg(f64::NAN).to_bits(), f64::NAN.to_bits());
-        assert_eq!(hosted_div(0.0, 0.0).to_bits(), f64::NAN.to_bits());
+        assert_eq!(
+            hosted_div(0.0, 0.0, &mut fallbacks).to_bits(),
+            f64::NAN.to_bits()
+        );
     }
 }

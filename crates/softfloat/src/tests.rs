@@ -226,11 +226,12 @@ mod special_value_matrix {
                 // the tape canonicalizes on load, so the hosted ops see
                 // only canonical-FTZ values — same as from_f64 would give
                 let (a, b) = (canonicalize(ra), canonicalize(rb));
+                let fb = &mut 0;
                 let cases = [
-                    ("add", hosted_add(a, b), sf(ra).add(&sf(rb))),
-                    ("sub", hosted_sub(a, b), sf(ra).sub(&sf(rb))),
-                    ("mul", hosted_mul(a, b), sf(ra).mul(&sf(rb))),
-                    ("div", hosted_div(a, b), sf(ra).div(&sf(rb))),
+                    ("add", hosted_add(a, b, fb), sf(ra).add(&sf(rb))),
+                    ("sub", hosted_sub(a, b, fb), sf(ra).sub(&sf(rb))),
+                    ("mul", hosted_mul(a, b, fb), sf(ra).mul(&sf(rb))),
+                    ("div", hosted_div(a, b, fb), sf(ra).div(&sf(rb))),
                 ];
                 for (op, got, want) in cases {
                     assert_eq!(

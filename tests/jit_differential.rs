@@ -255,53 +255,6 @@ fn nan_rows_bail_and_ordinary_rows_do_not() {
     }
 }
 
-/// Per-call JIT counts: two threads evaluate two different graphs on the
-/// JIT backend at the same time, and each call reports exactly its own
-/// rows and bailouts — nothing of the other's.
-#[test]
-fn concurrent_jit_calls_report_their_own_counts() {
-    let g1 = parse_program("x1 = a*b + c*d;\nx2 = e*f + g*x1;\nout x3 = h*i + k*x2;\n").unwrap();
-    let g2 = parse_program("out y = (a + b) * (a - b) / c;\n").unwrap();
-    let (t1, t2) = (compile(&g1).unwrap(), compile(&g2).unwrap());
-    if !jit_available() || t1.jit_module().is_none() || t2.jit_module().is_none() {
-        return;
-    }
-    // g1: 300 rows, every 3rd one NaN (bails); g2: 517 ordinary rows
-    let n1 = 300usize;
-    let rows1: Vec<f64> = (0..n1 * t1.num_inputs())
-        .map(|i| {
-            if (i / t1.num_inputs()) % 3 == 0 {
-                f64::NAN
-            } else {
-                (i % 89) as f64 * 0.25 - 11.0
-            }
-        })
-        .collect();
-    let n2 = 517usize;
-    let rows2: Vec<f64> = (0..n2 * t2.num_inputs())
-        .map(|i| (i % 53) as f64 * 0.5 + 1.0)
-        .collect();
-    for _ in 0..8 {
-        // both calls start together, so their chunks overlap in time
-        let start = std::sync::Barrier::new(2);
-        let ((r1, b1), (r2, b2)) = std::thread::scope(|s| {
-            let h1 = s.spawn(|| {
-                start.wait();
-                jit_counts(&t1, &rows1, 2)
-            });
-            let h2 = s.spawn(|| {
-                start.wait();
-                jit_counts(&t2, &rows2, 2)
-            });
-            (h1.join().unwrap(), h2.join().unwrap())
-        });
-        if cfg!(feature = "obs") {
-            assert_eq!((r1, b1), (n1 as f64, (n1 / 3) as f64), "graph 1");
-            assert_eq!((r2, b2), (n2 as f64, 0.0), "graph 2");
-        }
-    }
-}
-
 /// F64-mode modules (hardware `vfmadd`/`fmadd` against the interpreter's
 /// `mul_add`) on fused tapes, finite stimulus only — NaN payloads of the
 /// two fma implementations are not pinned cross-platform.

@@ -203,8 +203,8 @@ fn pathological_skew_eval_many_matches_standalone_digests() {
 /// Satellite-4 mutation test: rows poisoned by a sticky executor panic
 /// must quarantine identically under stealing (8 threads) and under the
 /// fixed-chunk in-order oracle (1 thread) — same rows, same poison, same
-/// neighbors untouched — and the process-wide quarantine counters must
-/// tick on the stealing path too.
+/// neighbors untouched — and each call's own `BatchReport` must count
+/// exactly the poisoned rows on both paths.
 #[test]
 fn poisoned_chunk_quarantines_same_rows_under_stealing() {
     let tape = tape(1);
@@ -218,8 +218,7 @@ fn poisoned_chunk_quarantines_same_rows_under_stealing() {
     }
     let run = |threads: usize| {
         plan.reset();
-        let before = csfma::hls::robust_counts();
-        let (out, rep) = tape.eval_batch_robust(
+        tape.eval_batch_robust(
             TapeBackend::BitAccurate,
             &rows,
             &RobustOptions {
@@ -227,12 +226,10 @@ fn poisoned_chunk_quarantines_same_rows_under_stealing() {
                 chunk_retries: 1,
                 fault: Some(&plan),
             },
-        );
-        let after = csfma::hls::robust_counts();
-        (out, rep, after.rows_quarantined - before.rows_quarantined)
+        )
     };
-    let (out_fixed, rep_fixed, q_fixed) = run(1);
-    let (out_steal, rep_steal, q_steal) = run(8);
+    let (out_fixed, rep_fixed) = run(1);
+    let (out_steal, rep_steal) = run(8);
 
     let rows_of = |rep: &csfma::hls::BatchReport| -> Vec<usize> {
         rep.quarantined().iter().map(|(r, _)| *r).collect()
@@ -256,16 +253,12 @@ fn poisoned_chunk_quarantines_same_rows_under_stealing() {
             RowOutcome::Quarantined { .. }
         ));
     }
-    // counters were threaded through whichever worker ran the chunk
-    // (lower bound: other tests in this binary may tick them too)
-    assert!(
-        q_fixed >= poisoned.len() as u64,
-        "fixed path counted {q_fixed}"
-    );
-    assert!(
-        q_steal >= poisoned.len() as u64,
-        "stealing path counted {q_steal}"
-    );
+    // the per-call tallies agree exactly, whichever worker ran a chunk
+    let quarantined = |rep: &csfma::hls::BatchReport| rep.counts().2;
+    assert_eq!(quarantined(&rep_fixed), poisoned.len(), "fixed path");
+    assert_eq!(quarantined(&rep_steal), poisoned.len(), "stealing path");
+    assert_eq!(rep_fixed.counts(), rep_steal.counts());
+    assert_eq!(rep_fixed.detections, rep_steal.detections);
 }
 
 /// Barrier-forced interleaving on one deque: an owner popping from the
