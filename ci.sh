@@ -28,12 +28,13 @@ cargo test -q -p csfma-obs --no-default-features
 RUST_TEST_THREADS=8 cargo test -q --test observability
 
 # batch execution engine smoke: compile every example datapath and run a
-# tiny batch through both backends (exit 1 on checker errors or panics);
-# the profiled run must produce the same digest as the plain one (the
-# observability determinism contract, DESIGN.md §11). Every example must
-# also pass the full static gauntlet — T* tape translation validation at
-# both optimizer settings, R* value-range analysis, warnings denied
-# (exit-status contract in src/bin/csfma-lint.rs)
+# tiny batch through the bit, f64 and jit backends (exit 1 on checker
+# errors or panics); the profiled run must produce the same digest as
+# the plain one (the observability determinism contract, DESIGN.md
+# §11). Every example must also pass the full static gauntlet — T* tape
+# translation validation at both optimizer settings, R* value-range
+# analysis, warnings denied (exit-status contract in
+# src/bin/csfma-lint.rs)
 for f in examples/datapaths/*.csfma; do
     cargo run -q --bin csfma-lint -- --tape --ranges --deny-warnings "$f" > /dev/null
     plain=$(cargo run -q --bin csfma-run -- --fuse pcs --batch 16 --threads 2 "$f")
@@ -42,6 +43,14 @@ for f in examples/datapaths/*.csfma; do
     d2=$(printf '%s\n' "$prof" | sed -n 's/.*digest //p')
     [ -n "$d1" ] && [ "$d1" = "$d2" ] || { echo "ci: --profile changed digest on $f ($d1 vs $d2)" >&2; exit 1; }
     cargo run -q --bin csfma-run -- --backend f64 --batch 16 "$f" > /dev/null
+    # the JIT through the CLI: the fused runs above are refused by the
+    # emitter, so run each example unfused, where the native code
+    # executes; its digest must equal the bit backend's (DESIGN.md §16)
+    jit=$(cargo run -q --bin csfma-run -- --backend jit --dump-jit --batch 64 "$f")
+    bit=$(cargo run -q --bin csfma-run -- --backend bit --batch 64 "$f")
+    d3=$(printf '%s\n' "$jit" | sed -n 's/.*digest //p')
+    d4=$(printf '%s\n' "$bit" | sed -n 's/.*digest //p')
+    [ -n "$d3" ] && [ "$d3" = "$d4" ] || { echo "ci: --backend jit digest differs from --backend bit on $f ($d3 vs $d4)" >&2; exit 1; }
 done
 
 # golden-vector corpus: absolute output bits of the FMA units, the

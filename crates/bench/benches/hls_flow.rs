@@ -54,37 +54,10 @@ fn bench_fusion_pass(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_optimizer(c: &mut Criterion) {
-    use csfma_hls::optimize::optimize;
-    use csfma_hls::parse_program;
-    let mut g = c.benchmark_group("optimizer");
-    let mut src = String::new();
-    for i in 0..40 {
-        src.push_str(&format!(
-            "y{i} = a{} * w + b{} * w + a{} * w * 1.0 + 0.0;
-",
-            i % 8,
-            i % 8,
-            i % 8
-        ));
-    }
-    src.push_str("out z = y0");
-    for i in 1..40 {
-        src.push_str(&format!(" + y{i}"));
-    }
-    src.push(';');
-    let graph = parse_program(&src).unwrap();
-    g.bench_function("cse_fold_identities", |bch| {
-        bch.iter(|| black_box(optimize(black_box(&graph))))
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_solver_generation,
     bench_scheduling,
-    bench_fusion_pass,
-    bench_optimizer
+    bench_fusion_pass
 );
 criterion_main!(benches);

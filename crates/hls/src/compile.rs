@@ -19,7 +19,7 @@
 //!   encoding ([`compile_cached`]), so repeated evaluation requests for
 //!   the same datapath skip recompilation entirely.
 //!
-//! Two backends execute the tape:
+//! Four backends execute the tape ([`TapeBackend`]):
 //!
 //! * [`TapeBackend::F64`] reproduces [`eval_f64`](crate::interp::eval_f64)
 //!   bit for bit (host doubles, fused nodes as `mul_add`);
@@ -27,8 +27,13 @@
 //!   [`eval_bit_accurate`](crate::interp::eval_bit_accurate) bit for bit.
 //!   IEEE nodes run on the **host FPU** through the guarded fast path of
 //!   [`csfma_softfloat::batch`] (soft-float semantics at host speed — see
-//!   that module for the equivalence argument); fused nodes still run the
-//!   behavioral carry-save units, which *are* the model.
+//!   that module for the equivalence argument); fused nodes run the
+//!   bit-plane chunk kernel on full chunks and the behavioral carry-save
+//!   units, which *are* the model, otherwise;
+//! * [`TapeBackend::Oracle`] replays the same bits on pure soft-float
+//!   operators — the trusted last rung of [`crate::robust`];
+//! * [`TapeBackend::Jit`] runs native code ([`crate::jit`]) and bails
+//!   rows it cannot vouch for to the bit-accurate interpreter.
 //!
 //! [`Tape::eval_batch`] evaluates many input vectors with deterministic
 //! chunked work distribution
@@ -94,18 +99,12 @@ pub struct CompileOptions {
     /// Run constant folding / CSE / DCE / pressure-aware reordering
     /// between the checker gate and lowering.
     pub optimize: bool,
-    /// Eagerly build the native JIT module ([`crate::jit`]) for the
-    /// compiled tape, inside a `codegen` stage span, so the first
-    /// `--backend jit` evaluation pays no lazy-build latency. The cache
-    /// key includes this flag. Off by default: every other backend
-    /// never needs the module, and a `jit` evaluation of a lazily
-    /// compiled tape builds it on first use anyway.
-    pub codegen: bool,
     /// Transport format of the PCS units (default
     /// [`format_of`]`(FmaKind::Pcs)`). Ablation studies swap in
     /// non-standard geometries; the `W*` width rules run on whichever
     /// formats the graph's fused nodes reference, and a format carrying
-    /// `W*` errors refuses to compile.
+    /// `W*` errors refuses to compile. That includes W006: the tape feeds
+    /// `B` from binary64, so a used format needs `b_sig_bits == 53`.
     pub pcs_format: CsFmaFormat,
     /// Transport format of the FCS units (default
     /// [`format_of`]`(FmaKind::Fcs)`), gated like `pcs_format`.
@@ -116,7 +115,6 @@ impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
             optimize: true,
-            codegen: false,
             pcs_format: format_of(FmaKind::Pcs),
             fcs_format: format_of(FmaKind::Fcs),
         }
@@ -278,15 +276,6 @@ pub struct Tape {
     /// proof that the guard can never fire (see `lint::lint_ranges`), so
     /// promoted evaluation stays bit-identical.
     pub(crate) promoted: Vec<bool>,
-    /// Per-instruction bit-plane eligibility (sibling of `promoted`):
-    /// `plane_eligible[i]` lets the bit-accurate backend evaluate fused
-    /// instruction `i` with the digit-plane chunk kernel
-    /// (`csfma_core::plane_fma_chunk`) on full chunks, 64 lanes per gate
-    /// level. Computed at lowering (every `Fma` qualifies — the kernel
-    /// is format-generic and resolves exception lanes on the scalar
-    /// path); a separate flag so future analyses can veto instructions
-    /// and so tests can audit the dispatch decision.
-    pub(crate) plane_eligible: Vec<bool>,
     /// Per-row instruction counts behind the fixed part of a batch's
     /// [`EvalStats`].
     pub(crate) row_work: RowWork,
@@ -585,6 +574,20 @@ pub fn compile_with(
                 FmaKind::Fcs => &opts.fcs_format,
             };
             diags.extend(errors_only(check_format(fmt)));
+            // W006: the IEEE bank is binary64, so every `B` operand
+            // reaches the unit with a 53-bit significand
+            let tape_sig_bits = F.frac_bits as usize + 1;
+            if fmt.b_sig_bits != tape_sig_bits {
+                diags.push(Diagnostic::error(
+                    Rule::BWidthMismatch,
+                    Span::Format(fmt.name.to_string()),
+                    format!(
+                        "the format's B significand is {} bit(s), but the tape feeds \
+                         every B operand from its binary64 bank ({tape_sig_bits} bits)",
+                        fmt.b_sig_bits
+                    ),
+                ));
+            }
         }
     }
     prof.exit(gate_tok);
@@ -640,12 +643,7 @@ fn build_tape(g: &Cdfg, opts: CompileOptions, prof: &mut Profiler) -> Tape {
             stats.dead_slots_removed =
                 eliminate_dead_slots(&mut tape.instrs, &mut tape.instr_nodes);
         }
-        // per-instruction tables describe the final instruction list
-        tape.plane_eligible = tape
-            .instrs
-            .iter()
-            .map(|i| matches!(i, Instr::Fma { .. }))
-            .collect();
+        // the per-row counts describe the final instruction list
         tape.row_work = RowWork::of(&tape.instrs);
         prof.exit(lower_tok);
         // `lower` recorded the allocator's slot reuses on its fresh
@@ -908,7 +906,6 @@ fn lower(g: &Cdfg, pcs_format: CsFmaFormat, fcs_format: CsFmaFormat) -> Tape {
         instr_nodes,
         promoted: Vec::new(),
         // filled by `build_tape` once the instruction list is final
-        plane_eligible: Vec::new(),
         row_work: RowWork::default(),
         jit: OnceLock::new(),
     }
@@ -1015,11 +1012,10 @@ impl Tape {
         self.promoted.iter().filter(|&&p| p).count()
     }
 
-    /// Number of fused instructions eligible for the bit-plane chunk
-    /// kernel (see DESIGN.md §13) — the lowering marks every `Fma`; the
-    /// batch executor additionally requires a full chunk.
+    /// Number of fused instructions the bit-plane chunk kernel runs
+    /// (see DESIGN.md §13): every `Fma`, on every full chunk.
     pub fn plane_eligible_count(&self) -> usize {
-        self.plane_eligible.iter().filter(|&&p| p).count()
+        (self.row_work.fma_pcs + self.row_work.fma_fcs) as usize
     }
 
     /// A structure-of-arrays register file for this tape, recycled from
@@ -1196,7 +1192,8 @@ impl Tape {
     /// Every count comes from this call's [`EvalStats`], so it is exact
     /// even while other threads evaluate: a profile never includes work
     /// it did not run. `jit_compile_us` is the module build the `codegen`
-    /// span forced (0 when the module already existed).
+    /// span forced (0 when an earlier evaluation or [`Tape::jit_module`]
+    /// call built it).
     pub fn eval_batch_profiled(
         &self,
         backend: TapeBackend,
@@ -1489,7 +1486,7 @@ impl Tape {
                                 hook.fma(i, k, |ctl| unit.fma_checked_with(a, &bv, c, fma, ctl).0);
                             s.cs[d + k] = r;
                         }
-                    } else if len == W && self.plane_eligible.get(i).copied().unwrap_or(false) {
+                    } else if len == W {
                         s.b_lane.clear();
                         for k in 0..len {
                             let mut bv = SoftFloat::from_f64(F, s.f[pb + k]);
@@ -1659,16 +1656,6 @@ impl Tape {
                 }
             }
         }
-    }
-
-    /// Convenience: evaluate a batch and pair each output row with the
-    /// output names, like the scalar interpreters' `HashMap` result.
-    pub fn output_map(&self, out_row: &[f64]) -> HashMap<String, f64> {
-        self.outputs
-            .iter()
-            .cloned()
-            .zip(out_row.iter().copied())
-            .collect()
     }
 }
 
@@ -1873,13 +1860,6 @@ fn compile_cached_with_inner(
     tape.opt.cache_hits = CACHE_HITS.load(Ordering::Relaxed);
     tape.opt.cache_misses = CACHE_MISSES.load(Ordering::Relaxed);
     tape.opt.cache_evictions = CACHE_EVICTIONS.load(Ordering::Relaxed);
-    if opts.codegen {
-        // build the native module eagerly so cached tapes are served
-        // ready-to-run and the cost lands in a `codegen` span
-        let codegen_tok = prof.enter("codegen");
-        let _ = tape.jit_module();
-        prof.exit(codegen_tok);
-    }
     let tape = Arc::new(tape);
     let shared = with_shard(&key, |st| {
         st.tick += 1;

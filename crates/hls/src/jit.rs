@@ -1,16 +1,15 @@
 //! Dependency-free native code generation for the IEEE fast path.
 //!
 //! [`compile_module`] lowers a validated [`Tape`] to executable x86-64
-//! machine code (SSE2 scalar `movsd`/`addsd`/`mulsd`, plus
-//! `vfmadd213sd` in [`JitSemantics::F64`] mode when FMA3 is detected at
-//! runtime) in an mmap'd W^X code buffer. The emitted function evaluates
-//! **one row** and returns a bail flag; see `docs/JIT.md` for the ABI,
-//! the W^X policy and the bailout contract. On any other platform no
-//! module is built and the interpreter runs every row.
+//! machine code (SSE2 scalar `movsd`/`addsd`/`mulsd`) in an mmap'd W^X
+//! code buffer. The emitted function evaluates **one row** and returns
+//! a bail flag; see `docs/JIT.md` for the ABI, the W^X policy and the
+//! bailout contract. On any other platform no module is built and the
+//! interpreter runs every row.
 //!
 //! # Semantics and the bailout contract
 //!
-//! [`JitSemantics::Bit`] reproduces the bit-accurate interpreter
+//! The emitted code reproduces the bit-accurate interpreter
 //! ([`TapeBackend::BitAccurate`](crate::TapeBackend::BitAccurate))
 //! exactly, by construction:
 //!
@@ -33,12 +32,6 @@
 //! subnormal ever exists in the native register file, so unguarded
 //! negation (a raw sign flip) and native ±∞ propagation are exact.
 //!
-//! [`JitSemantics::F64`] reproduces the host-double interpreter
-//! ([`TapeBackend::F64`](crate::TapeBackend::F64)): no guards, both
-//! register banks lowered, `Fma` as a native fused multiply-add. It
-//! exists to exercise the FMA encodings and is compared against the
-//! `f64` backend by the differential suite.
-//!
 //! # Disabling
 //!
 //! Setting the environment variable `CSFMA_JIT=off` (or `0`) before the
@@ -60,25 +53,15 @@ const SUB_WINDOW: u64 = 0x0020_0000_0000_0000;
 /// above is a NaN.
 const INF_WINDOW: u64 = 0xFFE0_0000_0000_0000;
 
-/// Which interpreter the emitted code must be bit-identical to.
+/// Which interpreter the emitted code must be bit-identical to. `Bit`
+/// is the only mode; the parameter of [`compile_module`] stays only
+/// because the benchmark package passes it, and the next change to the
+/// benchmark drops it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JitSemantics {
     /// Bit-accurate semantics with per-row bailout guards; the module
     /// backing [`TapeBackend::Jit`](crate::TapeBackend::Jit).
     Bit,
-    /// Host-double semantics, guard-free, with native fused
-    /// multiply-add; a test-facing mode mirroring
-    /// [`TapeBackend::F64`](crate::TapeBackend::F64).
-    F64,
-}
-
-impl fmt::Display for JitSemantics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JitSemantics::Bit => write!(f, "bit"),
-            JitSemantics::F64 => write!(f, "f64"),
-        }
-    }
 }
 
 /// The emitted per-row entry point: `fn(row, out, consts) -> bail`.
@@ -214,11 +197,9 @@ mod mem {
 #[cfg(all(unix, target_arch = "x86_64"))]
 pub struct JitModule {
     buf: mem::CodeBuf,
-    /// The constant pool the emitted code indexes (canonicalized for
-    /// [`JitSemantics::Bit`], raw for [`JitSemantics::F64`]). Owned so
-    /// the module never dangles into a dropped tape.
+    /// The canonicalized constant pool the emitted code indexes. Owned
+    /// so the module never dangles into a dropped tape.
     consts: Vec<f64>,
-    semantics: JitSemantics,
     num_inputs: usize,
     num_outputs: usize,
     native_instrs: usize,
@@ -240,11 +221,6 @@ impl JitModule {
         // asserted lengths and the function writes only `out`.
         let f: RowFn = unsafe { std::mem::transmute(self.buf.entry()) };
         unsafe { f(row.as_ptr(), out.as_mut_ptr(), self.consts.as_ptr()) == 0 }
-    }
-
-    /// Which interpreter this module is bit-identical to.
-    pub fn semantics(&self) -> JitSemantics {
-        self.semantics
     }
 
     /// Tape instructions lowered to native code.
@@ -272,7 +248,6 @@ impl JitModule {
 impl fmt::Debug for JitModule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("JitModule")
-            .field("semantics", &self.semantics)
             .field("native_instrs", &self.native_instrs)
             .field("guards", &self.guards)
             .field("code_len", &self.buf.len())
@@ -345,10 +320,10 @@ impl fmt::Display for JitRefusal {
     }
 }
 
-/// Structural reasons `compile_module(tape, Bit)` refuses, independent
-/// of host architecture and environment. `None` means the tape is
-/// lowerable (the module may still be absent at runtime if the
-/// platform or `CSFMA_JIT` forbids it).
+/// Structural reasons [`compile_module`] refuses, independent of host
+/// architecture and environment. `None` means the tape is lowerable
+/// (the module may still be absent at runtime if the platform or
+/// `CSFMA_JIT` forbids it).
 pub fn jit_refusal(tape: &Tape) -> Option<JitRefusal> {
     let fused = tape
         .instrs()
@@ -396,23 +371,20 @@ pub fn lint_jit(tape: &Tape) -> Vec<Diagnostic> {
     }
 }
 
-/// Lower `tape` to a native module with the given semantics. `None`
-/// when the tape is not lowerable ([`jit_refusal`] for `Bit`; for
-/// `F64`, hardware FMA is additionally required when the tape contains
-/// fused instructions), when the platform cannot execute emitted code,
-/// or when `CSFMA_JIT` disables the JIT. A `None` is never an error:
-/// callers fall back to the interpreter, which is always correct.
-pub fn compile_module(tape: &Tape, semantics: JitSemantics) -> Option<JitModule> {
-    if !jit_available() {
+/// Lower `tape` to a native module. `None` when the tape is not
+/// lowerable ([`jit_refusal`]), when the platform cannot execute emitted
+/// code, or when `CSFMA_JIT` disables the JIT. A `None` is never an
+/// error: callers fall back to the interpreter, which is always correct.
+pub fn compile_module(tape: &Tape, _semantics: JitSemantics) -> Option<JitModule> {
+    if !jit_available() || jit_refusal(tape).is_some() {
         return None;
     }
     #[cfg(all(unix, target_arch = "x86_64"))]
     {
-        return x86::emit(tape, semantics).and_then(|e| seal(tape, semantics, e));
+        return seal(tape, x86::emit(tape));
     }
     #[allow(unreachable_code)]
     {
-        let _ = (tape, semantics);
         None
     }
 }
@@ -428,16 +400,10 @@ struct Emitted {
 }
 
 #[cfg(all(unix, target_arch = "x86_64"))]
-fn seal(tape: &Tape, semantics: JitSemantics, e: Emitted) -> Option<JitModule> {
-    let buf = mem::CodeBuf::new(&e.code)?;
-    let consts = match semantics {
-        JitSemantics::Bit => tape.consts_canonical.clone(),
-        JitSemantics::F64 => tape.consts.clone(),
-    };
+fn seal(tape: &Tape, e: Emitted) -> Option<JitModule> {
     Some(JitModule {
-        buf,
-        consts,
-        semantics,
+        buf: mem::CodeBuf::new(&e.code)?,
+        consts: tape.consts_canonical.clone(),
         num_inputs: tape.num_inputs(),
         num_outputs: tape.num_outputs(),
         native_instrs: e.native_instrs,
@@ -466,13 +432,13 @@ mod x86 {
     //! `rdi` = row pointer, `rsi` = out pointer, `rdx` = consts pointer;
     //! returns `rax` (0 = ok, 1 = bail). Register plan: tape slots
     //! 0..=12 live in `xmm0`..=`xmm12`, further slots spill to the
-    //! stack frame; `xmm13` is the FMA multiplicand temp, `xmm14` holds
-    //! the sign mask, `xmm15` is the working register every result
-    //! passes through. `r10`/`r11` hold the guard window constants and
-    //! `rax` is the guard scratch. All of these are caller-saved, so
-    //! the function needs no save/restore beyond its `rsp` frame.
+    //! stack frame; `xmm14` holds the sign mask, `xmm15` is the working
+    //! register every result passes through. `r10`/`r11` hold the guard
+    //! window constants and `rax` is the guard scratch. All of these are
+    //! caller-saved, so the function needs no save/restore beyond its
+    //! `rsp` frame.
 
-    use super::{Emitted, JitSemantics, Loc, INF_WINDOW, SUB_WINDOW};
+    use super::{Emitted, Loc, INF_WINDOW, SUB_WINDOW};
     use crate::compile::{Instr, Tape};
     use std::fmt::Write as _;
 
@@ -582,50 +548,13 @@ mod x86 {
             self.bail_rel32();
             self.guards += 1;
         }
-
-        /// `vfmadd213sd xmm15, xmm_m, <slot>`:
-        /// `xmm15 = xmm_m * xmm15 + <slot>`.
-        fn vfmadd213sd_15(&mut self, m: u8, src3: Loc) {
-            match src3 {
-                Loc::Reg(r) => {
-                    // VEX.DDS.LIG.66.0F38.W1 A9 /r — R clears for xmm15
-                    // (modrm.reg), B clears when rm is xmm8..15.
-                    let b1 = 0xE2 & !0x80 & !(u8::from(r >= 8) << 5);
-                    let b2 = 0x81 | ((!m & 0x0F) << 3);
-                    self.put(&[0xC4, b1, b2, 0xA9, 0xC0 | (7 << 3) | (r & 7)]);
-                }
-                Loc::Spill(off) => {
-                    let b1 = 0xE2 & !0x80;
-                    let b2 = 0x81 | ((!m & 0x0F) << 3);
-                    self.put(&[0xC4, b1, b2, 0xA9]);
-                    self.mem(7, RSP, off);
-                }
-            }
-        }
     }
 
-    /// Lower `tape` to x86-64 machine code. `None` when an `F64`-mode
-    /// tape needs FMA the CPU lacks, or when `Bit` mode refuses the
-    /// tape (fused instructions / NaN constants).
-    pub(super) fn emit(tape: &Tape, semantics: JitSemantics) -> Option<Emitted> {
-        let has_fused = super::jit_refusal(tape).is_some();
-        match semantics {
-            JitSemantics::Bit if has_fused => return None,
-            JitSemantics::F64 => {
-                let needs_fma = tape.instrs().iter().any(|i| matches!(i, Instr::Fma { .. }));
-                if needs_fma && !std::arch::is_x86_feature_detected!("fma") {
-                    return None;
-                }
-            }
-            _ => {}
-        }
-
-        let nf = tape.num_f64_regs() as u32;
-        let ncs = tape.num_cs_regs() as u32;
-        let slots = match semantics {
-            JitSemantics::Bit => nf,
-            JitSemantics::F64 => nf + ncs,
-        };
+    /// Lower `tape` to x86-64 machine code. The caller has checked
+    /// [`jit_refusal`](super::jit_refusal): the tape has no fused
+    /// instructions and no NaN constants.
+    pub(super) fn emit(tape: &Tape) -> Emitted {
+        let slots = tape.num_f64_regs() as u32;
         let spill_slots = slots.saturating_sub(REG_SLOTS);
         let frame = (spill_slots * 8).div_ceil(16) * 16;
         let f_loc = |r: u32| -> Loc {
@@ -635,9 +564,6 @@ mod x86 {
                 Loc::Spill((r - REG_SLOTS) * 8)
             }
         };
-        // carry-save slots live after the f64 bank in F64 mode (the f64
-        // interpreter shadows them as plain doubles)
-        let cs_loc = |c: u32| f_loc(nf + c);
 
         let mut a = Asm {
             code: Vec::new(),
@@ -645,10 +571,9 @@ mod x86 {
             bail_fixups: Vec::new(),
             guards: 0,
         };
-        let guarded = semantics == JitSemantics::Bit;
         let _ = writeln!(
             a.dump,
-            "; jit module: x86-64, semantics={semantics}, {} tape instr(s), \
+            "; jit module: x86-64, semantics=bit, {} tape instr(s), \
              {slots} slot(s) ({} spilled, {frame}-byte frame)",
             tape.instrs().len(),
             spill_slots,
@@ -663,12 +588,10 @@ mod x86 {
             a.put(&[0x48, 0x81, 0xEC]); // sub rsp, imm32
             a.put(&frame.to_le_bytes());
         }
-        if guarded {
-            a.put(&[0x49, 0xBA]); // mov r10, SUB_WINDOW
-            a.put(&SUB_WINDOW.to_le_bytes());
-            a.put(&[0x49, 0xBB]); // mov r11, INF_WINDOW
-            a.put(&INF_WINDOW.to_le_bytes());
-        }
+        a.put(&[0x49, 0xBA]); // mov r10, SUB_WINDOW
+        a.put(&SUB_WINDOW.to_le_bytes());
+        a.put(&[0x49, 0xBB]); // mov r11, INF_WINDOW
+        a.put(&INF_WINDOW.to_le_bytes());
         a.put(&[0x48, 0xB8]); // mov rax, sign mask
         a.put(&0x8000_0000_0000_0000u64.to_le_bytes());
         a.put(&[0x66, 0x4C, 0x0F, 0x6E, 0xF0]); // movq xmm14, rax
@@ -679,14 +602,9 @@ mod x86 {
             let note = match *ins {
                 Instr::LoadInput { dst, input } => {
                     a.sse_mem(0xF2, 0x10, 15, RDI, input * 8);
-                    if guarded {
-                        a.guard15(false);
-                    }
+                    a.guard15(false);
                     a.store_slot(15, f_loc(dst));
-                    format!(
-                        "r{dst} = row[{input}]{}",
-                        if guarded { "  ; guard-load" } else { "" }
-                    )
+                    format!("r{dst} = row[{input}]  ; guard-load")
                 }
                 Instr::LoadConst { dst, idx } => {
                     a.sse_mem(0xF2, 0x10, 15, RDX, idx * 8);
@@ -705,20 +623,14 @@ mod x86 {
                     };
                     a.load_slot(15, f_loc(x));
                     a.arith15(op, f_loc(b));
-                    let guard = guarded && !promoted(i);
+                    let guard = !promoted(i);
                     if guard {
                         a.guard15(true);
                     }
                     a.store_slot(15, f_loc(dst));
                     format!(
-                        "r{dst} = r{x} {sym} r{b}{}",
-                        if guard {
-                            "  ; guard-result"
-                        } else if guarded {
-                            "  ; promoted"
-                        } else {
-                            ""
-                        }
+                        "r{dst} = r{x} {sym} r{b}  ; {}",
+                        if guard { "guard-result" } else { "promoted" }
                     )
                 }
                 Instr::Neg { dst, a: x } => {
@@ -727,43 +639,8 @@ mod x86 {
                     a.store_slot(15, f_loc(dst));
                     format!("r{dst} = -r{x}")
                 }
-                Instr::Fma {
-                    negate_b,
-                    dst,
-                    acc,
-                    b,
-                    mulc,
-                    ..
-                } => {
-                    // F64 semantics only (Bit refuses fused tapes):
-                    // cs[dst] = (±r[b]) · cs[mulc] + cs[acc]
-                    a.load_slot(15, f_loc(b));
-                    if negate_b {
-                        a.flip_sign15();
-                    }
-                    let m = match cs_loc(mulc) {
-                        Loc::Reg(r) => r,
-                        Loc::Spill(off) => {
-                            a.sse_mem(0xF2, 0x10, 13, RSP, off);
-                            13
-                        }
-                    };
-                    a.vfmadd213sd_15(m, cs_loc(acc));
-                    a.store_slot(15, cs_loc(dst));
-                    format!(
-                        "c{dst} = fma({}r{b}, c{mulc}, c{acc})  ; vfmadd213sd",
-                        if negate_b { "-" } else { "" }
-                    )
-                }
-                Instr::IeeeToCs { dst, src, .. } => {
-                    a.load_slot(15, f_loc(src));
-                    a.store_slot(15, cs_loc(dst));
-                    format!("c{dst} = r{src}  ; wiring")
-                }
-                Instr::CsToIeee { dst, src } => {
-                    a.load_slot(15, cs_loc(src));
-                    a.store_slot(15, f_loc(dst));
-                    format!("r{dst} = c{src}  ; wiring")
+                Instr::Fma { .. } | Instr::IeeeToCs { .. } | Instr::CsToIeee { .. } => {
+                    unreachable!("jit_refusal refuses fused tapes")
                 }
                 Instr::Store { output, src } => {
                     match f_loc(src) {
@@ -807,12 +684,12 @@ mod x86 {
             a.code.len()
         );
 
-        Some(Emitted {
+        Emitted {
             code: a.code,
             dump: a.dump,
             native_instrs: native,
             guards: a.guards,
-        })
+        }
     }
 }
 
@@ -906,41 +783,6 @@ mod tests {
         // the plain IEEE twin lints clean
         let plain = compile(&g).unwrap();
         assert!(lint_jit(&plain).is_empty());
-    }
-
-    #[test]
-    fn f64_semantics_matches_the_f64_interpreter_on_fused_tapes() {
-        use crate::fuse::{fuse_critical_paths, FusionConfig};
-        use crate::FmaKind;
-        let g = parse_program(
-            "x1 = a*b + c*d;\nx2 = e*f + g*x1;\nout x3 = h*i + k*x2;\nout z = -x3 + 2.5;\n",
-        )
-        .unwrap();
-        let fused = fuse_critical_paths(&g, &FusionConfig::new(FmaKind::Pcs)).fused;
-        let tape = compile(&fused).unwrap();
-        assert!(
-            matches!(jit_refusal(&tape), Some(JitRefusal::FusedInstrs(_))),
-            "test must exercise real Fma lowering"
-        );
-        let Some(m) = compile_module(&tape, JitSemantics::F64) else {
-            return; // no hardware FMA (or jit off): nothing to check
-        };
-        assert_eq!(m.semantics(), JitSemantics::F64);
-        let ni = tape.num_inputs();
-        let rows: Vec<Vec<f64>> = vec![
-            (0..ni).map(|k| k as f64 * 1.75 - 3.0).collect(),
-            (0..ni)
-                .map(|k| (-0.5f64).powi(k as i32 + 1) * 1e3)
-                .collect(),
-        ];
-        for row in rows {
-            let mut want = [0.0f64; 2];
-            tape.eval_row(TapeBackend::F64, &row, &mut want);
-            let mut got = [0.0f64; 2];
-            assert!(m.run_row(&row, &mut got), "f64 mode never bails");
-            assert_eq!(got[0].to_bits(), want[0].to_bits());
-            assert_eq!(got[1].to_bits(), want[1].to_bits());
-        }
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   semantics,
 //! * [`compile`](mod@compile) — the batch execution engine: a one-time lowering of a
 //!   validated graph to a flat register-slot instruction [`Tape`]
-//!   (cached by graph identity) with `f64` and bit-accurate backends and
-//!   deterministic parallel [`Tape::eval_batch`],
+//!   (cached by graph identity) with `f64`, bit-accurate, oracle and JIT
+//!   backends and deterministic parallel [`Tape::eval_batch`],
 //! * [`sched`] — ASAP / resource-constrained list scheduling with the
 //!   200 MHz operator latency table,
 //! * [`fuse`] — the Fig. 12 fusion pass,
@@ -38,7 +38,6 @@ pub mod lint;
 pub mod many;
 pub mod mutate;
 pub mod opt;
-pub mod optimize;
 pub mod parser;
 pub mod printer;
 pub mod profile;
@@ -63,7 +62,6 @@ pub use lint::{
 pub use many::{eval_many, eval_many_profiled, EvalManyOutput, EvalManyRequest};
 pub use mutate::{apply_mutation, ALL_MUTATIONS};
 pub use opt::OptStats;
-pub use optimize::{optimize, OptimizeReport};
 pub use parser::{parse_program, parse_program_with_ranges, ParseError};
 pub use printer::{to_source, to_source_with_ranges};
 pub use profile::{EvalStats, PipelineReport, Profiler, StageRecord};

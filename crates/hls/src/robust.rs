@@ -351,7 +351,11 @@ impl Tape {
             s.plane.strikes.clear();
             match ran {
                 Ok(()) => {
-                    let instr_idx = self.plane_eligible.iter().position(|&p| p).unwrap_or(0);
+                    let instr_idx = self
+                        .instrs()
+                        .iter()
+                        .position(|i| matches!(i, Instr::Fma { .. }))
+                        .unwrap_or(0);
                     for k in 0..len {
                         let differs = (0..no).any(|o| {
                             shadow[k * no + o].to_bits() != chunk_out[k * no + o].to_bits()

@@ -72,6 +72,9 @@ pub enum Rule {
     /// W005: a degenerate carry spacing (every digit explicit) — use the
     /// full carry-save format instead.
     DegenerateSpacing,
+    /// W006: a fused format's `B` significand differs from the binary64
+    /// significand the tape feeds every `B` operand with.
+    BWidthMismatch,
     /// P001: the textual datapath source failed to parse.
     ParseError,
     /// X001: the tape compiler panicked; the graph is rejected and the
@@ -147,7 +150,7 @@ impl Rule {
     /// Every rule the workspace can emit, in catalogue order. New rules
     /// must be added here — `docs/DIAGNOSTICS.md` is tested against this
     /// list, so forgetting one fails the build's registry-walk test.
-    pub const ALL: [Rule; 36] = [
+    pub const ALL: [Rule; 37] = [
         Rule::ArityMismatch,
         Rule::EdgeOrder,
         Rule::DomainMismatch,
@@ -163,6 +166,7 @@ impl Rule {
         Rule::SignificandCoverage,
         Rule::RoundingBlock,
         Rule::DegenerateSpacing,
+        Rule::BWidthMismatch,
         Rule::ParseError,
         Rule::CompilerPanic,
         Rule::FaultDetected,
@@ -204,6 +208,7 @@ impl Rule {
             Rule::SignificandCoverage => "W003",
             Rule::RoundingBlock => "W004",
             Rule::DegenerateSpacing => "W005",
+            Rule::BWidthMismatch => "W006",
             Rule::ParseError => "P001",
             Rule::CompilerPanic => "X001",
             Rule::FaultDetected => "F001",
@@ -246,6 +251,7 @@ impl Rule {
             Rule::SignificandCoverage => "significand-coverage",
             Rule::RoundingBlock => "rounding-block",
             Rule::DegenerateSpacing => "degenerate-spacing",
+            Rule::BWidthMismatch => "b-width-mismatch",
             Rule::ParseError => "parse-error",
             Rule::CompilerPanic => "compiler-panic",
             Rule::FaultDetected => "fault-detected",

@@ -336,7 +336,6 @@ fn run_many(opts: &Options) -> ExitCode {
             rows,
             options: CompileOptions {
                 optimize: opts.optimize,
-                codegen: opts.backend == TapeBackend::Jit,
                 ..CompileOptions::default()
             },
         })
@@ -418,7 +417,6 @@ fn main() -> ExitCode {
         &g,
         CompileOptions {
             optimize: opts.optimize,
-            codegen: opts.backend == TapeBackend::Jit,
             ..CompileOptions::default()
         },
         &mut prof,
@@ -470,8 +468,7 @@ fn main() -> ExitCode {
         match tape.jit_module() {
             Some(m) => {
                 println!(
-                    "jit module: {} semantics | {} native instr(s) | {} guard(s) | {} code byte(s)",
-                    m.semantics(),
+                    "jit module: bit semantics | {} native instr(s) | {} guard(s) | {} code byte(s)",
                     m.native_instr_count(),
                     m.guard_count(),
                     m.code_len(),

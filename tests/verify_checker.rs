@@ -1,7 +1,7 @@
 //! Workspace-level tests of the `csfma-verify` static checker:
 //!
-//! * a property test that the outputs of the optimizer and the fusion
-//!   pass *always* pass all three checker passes on random CDFGs, and
+//! * a property test that the outputs of the fusion pass *always* pass
+//!   all three checker passes on random CDFGs, and
 //! * mutation tests seeding one specific violation per checker pass and
 //!   asserting the exact rule fires (the checker is only trustworthy if
 //!   it rejects what it is supposed to reject).
@@ -9,15 +9,14 @@
 use csfma_core::{CsFmaFormat, Normalizer};
 use csfma_hls::cdfg::{Cdfg, FmaKind, NodeId, Op};
 use csfma_hls::{
-    asap_schedule, fuse_critical_paths, lint_dataflow, lint_schedule, list_schedule, optimize,
-    FusionConfig, OpTiming, ResourceLimits,
+    asap_schedule, fuse_critical_paths, lint_dataflow, lint_schedule, list_schedule, FusionConfig,
+    OpTiming, ResourceLimits,
 };
 use csfma_verify::{check_format, has_errors, render_report, Rule, ScheduleView, Severity};
 use proptest::prelude::*;
 
 /// Build a random (but always valid) straight-line datapath from an
-/// opcode/operand stream — the same generator family the optimizer's own
-/// property test uses, extended with divisions.
+/// opcode/operand stream, divisions included.
 fn build_random_cdfg(ops: &[(usize, usize, usize)]) -> Cdfg {
     let mut g = Cdfg::new();
     let mut pool: Vec<NodeId> = (0..4).map(|i| g.input(format!("v{i}"))).collect();
@@ -51,9 +50,9 @@ fn assert_lint_clean(g: &Cdfg, t: &OpTiming, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Pipeline outputs always satisfy the checker: the optimizer result,
-    /// both fusion results, and the schedules computed for them — on
-    /// random graphs, under random resource limits.
+    /// Pipeline outputs always satisfy the checker: both fusion results
+    /// and the schedules computed for them — on random graphs, under
+    /// random resource limits.
     #[test]
     fn prop_pipeline_outputs_pass_all_checker_passes(
         ops in prop::collection::vec((0usize..6, 0usize..32, 0usize..32), 3..24),
@@ -64,11 +63,8 @@ proptest! {
         let g = build_random_cdfg(&ops);
         assert_lint_clean(&g, &t, "random source graph");
 
-        let opt = optimize(&g).optimized;
-        assert_lint_clean(&opt, &t, "optimizer output");
-
         for kind in [FmaKind::Pcs, FmaKind::Fcs] {
-            let fused = fuse_critical_paths(&opt, &FusionConfig::new(kind)).fused;
+            let fused = fuse_critical_paths(&g, &FusionConfig::new(kind)).fused;
             assert_lint_clean(&fused, &t, "fusion output");
 
             // pass 2: the unconstrained schedule is hazard-free...
@@ -273,13 +269,22 @@ fn compile_gate_refuses_dataflow_errors() {
 }
 
 /// The `W*` width rules gate compilation when the graph actually uses a
-/// fused format: a cramped geometry refuses, the standard one compiles.
+/// fused format: a cramped geometry refuses, a single-precision `B`
+/// refuses with W006 (the tape feeds `B` from binary64), the standard
+/// formats compile.
 #[test]
 fn compile_gate_refuses_broken_formats() {
     use csfma_hls::{compile_with, CompileOptions, Profiler};
     let with_pcs = |g: &Cdfg, pcs_format: CsFmaFormat| {
         let opts = CompileOptions {
             pcs_format,
+            ..CompileOptions::default()
+        };
+        compile_with(g, opts, &mut Profiler::disabled())
+    };
+    let with_fcs = |g: &Cdfg, fcs_format: CsFmaFormat| {
+        let opts = CompileOptions {
+            fcs_format,
             ..CompileOptions::default()
         };
         compile_with(g, opts, &mut Profiler::disabled())
@@ -315,6 +320,20 @@ fn compile_gate_refuses_broken_formats() {
     // a discrete graph never touches the formats, so even a broken PCS
     // geometry is irrelevant to it — the gate only fires on use
     with_pcs(&g, cramped).expect("unused formats must not gate a discrete graph");
+
+    // W006: the shipped single-precision formats pass every geometry
+    // rule, but a tape would feed them 53-bit `B` operands
+    let fused_fcs = fuse_critical_paths(&g, &FusionConfig::new(FmaKind::Fcs)).fused;
+    assert!(fused_fcs.count_ops(|o| matches!(o, Op::Fma { .. })) > 0);
+    for err in [
+        with_pcs(&fused, CsFmaFormat::PCS_27_SP).expect_err("PCS_27_SP must refuse"),
+        with_fcs(&fused_fcs, CsFmaFormat::FCS_15_SP).expect_err("FCS_15_SP must refuse"),
+    ] {
+        assert_eq!(err.diagnostics.len(), 1, "{err}");
+        assert_eq!(err.diagnostics[0].rule, Rule::BWidthMismatch, "{err}");
+        assert_eq!(err.diagnostics[0].rule.id(), "W006");
+    }
+    with_pcs(&g, CsFmaFormat::PCS_27_SP).expect("a discrete graph ignores the B width");
 }
 
 /// The `S*` schedule-hazard rules refuse a schedule that overloads the
