@@ -61,6 +61,11 @@ done
 cargo test -q --test golden_vectors
 cargo test -q --test cli_run
 
+# fusion oracle (DESIGN.md §7 item 5): the flat working-graph pass must
+# match the rebuild-per-trial reference node for node, including on the
+# ldlsolve-s2 and -s3 kernels that tier-1 skips
+cargo test --release -q --test fusion_oracle -- --include-ignored
+
 # executable filetest corpus: `; run:` directives pin per-backend result
 # bits (the bit backend goes through the bit-plane kernel on a full
 # 64-lane chunk) and `; run-differential:` sweeps adversarial batches

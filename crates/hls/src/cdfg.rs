@@ -208,7 +208,8 @@ impl Cdfg {
     /// Check structural and domain invariants, reporting every violation
     /// as a structured [`Diagnostic`](csfma_verify::Diagnostic):
     /// `D001` (arity), `D002` (edge order / cycle), `D003` (domain
-    /// mismatch). `Ok(())` means the graph is well-formed.
+    /// mismatch, or a carry-save port reading the other [`FmaKind`]'s
+    /// format). `Ok(())` means the graph is well-formed.
     pub fn validate_diagnostics(&self) -> Result<(), Vec<csfma_verify::Diagnostic>> {
         use csfma_verify::{Diagnostic, Rule, Span};
         let mut diags = Vec::new();
@@ -264,6 +265,29 @@ impl Cdfg {
                             n.op, self.nodes[a].op
                         ),
                     ));
+                }
+            }
+            // PCS and FCS words have different carry geometries, so a
+            // carry-save port must read its own unit's format
+            if let Op::Fma { kind, .. } | Op::CsToIeee(kind) = n.op {
+                for (slot, (&a, &want)) in n.args.iter().zip(expected).enumerate() {
+                    let src = &self.nodes[a].op;
+                    let other =
+                        matches!(src, Op::Fma { kind: k, .. } | Op::IeeeToCs(k) if *k != kind);
+                    if want == Domain::Cs && other {
+                        diags.push(Diagnostic::error(
+                            Rule::DomainMismatch,
+                            Span::Edge {
+                                user: id,
+                                arg: slot,
+                            },
+                            format!(
+                                "{:?} port {slot} reads node {a} ({src:?}), whose \
+                                 carry-save value is in the other unit's format",
+                                n.op
+                            ),
+                        ));
+                    }
                 }
             }
         }

@@ -67,8 +67,8 @@ pub use printer::{to_source, to_source_with_ranges};
 pub use profile::{EvalStats, PipelineReport, Profiler, StageRecord};
 pub use robust::{BatchReport, RobustOptions, RowOutcome};
 pub use sched::{
-    alap_schedule, asap_schedule, critical_path, list_schedule, occupancy_chart, OpTiming,
-    ResourceKind, ResourceLimits, Schedule,
+    asap_schedule, critical_path, list_schedule, occupancy_chart, OpTiming, ResourceKind,
+    ResourceLimits, Schedule,
 };
 
 #[cfg(test)]

@@ -281,27 +281,6 @@ pub fn occupancy_chart(g: &Cdfg, t: &OpTiming, s: &Schedule, max_rows: usize) ->
     out
 }
 
-/// As-late-as-possible start times for the unconstrained schedule length:
-/// the slack `alap[i] - asap[i]` is zero exactly on critical paths — the
-/// criterion the fusion pass uses to pick fusion candidates.
-pub fn alap_schedule(g: &Cdfg, t: &OpTiming) -> Schedule {
-    let asap = asap_schedule(g, t);
-    let users = g.users();
-    let mut start = vec![0u32; g.len()];
-    for id in (0..g.len()).rev() {
-        let lat = t.latency(&g.nodes()[id].op);
-        let mut latest = asap.length - lat;
-        for &u in &users[id] {
-            latest = latest.min(start[u].saturating_sub(lat));
-        }
-        start[id] = latest;
-    }
-    Schedule {
-        start,
-        length: asap.length,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,26 +339,6 @@ mod tests {
         let asap = asap_schedule(&g, &t);
         let ls = list_schedule(&g, &t, &ResourceLimits::default());
         assert_eq!(ls.length, asap.length);
-    }
-
-    #[test]
-    fn alap_slack_properties() {
-        let g = listing1();
-        let t = OpTiming::default();
-        let asap = asap_schedule(&g, &t);
-        let alap = alap_schedule(&g, &t);
-        assert_eq!(asap.length, alap.length);
-        let path = critical_path(&g, &t, &asap);
-        for id in 0..g.len() {
-            assert!(alap.start[id] >= asap.start[id], "negative slack at {id}");
-        }
-        // every node on the reported critical path has zero slack
-        for &id in &path {
-            assert_eq!(
-                alap.start[id], asap.start[id],
-                "slack on critical node {id}"
-            );
-        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub enum Rule {
     /// graph is cyclic or dangling.
     EdgeOrder,
     /// D003: an edge crosses value domains (IEEE vs carry-save) without
-    /// a conversion.
+    /// a conversion, or a carry-save port reads the other unit's format.
     DomainMismatch,
     /// D004: a format conversion that cancels against its producer or
     /// duplicates a sibling — the Fig. 12c elimination missed it.

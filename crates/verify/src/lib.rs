@@ -13,7 +13,7 @@
 //! 2. [`hazard`] — a computed schedule never fires a node before all of
 //!    its arguments' latencies have completed, and never exceeds a
 //!    resource class's per-cycle start capacity — a race detector for
-//!    `asap`/`alap`/list schedules;
+//!    ASAP and list schedules;
 //! 3. [`widths`] — a carry-save FMA format keeps enough guard and
 //!    redundant-sign headroom that the compressor tree, carry reduction
 //!    and block-granular normalization are exact where the paper requires

@@ -141,32 +141,20 @@ fn table2_energy_ordering() {
 #[test]
 fn fig15_schedule_reductions() {
     let rows = fig15();
-    assert_eq!(rows.len(), 3);
+    // EXPERIMENTS.md's Fig. 15 table exactly: ASAP cycles (discrete, PCS,
+    // FCS) per solver, i.e. 22.6-25.7 % (PCS) and 37.3-42.7 % (FCS)
+    // shorter against the paper's 26.0-50.1 %, and the FMAs each kind
+    // inserts
+    let lengths: Vec<[u32; 3]> = rows.iter().map(|r| [r.discrete, r.pcs, r.fcs]).collect();
+    assert_eq!(lengths, [[177, 137, 111], [353, 265, 207], [529, 393, 303]]);
+    let fmas: Vec<(usize, usize)> = rows.iter().map(|r| r.fma_nodes).collect();
+    assert_eq!(fmas, [(62, 62), (126, 126), (190, 190)]);
     for r in &rows {
-        // paper: 26.0% .. 50.1% reduction; allow the model's band
-        assert!(
-            (15.0..55.0).contains(&r.reduction_pcs()),
-            "{}: PCS {:.1}%",
-            r.solver,
-            r.reduction_pcs()
-        );
-        assert!(
-            (30.0..60.0).contains(&r.reduction_fcs()),
-            "{}: FCS {:.1}%",
-            r.solver,
-            r.reduction_fcs()
-        );
-        assert!(r.reduction_fcs() > r.reduction_pcs(), "{}", r.solver);
         assert!(
             r.fma_units.0 <= 39 && r.fma_units.1 <= 39,
             "paper used up to 39 units"
         );
     }
-    // complexity ordering
-    assert!(rows[0].discrete < rows[1].discrete && rows[1].discrete < rows[2].discrete);
-    // "higher performance gains using the FCS approach"
-    let max_fcs = rows.iter().map(|r| r.reduction_fcs()).fold(0.0, f64::max);
-    assert!(max_fcs > 35.0, "peak FCS reduction {max_fcs:.1}%");
 }
 
 #[test]

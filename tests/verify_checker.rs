@@ -9,10 +9,10 @@
 use csfma_core::{CsFmaFormat, Normalizer};
 use csfma_hls::cdfg::{Cdfg, FmaKind, NodeId, Op};
 use csfma_hls::{
-    asap_schedule, fuse_critical_paths, lint_dataflow, lint_schedule, list_schedule, FusionConfig,
-    OpTiming, ResourceLimits,
+    asap_schedule, compile, fuse_critical_paths, lint_dataflow, lint_schedule, list_schedule,
+    FusionConfig, OpTiming, ResourceLimits,
 };
-use csfma_verify::{check_format, has_errors, render_report, Rule, ScheduleView, Severity};
+use csfma_verify::{check_format, has_errors, render_report, Rule, ScheduleView, Severity, Span};
 use proptest::prelude::*;
 
 /// Build a random (but always valid) straight-line datapath from an
@@ -116,6 +116,34 @@ fn mutation_domain_mismatched_edge_fires_d003() {
     // the graph's own validator reports the same rule
     let own = g.validate_diagnostics().unwrap_err();
     assert!(own.iter().any(|d| d.rule == Rule::DomainMismatch));
+}
+
+/// A carry-save port fed the other unit's format is a `D003` too: PCS
+/// and FCS words have different carry geometries, so the compile gate
+/// must refuse the graph before any backend reads one as the other.
+#[test]
+fn mutation_cross_kind_carry_save_edge_fires_d003() {
+    let mut g = Cdfg::new();
+    let a = g.input("a");
+    let b = g.input("b");
+    let c = g.input("c");
+    let a_cs = g.push(Op::IeeeToCs(FmaKind::Fcs), vec![a]);
+    let c_cs = g.push(Op::IeeeToCs(FmaKind::Pcs), vec![c]);
+    let fma = g.push(
+        Op::Fma {
+            kind: FmaKind::Pcs,
+            negate_b: false,
+        },
+        vec![a_cs, b, c_cs],
+    );
+    let y = g.push(Op::CsToIeee(FmaKind::Pcs), vec![fma]);
+    g.output("y", y);
+
+    let err = compile(&g).expect_err("a cross-kind edge must not compile");
+    let d = &err.diagnostics;
+    assert_eq!(d.len(), 1, "{}", render_report(d));
+    assert_eq!(d[0].rule.id(), "D003");
+    assert_eq!(d[0].span, Span::Edge { user: fma, arg: 0 });
 }
 
 /// Pass 2 mutation: a hand-built schedule that fires the adder before the
