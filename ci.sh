@@ -66,6 +66,11 @@ cargo test -q --test cli_run
 # ldlsolve-s2 and -s3 kernels that tier-1 skips
 cargo test --release -q --test fusion_oracle -- --include-ignored
 
+# reorder oracle (DESIGN.md §9): the optimizer's wake-up/select pressure
+# reorder must emit the full-rescan reference's order, tape for tape,
+# again including the ldlsolve-s2 and -s3 kernels that tier-1 skips
+cargo test --release -q --test reorder_oracle -- --include-ignored
+
 # executable filetest corpus: `; run:` directives pin per-backend result
 # bits (the bit backend goes through the bit-plane kernel on a full
 # 64-lane chunk) and `; run-differential:` sweeps adversarial batches

@@ -48,7 +48,7 @@
 //! concrete schedule also check the `S*` hazard rules with
 //! [`lint_schedule`](crate::lint_schedule).
 
-use crate::cdfg::{Cdfg, FmaKind, Op};
+use crate::cdfg::{Cdfg, FmaKind, NodeId, Op};
 use crate::interp::format_of;
 use crate::lint::lint_dataflow;
 use crate::opt::{optimize_graph, OptStats};
@@ -470,6 +470,16 @@ pub fn graph_fingerprint(g: &Cdfg) -> u64 {
 /// graphs with equal encodings compile to equal tapes.
 fn canonical_encoding(g: &Cdfg) -> Vec<u8> {
     let mut buf = Vec::with_capacity(g.len() * 8);
+    for n in g.nodes() {
+        encode_node(&mut buf, &n.op, &n.args);
+    }
+    buf
+}
+
+/// Append one node's bytes to a canonical encoding: its operation tag,
+/// constant bit pattern, input/output name or FMA kind, then its argument
+/// ids. The tape-cache key and the optimizer's CSE identity both use it.
+pub(crate) fn encode_node(buf: &mut Vec<u8>, op: &Op, args: &[NodeId]) {
     let push_str = |buf: &mut Vec<u8>, s: &str| {
         buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
         buf.extend_from_slice(s.as_bytes());
@@ -478,44 +488,41 @@ fn canonical_encoding(g: &Cdfg) -> Vec<u8> {
         FmaKind::Pcs => 0u8,
         FmaKind::Fcs => 1u8,
     };
-    for n in g.nodes() {
-        match &n.op {
-            Op::Input(name) => {
-                buf.push(0);
-                push_str(&mut buf, name);
-            }
-            Op::Const(v) => {
-                buf.push(1);
-                buf.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-            Op::Add => buf.push(2),
-            Op::Sub => buf.push(3),
-            Op::Mul => buf.push(4),
-            Op::Div => buf.push(5),
-            Op::Neg => buf.push(6),
-            Op::Fma { kind, negate_b } => {
-                buf.push(7);
-                buf.push(kind_tag(*kind));
-                buf.push(*negate_b as u8);
-            }
-            Op::IeeeToCs(kind) => {
-                buf.push(8);
-                buf.push(kind_tag(*kind));
-            }
-            Op::CsToIeee(kind) => {
-                buf.push(9);
-                buf.push(kind_tag(*kind));
-            }
-            Op::Output(name) => {
-                buf.push(10);
-                push_str(&mut buf, name);
-            }
+    match op {
+        Op::Input(name) => {
+            buf.push(0);
+            push_str(buf, name);
         }
-        for &a in &n.args {
-            buf.extend_from_slice(&(a as u32).to_le_bytes());
+        Op::Const(v) => {
+            buf.push(1);
+            buf.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        Op::Add => buf.push(2),
+        Op::Sub => buf.push(3),
+        Op::Mul => buf.push(4),
+        Op::Div => buf.push(5),
+        Op::Neg => buf.push(6),
+        Op::Fma { kind, negate_b } => {
+            buf.push(7);
+            buf.push(kind_tag(*kind));
+            buf.push(*negate_b as u8);
+        }
+        Op::IeeeToCs(kind) => {
+            buf.push(8);
+            buf.push(kind_tag(*kind));
+        }
+        Op::CsToIeee(kind) => {
+            buf.push(9);
+            buf.push(kind_tag(*kind));
+        }
+        Op::Output(name) => {
+            buf.push(10);
+            push_str(buf, name);
         }
     }
-    buf
+    for &a in args {
+        buf.extend_from_slice(&(a as u32).to_le_bytes());
+    }
 }
 
 fn errors_only(diags: Vec<Diagnostic>) -> Vec<Diagnostic> {
@@ -612,47 +619,44 @@ thread_local! {
 /// (fingerprint, source node count) is pinned to the caller's graph so
 /// cache bookkeeping and reports stay in source terms.
 fn build_tape(g: &Cdfg, opts: CompileOptions, prof: &mut Profiler) -> Tape {
-    let (mut tape, build_us) = csfma_obs::time_us(|| {
-        let mut stats = OptStats {
-            nodes_before: g.len(),
-            nodes_after: g.len(),
-            ..Default::default()
-        };
-        let optimized;
-        let mut origin: Option<Vec<u32>> = None;
-        let lowered_from = if opts.optimize {
-            let opt_tok = prof.enter("optimize");
-            let (og, s, o) = optimize_graph(g);
-            prof.exit(opt_tok);
-            stats = s;
-            origin = Some(o);
-            optimized = og;
-            &optimized
-        } else {
-            g
-        };
-        let lower_tok = prof.enter("lower");
-        let mut tape = lower(lowered_from, opts.pcs_format, opts.fcs_format);
-        if let Some(origin) = &origin {
-            // re-express per-instruction provenance in source-graph node ids
-            for n in &mut tape.instr_nodes {
-                *n = origin[*n as usize];
-            }
+    let mut stats = OptStats {
+        nodes_before: g.len(),
+        nodes_after: g.len(),
+        ..Default::default()
+    };
+    let optimized;
+    let mut origin: Option<Vec<u32>> = None;
+    let lowered_from = if opts.optimize {
+        let opt_tok = prof.enter("optimize");
+        let ((og, s, o), us) = csfma_obs::time_us(|| optimize_graph(g));
+        prof.exit(opt_tok);
+        stats = s;
+        stats.optimize_us = us;
+        origin = Some(o);
+        optimized = og;
+        &optimized
+    } else {
+        g
+    };
+    let lower_tok = prof.enter("lower");
+    let mut tape = lower(lowered_from, opts.pcs_format, opts.fcs_format);
+    if let Some(origin) = &origin {
+        // re-express per-instruction provenance in source-graph node ids
+        for n in &mut tape.instr_nodes {
+            *n = origin[*n as usize];
         }
-        if opts.optimize {
-            stats.dead_slots_removed =
-                eliminate_dead_slots(&mut tape.instrs, &mut tape.instr_nodes);
-        }
-        // the per-row counts describe the final instruction list
-        tape.row_work = RowWork::of(&tape.instrs);
-        prof.exit(lower_tok);
-        // `lower` recorded the allocator's slot reuses on its fresh
-        // OptStats; carry them over the optimizer-stats overwrite
-        stats.slots_reclaimed = tape.opt.slots_reclaimed;
-        tape.opt = stats;
-        tape
-    });
-    tape.opt.optimize_us = build_us;
+        let (removed, us) =
+            csfma_obs::time_us(|| eliminate_dead_slots(&mut tape.instrs, &mut tape.instr_nodes));
+        stats.dead_slots_removed = removed;
+        stats.optimize_us += us;
+    }
+    // the per-row counts describe the final instruction list
+    tape.row_work = RowWork::of(&tape.instrs);
+    prof.exit(lower_tok);
+    // `lower` recorded the allocator's slot reuses on its fresh
+    // OptStats; carry them over the optimizer-stats overwrite
+    stats.slots_reclaimed = tape.opt.slots_reclaimed;
+    tape.opt = stats;
     tape.fingerprint = graph_fingerprint(g);
     tape.source_nodes = g.len();
     // debug-build compile gate: the translation validator replays the
@@ -2223,6 +2227,24 @@ mod tests {
                 "{backend:?}: optimized tape diverged"
             );
         }
+    }
+
+    #[test]
+    fn optimize_us_times_the_optimizer_only() {
+        // lowering is not optimizing: with the optimizer off nothing is
+        // timed, however long the rest of the compile takes
+        let g = fuse_critical_paths(&listing1(), &FusionConfig::new(FmaKind::Fcs)).fused;
+        let plain = compile_with(
+            &g,
+            CompileOptions {
+                optimize: false,
+                ..CompileOptions::default()
+            },
+            &mut Profiler::disabled(),
+        )
+        .unwrap();
+        assert_eq!(plain.opt_stats().optimize_us, 0.0);
+        assert!(compile(&g).unwrap().opt_stats().optimize_us > 0.0);
     }
 
     #[test]

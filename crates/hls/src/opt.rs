@@ -33,9 +33,12 @@
 //!   nodes keep their relative order (positional input layout) and so do
 //!   `Output` nodes (positional output layout).
 
-use crate::cdfg::{Cdfg, FmaKind, NodeId, Op};
+use crate::cdfg::{Cdfg, Node, NodeId, Op};
+use crate::compile::encode_node;
 use csfma_softfloat::batch as sfb;
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// What the optimizer did to a graph, recorded on the compiled tape for
 /// benchmark attribution (`bench::throughput` emits these).
@@ -57,7 +60,8 @@ pub struct OptStats {
     /// list during lowering (each reuse is one slot of peak pressure
     /// avoided; the `T001`/`T005` tape rules prove every reuse safe).
     pub slots_reclaimed: usize,
-    /// Wall time spent optimizing, microseconds.
+    /// Wall time of the graph optimizer plus the dead-slot sweep,
+    /// microseconds; 0 when the optimizer is off.
     pub optimize_us: f64,
     /// Tape-cache hits at the moment this tape was compiled and cached.
     pub cache_hits: u64,
@@ -82,7 +86,7 @@ pub(crate) fn optimize_graph(g: &Cdfg) -> (Cdfg, OptStats, Vec<u32>) {
         nodes_before: g.len(),
         ..Default::default()
     };
-    let mut cur = g.clone();
+    let mut cur = Cow::Borrowed(g);
     // origin[new_id] = source-graph id, composed across every pass
     let mut origin: Vec<u32> = (0..g.len() as u32).collect();
     let compose = |origin: &[u32], map: &[NodeId], new_len: usize| -> Vec<u32> {
@@ -97,14 +101,16 @@ pub(crate) fn optimize_graph(g: &Cdfg) -> (Cdfg, OptStats, Vec<u32>) {
     for _ in 0..8 {
         let (next, folded, merged, map) = fold_and_cse(&cur);
         origin = compose(&origin, &map, next.len());
-        let (next, removed, map) = eliminate_dead_keep_inputs(&next);
-        if let Some(map) = map {
+        cur = Cow::Owned(next);
+        let mut removed = 0;
+        if let Some((next, n, map)) = eliminate_dead_keep_inputs(&cur) {
             origin = compose(&origin, &map, next.len());
+            cur = Cow::Owned(next);
+            removed = n;
         }
         stats.consts_folded += folded;
         stats.cse_merged += merged;
         stats.dead_removed += removed;
-        cur = next;
         if folded == 0 && merged == 0 && removed == 0 {
             break;
         }
@@ -168,51 +174,6 @@ fn try_fold(out: &Cdfg, op: &Op, args: &[NodeId]) -> Option<f64> {
     (plain.to_bits() == hosted.to_bits()).then_some(plain)
 }
 
-/// The canonical encoding of one (rewritten) node — the CSE identity.
-/// Mirrors `compile::canonical_encoding`, with argument ids already
-/// remapped into the output graph.
-fn node_key(op: &Op, args: &[NodeId]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(8 + 4 * args.len());
-    let kind_tag = |k: FmaKind| match k {
-        FmaKind::Pcs => 0u8,
-        FmaKind::Fcs => 1u8,
-    };
-    match op {
-        Op::Input(name) => {
-            buf.push(0);
-            buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            buf.extend_from_slice(name.as_bytes());
-        }
-        Op::Const(v) => {
-            buf.push(1);
-            buf.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        Op::Add => buf.push(2),
-        Op::Sub => buf.push(3),
-        Op::Mul => buf.push(4),
-        Op::Div => buf.push(5),
-        Op::Neg => buf.push(6),
-        Op::Fma { kind, negate_b } => {
-            buf.push(7);
-            buf.push(kind_tag(*kind));
-            buf.push(*negate_b as u8);
-        }
-        Op::IeeeToCs(kind) => {
-            buf.push(8);
-            buf.push(kind_tag(*kind));
-        }
-        Op::CsToIeee(kind) => {
-            buf.push(9);
-            buf.push(kind_tag(*kind));
-        }
-        Op::Output(_) => unreachable!("outputs are never CSE candidates"),
-    }
-    for &a in args {
-        buf.extend_from_slice(&(a as u32).to_le_bytes());
-    }
-    buf
-}
-
 /// One forward rewrite pass: fold all-constant nodes, then merge nodes
 /// with byte-equal canonical encodings. Returns the rewritten graph, the
 /// (folded, merged) counts, and the old→new node map.
@@ -235,7 +196,10 @@ fn fold_and_cse(g: &Cdfg) -> (Cdfg, usize, usize, Vec<NodeId>) {
             }
             None => n.op.clone(),
         };
-        let key = node_key(&op, &args);
+        // the CSE identity: the tape-cache key's bytes for this node, with
+        // argument ids already remapped into the output graph
+        let mut key = Vec::with_capacity(8 + 4 * args.len());
+        encode_node(&mut key, &op, &args);
         if let Some(&prev) = seen.get(&key) {
             merged += 1;
             map.push(prev);
@@ -251,8 +215,9 @@ fn fold_and_cse(g: &Cdfg) -> (Cdfg, usize, usize, Vec<NodeId>) {
 /// Dead-node elimination rooted at the outputs **and every input**:
 /// removing an unused `Input` would change the tape's positional row
 /// layout, which must stay byte-compatible with the unoptimized tape.
-/// The map is `None` when nothing was removed (identity provenance).
-fn eliminate_dead_keep_inputs(g: &Cdfg) -> (Cdfg, usize, Option<Vec<NodeId>>) {
+/// Returns the pruned graph, the removed count and the old→new node map,
+/// or `None` when every node is live.
+fn eliminate_dead_keep_inputs(g: &Cdfg) -> Option<(Cdfg, usize, Vec<NodeId>)> {
     let mut live = vec![false; g.len()];
     let mut stack: Vec<NodeId> = g.outputs();
     for (id, n) in g.nodes().iter().enumerate() {
@@ -269,7 +234,7 @@ fn eliminate_dead_keep_inputs(g: &Cdfg) -> (Cdfg, usize, Option<Vec<NodeId>>) {
     }
     let removed = live.iter().filter(|&&l| !l).count();
     if removed == 0 {
-        return (g.clone(), 0, None);
+        return None;
     }
     let mut map = vec![usize::MAX; g.len()];
     let mut out = Cdfg::new();
@@ -279,92 +244,156 @@ fn eliminate_dead_keep_inputs(g: &Cdfg) -> (Cdfg, usize, Option<Vec<NodeId>>) {
             map[id] = out.push(n.op.clone(), args);
         }
     }
-    (out, removed, Some(map))
+    Some((out, removed, map))
 }
 
 /// Slot-pressure-aware list scheduling: emit ready nodes in the order
 /// that greedily minimizes the live-value count the linear-scan
 /// allocator will see (an emission frees one slot per dying argument and
-/// allocates one for its own result). Deterministic: ties break on the
-/// original node id, `Input` nodes keep their relative order and so do
-/// `Output` nodes. Also returns the old→new node map.
+/// allocates one for its own result). Every step emits the ready node
+/// with the lowest pressure delta, ties on the lowest original id;
+/// `Input` nodes keep their relative order and so do `Output` nodes.
+/// Also returns the old→new node map.
+///
+/// Wake-up/select, O(n log n): emitting a node wakes only its own users,
+/// found in a CSR users list, and select pops the lowest `(delta, id)`
+/// from a [`ReadySet`]. A ready node's delta only ever falls, when an
+/// argument's remaining reads reach its own reads of it (at most 3), so
+/// only the ready users of an argument whose remaining reads fall to
+/// ≤ 3 are re-keyed.
 fn reorder_for_pressure(g: &Cdfg) -> (Cdfg, Vec<NodeId>) {
     let nodes = g.nodes();
     let n = nodes.len();
-    // remaining reads of each node's value
-    let mut uses = vec![0usize; n];
+    // users[first[a]..first[a + 1]] read `a`, one entry per read
+    let mut first = vec![0usize; n + 1];
     for node in nodes {
         for &a in &node.args {
-            uses[a] += 1;
+            first[a + 1] += 1;
         }
     }
-    let mut unmet: Vec<usize> = nodes.iter().map(|nd| nd.args.len()).collect();
-    let inputs: Vec<NodeId> = (0..n)
-        .filter(|&i| matches!(nodes[i].op, Op::Input(_)))
-        .collect();
-    let outputs: Vec<NodeId> = (0..n)
-        .filter(|&i| matches!(nodes[i].op, Op::Output(_)))
-        .collect();
-    let (mut next_in, mut next_out) = (0usize, 0usize);
-    let mut emitted = vec![false; n];
-    let mut map = vec![usize::MAX; n];
-    let mut out = Cdfg::new();
-
-    let mut order: Vec<NodeId> = Vec::with_capacity(n);
-    while order.len() < n {
-        // pick the ready node with the best (lowest) pressure delta
-        let mut best: Option<(i64, NodeId)> = None;
-        for id in 0..n {
-            if emitted[id] || unmet[id] != 0 {
-                continue;
-            }
-            match nodes[id].op {
-                // positional layouts: only the next input/output may go
-                Op::Input(_) if inputs[next_in] != id => continue,
-                Op::Output(_) if outputs[next_out] != id => continue,
-                _ => {}
-            }
-            let allocs = i64::from(!matches!(nodes[id].op, Op::Output(_)));
-            let mut frees = 0i64;
-            // count dying arguments; a double-read (e.g. `x * x`) frees
-            // its slot only once
-            let args = &nodes[id].args;
-            for (k, &a) in args.iter().enumerate() {
-                let reads_here = args.iter().filter(|&&b| b == a).count();
-                if args[..k].contains(&a) {
-                    continue; // counted at its first occurrence
-                }
-                if uses[a] == reads_here {
-                    frees += 1;
-                }
-            }
-            let delta = allocs - frees;
-            if best.is_none_or(|(d, _)| delta < d) {
-                best = Some((delta, id));
-            }
+    for i in 0..n {
+        first[i + 1] += first[i];
+    }
+    let mut fill = first.clone();
+    let mut users = vec![0; first[n]];
+    for (id, node) in nodes.iter().enumerate() {
+        for &a in &node.args {
+            users[fill[a]] = id;
+            fill[a] += 1;
         }
-        let (_, id) = best.expect("a checker-clean DAG always has a ready node");
-        emitted[id] = true;
+    }
+    let users_of = |a: NodeId| &users[first[a]..first[a + 1]];
+    // remaining reads of each node's value
+    let mut uses: Vec<usize> = (0..n).map(|a| users_of(a).len()).collect();
+    let mut unmet: Vec<usize> = nodes.iter().map(|nd| nd.args.len()).collect();
+    // positional layouts: each input also waits for the previous input,
+    // and each output for the previous output
+    let mut after: Vec<Option<NodeId>> = vec![None; n];
+    let (mut last_in, mut last_out) = (None, None);
+    for (id, node) in nodes.iter().enumerate() {
+        let last = match node.op {
+            Op::Input(_) => &mut last_in,
+            Op::Output(_) => &mut last_out,
+            _ => continue,
+        };
+        if let Some(prev) = last.replace(id) {
+            after[prev] = Some(id);
+            unmet[id] += 1;
+        }
+    }
+    let mut ready = ReadySet {
+        heap: BinaryHeap::new(),
+        key: vec![None; n],
+    };
+    for (id, node) in nodes.iter().enumerate() {
+        if unmet[id] == 0 {
+            ready.queue(id, pressure_delta(node, &uses));
+        }
+    }
+    let mut order: Vec<NodeId> = Vec::with_capacity(n);
+    while let Some(id) = ready.pop() {
+        order.push(id);
         for &a in &nodes[id].args {
             uses[a] -= 1;
-        }
-        for (uid, u) in nodes.iter().enumerate() {
-            if !emitted[uid] {
-                unmet[uid] -= u.args.iter().filter(|&&a| a == id).count();
+            if uses[a] <= 3 {
+                for &u in users_of(a) {
+                    if ready.is_queued(u) {
+                        ready.queue(u, pressure_delta(&nodes[u], &uses));
+                    }
+                }
             }
         }
-        match nodes[id].op {
-            Op::Input(_) => next_in += 1,
-            Op::Output(_) => next_out += 1,
-            _ => {}
+        for u in users_of(id).iter().copied().chain(after[id]) {
+            unmet[u] -= 1;
+            if unmet[u] == 0 {
+                ready.queue(u, pressure_delta(&nodes[u], &uses));
+            }
         }
-        order.push(id);
     }
+    assert_eq!(
+        order.len(),
+        n,
+        "a checker-clean DAG always has a ready node"
+    );
+    let mut map = vec![usize::MAX; n];
+    let mut out = Cdfg::new();
     for &id in &order {
         let args = nodes[id].args.iter().map(|&a| map[a]).collect();
         map[id] = out.push(nodes[id].op.clone(), args);
     }
     (out, map)
+}
+
+/// Slot-pressure change of emitting `node` now: one slot allocated for
+/// its result (none for an `Output`), one freed per argument whose
+/// remaining reads are all this node's. A double read (`x * x`) frees its
+/// slot once.
+fn pressure_delta(node: &Node, uses: &[usize]) -> i64 {
+    let args = &node.args;
+    let mut frees = 0i64;
+    for (k, &a) in args.iter().enumerate() {
+        if args[..k].contains(&a) {
+            continue; // counted at its first occurrence
+        }
+        if uses[a] == args.iter().filter(|&&b| b == a).count() {
+            frees += 1;
+        }
+    }
+    i64::from(!matches!(node.op, Op::Output(_))) - frees
+}
+
+/// The ready set of [`reorder_for_pressure`]: a min-heap on
+/// `(pressure delta, node id)` with lazy invalidation. Re-keying pushes a
+/// fresh entry; a popped entry whose key is no longer current is skipped.
+struct ReadySet {
+    heap: BinaryHeap<Reverse<(i64, NodeId)>>,
+    /// The delta each queued node is keyed by; `None` off the heap.
+    key: Vec<Option<i64>>,
+}
+
+impl ReadySet {
+    fn is_queued(&self, id: NodeId) -> bool {
+        self.key[id].is_some()
+    }
+
+    /// Queue `id`, or re-key it if it is queued and its delta fell.
+    fn queue(&mut self, id: NodeId, delta: i64) {
+        if self.key[id].is_none_or(|d| delta < d) {
+            self.key[id] = Some(delta);
+            self.heap.push(Reverse((delta, id)));
+        }
+    }
+
+    /// Dequeue the node with the lowest `(delta, id)`.
+    fn pop(&mut self) -> Option<NodeId> {
+        while let Some(Reverse((delta, id))) = self.heap.pop() {
+            if self.key[id] == Some(delta) {
+                self.key[id] = None;
+                return Some(id);
+            }
+        }
+        None
+    }
 }
 
 #[cfg(test)]
@@ -488,6 +517,7 @@ mod tests {
 
     #[test]
     fn fused_graphs_survive_optimization() {
+        use crate::cdfg::FmaKind;
         use crate::fuse::{fuse_critical_paths, FusionConfig};
         let g = parse_program("x1 = a*b + c*d;\n x2 = e*f + g*x1;\n out x3 = h*i + k*x2;").unwrap();
         for kind in [FmaKind::Pcs, FmaKind::Fcs] {
