@@ -71,6 +71,12 @@ cargo test --release -q --test fusion_oracle -- --include-ignored
 # again including the ldlsolve-s2 and -s3 kernels that tier-1 skips
 cargo test --release -q --test reorder_oracle -- --include-ignored
 
+# LZA oracle (DESIGN.md §13.3): the limb-wise early-LZA indicator must
+# match the bit-serial reference and the LZA contract, again including
+# the cases tier-1 skips: every pair to 11 bits and 10^6 biased random
+# pairs at widths 1-200
+cargo test --release -q --test lza_oracle -- --include-ignored
+
 # executable filetest corpus: `; run:` directives pin per-backend result
 # bits (the bit backend goes through the bit-plane kernel on a full
 # 64-lane chunk) and `; run-differential:` sweeps adversarial batches

@@ -108,9 +108,11 @@ fn main() -> ExitCode {
     //  * PCS datapaths must clear >= 10x single-thread — the bit-plane
     //    chunk kernel (DESIGN.md §13) makes the 64-lane word-parallel
     //    evaluation an order of magnitude faster than the scalar units.
-    //  * The FCS datapath keeps the older >= 1.5x-vs-baseline floor (its
-    //    13-block window and 3-row carry-save layers leave more scalar
-    //    per-lane work between plane stages).
+    //  * The FCS datapath keeps the older >= 1.5x-vs-baseline floor. Its
+    //    gap came from the per-lane scalar preamble, not the plane
+    //    stages: the early-LZA anticipator (Sec. III-G), which PCS's
+    //    zero detector never calls, was evaluated bit-serially and took
+    //    about 70 % of the FCS kernel until it went limb-wise.
     const PLANE_GATE: &[(&str, f64)] = &[("listing1-pcs", 10.0), ("horner8-pcs", 10.0)];
     const BASELINE_US: &[(&str, f64)] = &[
         ("listing1-pcs", 69.9340),

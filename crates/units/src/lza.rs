@@ -21,43 +21,68 @@ use csfma_carrysave::CsNumber;
 /// must detect separately — the paper's "reliably detect all-0 mantissas").
 pub const LZA_MAX_ERROR: usize = 1;
 
+/// Limb `j` of `x` sign-extended without bound: positions at and above
+/// the width replicate the sign bit.
+#[inline]
+fn sext_limb(x: &Bits, j: usize) -> u64 {
+    let fill = if x.sign_bit() { !0u64 } else { 0 };
+    let lo = j * 64;
+    if lo >= x.width() {
+        return fill;
+    }
+    let rem = x.width() - lo;
+    let l = x.limbs()[j];
+    if rem < 64 {
+        l | (fill << rem)
+    } else {
+        l
+    }
+}
+
+/// Limb `j` (bits `64j .. 64j + 63`) of the indicator string of `a + b`.
+///
+/// Per position `i`, with `t = a^b`, `g = a&b`, `z = !(a|b)` over the
+/// sign-extended operands:
+/// `f(i) = t(i+1) & (g(i) & !z(i-1) | z(i) & !g(i-1))
+///       | !t(i+1) & (z(i) & !z(i-1) | g(i) & !g(i-1))`.
+/// The neighbour terms are whole-limb shifts: `t(i+1)` takes bit 63 from
+/// the limb above, `g(i-1)`/`z(i-1)` take bit 0 from the limb below.
+/// Below position 0 neither `g` nor `z` holds (a carry-in of unknown
+/// value is conservatively assumed possible). Above the top the
+/// sign extension replicates `t`, so no position needs a special case.
+#[inline]
+fn indicator_limb(a: &Bits, b: &Bits, j: usize) -> u64 {
+    let (x, y) = (sext_limb(a, j), sext_limb(b, j));
+    let (t, g, z) = (x ^ y, x & y, !(x | y));
+    let t_up = (t >> 1) | ((sext_limb(a, j + 1) ^ sext_limb(b, j + 1)) << 63);
+    let (mut g_dn, mut z_dn) = (g << 1, z << 1);
+    if j > 0 {
+        let (xl, yl) = (sext_limb(a, j - 1), sext_limb(b, j - 1));
+        g_dn |= (xl & yl) >> 63;
+        z_dn |= !(xl | yl) >> 63;
+    }
+    (t_up & ((g & !z_dn) | (z & !g_dn))) | (!t_up & ((z & !z_dn) | (g & !g_dn)))
+}
+
 /// Raw Schmookler/Nowka general-case indicator string for `a + b` (two's
-/// complement, equal widths), computed over the inputs sign-extended by
-/// two bits so the top positions need no special-case boundary. The
-/// leading one of the indicator falls on the leading significant bit of
-/// the sum or one position above it.
+/// complement, equal widths), `w + 2` bits wide for `w`-bit inputs: the
+/// leading one falls on the leading significant bit of the exact sum or
+/// one position above it.
+///
+/// Evaluated a 64-bit limb at a time. Positions `w` and `w + 1` never
+/// fire: there both a position and its lower neighbour are sign bits,
+/// so `f` reduces to `t & 0 | !t & 0`. Only the limbs covering bits
+/// below `w` are computed.
 pub fn lza_indicator(a: &Bits, b: &Bits) -> Bits {
     assert_eq!(a.width(), b.width(), "lza width mismatch");
     let w = a.width();
     if w == 0 {
         return Bits::zero(0);
     }
-    let we = w + 2;
-    let ax = a.sext(we);
-    let bx = b.sext(we);
-    let t = |i: usize| {
-        let i = i.min(we - 1); // positions above the top replicate the sign
-        ax.bit(i) ^ bx.bit(i)
-    };
-    let g = |i: usize| ax.bit(i) && bx.bit(i);
-    let z = |i: usize| !ax.bit(i) && !bx.bit(i);
-    let mut f = Bits::zero(we);
-    for i in 0..we {
-        // neighbor below position 0: neither generate nor zero (a carry-in
-        // of unknown value is conservatively assumed possible)
-        let (gi_1, zi_1) = if i == 0 {
-            (false, false)
-        } else {
-            (g(i - 1), z(i - 1))
-        };
-        let ti1 = t(i + 1);
-        let fi = (ti1 && ((g(i) && !zi_1) || (z(i) && !gi_1)))
-            || (!ti1 && ((z(i) && !zi_1) || (g(i) && !gi_1)));
-        if fi {
-            f.set_bit(i, true);
-        }
-    }
-    f
+    let f: Vec<u64> = (0..w.div_ceil(64))
+        .map(|j| indicator_limb(a, b, j))
+        .collect();
+    Bits::from_limbs(w + 2, &f)
 }
 
 /// Anticipated count of leading *non-significant* bits of the **exact**
@@ -69,6 +94,9 @@ pub fn lza_indicator(a: &Bits, b: &Bits) -> Bits {
 /// window precisely so alignment can never overflow), so the exact sum is
 /// the quantity whose normalization the unit anticipates.
 ///
+/// Finds the leading one of [`lza_indicator`] limb by limb from the top,
+/// without building the string.
+///
 /// Guarantees (enforced by exhaustive tests, with
 /// `truth = redundant_sign_bits(sext(a, w+2) + sext(b, w+2))`):
 /// * `anticipate_leading(a,b) <= truth` (safe side: never skip real bits),
@@ -78,18 +106,21 @@ pub fn lza_indicator(a: &Bits, b: &Bits) -> Bits {
 ///   the FMA handles that case with an explicit zero check,
 ///   cf. Sec. III-G "reliably detect all-0 input mantissas").
 pub fn anticipate_leading(a: &Bits, b: &Bits) -> usize {
+    assert_eq!(a.width(), b.width(), "lza width mismatch");
     let w = a.width();
-    let f = lza_indicator(a, b);
-    if f.is_zero() {
-        // no significant bit anticipated anywhere: full cancellation;
-        // report the maximum redundancy of a (w+2)-bit word
-        return w + 1;
+    for j in (0..w.div_ceil(64)).rev() {
+        let f = indicator_limb(a, b, j);
+        if f != 0 {
+            let pos_f = j * 64 + 63 - f.leading_zeros() as usize;
+            // a (w+2)-bit word with first significant bit at `p` has
+            // `w - p` redundant sign bits; the indicator may overshoot p
+            // by one, which only makes this smaller (safe)
+            return w.saturating_sub(pos_f);
+        }
     }
-    let pos_f = f.width() - 1 - f.leading_zeros();
-    // a (w+2)-bit word with first significant bit at `p` has `w - p`
-    // redundant sign bits; the indicator may overshoot p by one, which
-    // only makes this smaller (safe)
-    w.saturating_sub(pos_f)
+    // no significant bit anticipated anywhere: full cancellation; report
+    // the maximum redundancy of a (w+2)-bit word
+    w + 1
 }
 
 /// Anticipated leading non-significant bits for a carry-save value: the
