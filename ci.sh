@@ -71,6 +71,11 @@ cargo test --release -q --test fusion_oracle -- --include-ignored
 # again including the ldlsolve-s2 and -s3 kernels that tier-1 skips
 cargo test --release -q --test reorder_oracle -- --include-ignored
 
+# parser oracle: the borrowed-token parser must build the String-token
+# reference's graphs, ranges and positioned errors, including on the 10^6
+# seeded one-character mutants that tier-1 skips
+cargo test --release -q --test parser_oracle -- --include-ignored
+
 # LZA oracle (DESIGN.md §13.3): the limb-wise early-LZA indicator must
 # match the bit-serial reference and the LZA contract, again including
 # the cases tier-1 skips: every pair to 11 bits and 10^6 biased random

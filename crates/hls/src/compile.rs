@@ -63,6 +63,7 @@ use csfma_softfloat::{FpFormat, Round, SoftFloat};
 use csfma_verify::{check_format, Diagnostic, Rule, Severity, Span};
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::{Add as _, Div as _, Mul as _, Sub as _};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
@@ -305,6 +306,11 @@ pub(crate) struct ChunkScratch {
     // bit-plane kernel working storage + the per-chunk B-lane latch
     pub(crate) plane: PlaneScratch,
     pub(crate) b_lane: Vec<SoftFloat>,
+    // one hosted instruction's host results, kept apart from `f` because
+    // its destination plane may also be an operand (see `hosted_chunk`);
+    // here rather than on the stack, so one-row chunks skip a 512-byte
+    // zero fill per instruction
+    pub(crate) host: [f64; CHUNK_ROWS],
 }
 
 /// The work one row puts on each execution resource, counted once when
@@ -451,6 +457,44 @@ pub(crate) struct NoHook;
 
 impl ChunkHook for NoHook {
     const CHECKED: bool = false;
+}
+
+/// One hosted IEEE instruction of the bit interpreter over a chunk's
+/// `len` lanes: plane `dst` gets `op(plane a, plane b)`. The host results
+/// of the whole chunk go to the scratch's `host` buffer first (`dst` may
+/// share a slot with an operand), and the soft-float guard
+/// ([`sfb::needs_softfloat`]) is folded over them in the same pass,
+/// without a branch per lane. Only a chunk with a flagged lane re-runs
+/// its lanes through the guarded operator, which recomputes exactly the
+/// flagged lanes in soft float and counts each in `fallbacks`. A promoted
+/// instruction passes `None`: no guard, host results as they are.
+#[inline(always)]
+fn hosted_chunk(
+    s: &mut ChunkScratch,
+    [dst, a, b]: [u32; 3],
+    len: usize,
+    host: impl Fn(f64, f64) -> f64,
+    guarded: impl Fn(f64, f64, &mut u64) -> f64,
+    fallbacks: Option<&mut u64>,
+) {
+    let p = |r: u32| r as usize * CHUNK_ROWS;
+    let (f, r) = (&mut s.f, &mut s.host[..len]);
+    let (xs, ys) = (&f[p(a)..p(a) + len], &f[p(b)..p(b) + len]);
+    let mut flagged = false;
+    for ((r, &x), &y) in r.iter_mut().zip(xs).zip(ys) {
+        *r = host(x, y);
+        flagged |= sfb::needs_softfloat(*r);
+    }
+    if let Some(fb) = fallbacks.filter(|_| flagged) {
+        for ((r, &x), &y) in r.iter_mut().zip(xs).zip(ys) {
+            *r = guarded(x, y, fb);
+        }
+    }
+    // a loop, not `copy_from_slice`: on the one-row chunks of JIT
+    // bailouts and `eval_row`, a `memcpy` call costs more than the copy
+    for (d, &r) in f[p(dst)..p(dst) + len].iter_mut().zip(r.iter()) {
+        *d = r;
+    }
 }
 
 /// FNV-1a over the canonical graph encoding — the identity the tape
@@ -1042,6 +1086,7 @@ impl Tape {
             fma: FmaScratch::default(),
             plane: PlaneScratch::default(),
             b_lane: Vec::new(),
+            host: [0.0; CHUNK_ROWS],
         });
         s.f.resize(self.n_f64_regs * CHUNK_ROWS, 0.0);
         s.cs_f.resize(self.n_cs_regs * CHUNK_ROWS, 0.0);
@@ -1360,12 +1405,14 @@ impl Tape {
 
     /// Column-wise chunk evaluation, bit-accurate semantics — the one
     /// interpreter of [`TapeBackend::BitAccurate`], also behind the JIT's
-    /// bailouts. IEEE nodes stream through the guarded host fast path of
-    /// [`csfma_softfloat::batch`]; fused nodes run the bit-plane kernel
-    /// on full chunks and otherwise the behavioral carry-save unit lane by
-    /// lane with one shared [`FmaScratch`] — the compressor-tree row and
-    /// layer buffers are reused across every lane of every FMA in the
-    /// chunk instead of being reallocated per call.
+    /// bailouts. IEEE nodes take the guarded host fast path of
+    /// [`csfma_softfloat::batch`] a chunk at a time ([`hosted_chunk`]:
+    /// one guard pass per chunk, soft-float only for flagged lanes);
+    /// fused nodes run the bit-plane kernel on full chunks and otherwise
+    /// the behavioral carry-save unit lane by lane with one shared
+    /// [`FmaScratch`] — the compressor-tree row and layer buffers are
+    /// reused across every lane of every FMA in the chunk instead of
+    /// being reallocated per call.
     ///
     /// Returns the chunk's [`EvalStats`]: the hosted and FMA ops of its
     /// `len` rows, the soft-float fallbacks the hosted ops reported, and
@@ -1407,52 +1454,20 @@ impl Tape {
                     s.f[p(dst)..p(dst) + len].fill(v);
                 }
                 Instr::Add { dst, a, b } => {
-                    let (d, x, y) = (p(dst), p(a), p(b));
-                    if promoted(i) {
-                        for k in 0..len {
-                            s.f[d + k] = s.f[x + k] + s.f[y + k];
-                        }
-                    } else {
-                        for k in 0..len {
-                            s.f[d + k] = sfb::hosted_add(s.f[x + k], s.f[y + k], fb);
-                        }
-                    }
+                    let fb = (!promoted(i)).then_some(&mut *fb);
+                    hosted_chunk(s, [dst, a, b], len, f64::add, sfb::hosted_add, fb);
                 }
                 Instr::Sub { dst, a, b } => {
-                    let (d, x, y) = (p(dst), p(a), p(b));
-                    if promoted(i) {
-                        for k in 0..len {
-                            s.f[d + k] = s.f[x + k] - s.f[y + k];
-                        }
-                    } else {
-                        for k in 0..len {
-                            s.f[d + k] = sfb::hosted_sub(s.f[x + k], s.f[y + k], fb);
-                        }
-                    }
+                    let fb = (!promoted(i)).then_some(&mut *fb);
+                    hosted_chunk(s, [dst, a, b], len, f64::sub, sfb::hosted_sub, fb);
                 }
                 Instr::Mul { dst, a, b } => {
-                    let (d, x, y) = (p(dst), p(a), p(b));
-                    if promoted(i) {
-                        for k in 0..len {
-                            s.f[d + k] = s.f[x + k] * s.f[y + k];
-                        }
-                    } else {
-                        for k in 0..len {
-                            s.f[d + k] = sfb::hosted_mul(s.f[x + k], s.f[y + k], fb);
-                        }
-                    }
+                    let fb = (!promoted(i)).then_some(&mut *fb);
+                    hosted_chunk(s, [dst, a, b], len, f64::mul, sfb::hosted_mul, fb);
                 }
                 Instr::Div { dst, a, b } => {
-                    let (d, x, y) = (p(dst), p(a), p(b));
-                    if promoted(i) {
-                        for k in 0..len {
-                            s.f[d + k] = s.f[x + k] / s.f[y + k];
-                        }
-                    } else {
-                        for k in 0..len {
-                            s.f[d + k] = sfb::hosted_div(s.f[x + k], s.f[y + k], fb);
-                        }
-                    }
+                    let fb = (!promoted(i)).then_some(&mut *fb);
+                    hosted_chunk(s, [dst, a, b], len, f64::div, sfb::hosted_div, fb);
                 }
                 Instr::Neg { dst, a } => {
                     let (d, x) = (p(dst), p(a));

@@ -110,9 +110,11 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Clone, Debug, PartialEq)]
-enum Tok {
-    Ident(String),
+/// A token. Identifiers borrow their text from the source, so
+/// tokenizing allocates nothing per token.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Tok<'s> {
+    Ident(&'s str),
     Number(f64),
     Plus,
     Minus,
@@ -129,7 +131,7 @@ enum Tok {
     In,
 }
 
-fn tokenize(src: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
+fn tokenize(src: &str) -> Result<Vec<(usize, Tok<'_>)>, ParseError> {
     let bytes = src.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0;
@@ -200,7 +202,7 @@ fn tokenize(src: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
                     match word {
                         "out" => Tok::Out,
                         "in" => Tok::In,
-                        _ => Tok::Ident(word.to_string()),
+                        _ => Tok::Ident(word),
                     },
                 ));
             }
@@ -223,26 +225,32 @@ fn tokenize(src: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
                 })?;
                 toks.push((start, Tok::Number(v)));
             }
-            _ => return Err(ParseError::new(i, format!("unexpected character {c:?}"))),
+            _ => {
+                // every arm above steps over ASCII bytes or stops at a
+                // '\n', so `i` starts a character: name all of it, not
+                // its first UTF-8 byte
+                let c = src[i..].chars().next().unwrap_or_default();
+                return Err(ParseError::new(i, format!("unexpected character {c:?}")));
+            }
         }
     }
     Ok(toks)
 }
 
-struct Parser<'a> {
-    toks: &'a [(usize, Tok)],
+struct Parser<'a, 's> {
+    toks: &'a [(usize, Tok<'s>)],
     idx: usize,
     g: Cdfg,
-    vars: HashMap<String, NodeId>,
+    vars: HashMap<&'s str, NodeId>,
     // the program carries `in` declarations: undefined names are errors
     strict: bool,
     // `in a [lo, hi];` bounds, in declaration order
     ranges: Vec<RangeDecl>,
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.idx).map(|(_, t)| t)
+impl<'s> Parser<'_, 's> {
+    fn peek(&self) -> Option<Tok<'s>> {
+        self.toks.get(self.idx).map(|&(_, t)| t)
     }
 
     fn pos(&self) -> usize {
@@ -252,13 +260,13 @@ impl<'a> Parser<'a> {
             .unwrap_or(usize::MAX)
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.idx).map(|(_, t)| t.clone());
+    fn bump(&mut self) -> Option<Tok<'s>> {
+        let t = self.peek();
         self.idx += 1;
         t
     }
 
-    fn expect(&mut self, want: &Tok, what: &str) -> Result<(), ParseError> {
+    fn expect(&mut self, want: Tok<'s>, what: &str) -> Result<(), ParseError> {
         if self.peek() == Some(want) {
             self.idx += 1;
             Ok(())
@@ -267,7 +275,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn lookup(&mut self, pos: usize, name: &str) -> Result<NodeId, ParseError> {
+    fn lookup(&mut self, pos: usize, name: &'s str) -> Result<NodeId, ParseError> {
         if let Some(&id) = self.vars.get(name) {
             return Ok(id);
         }
@@ -281,7 +289,7 @@ impl<'a> Parser<'a> {
             ));
         }
         let id = self.g.input(name);
-        self.vars.insert(name.to_string(), id);
+        self.vars.insert(name, id);
         Ok(id)
     }
 
@@ -292,11 +300,11 @@ impl<'a> Parser<'a> {
                 let f = self.factor()?;
                 Ok(self.g.push(crate::cdfg::Op::Neg, vec![f]))
             }
-            Some(Tok::Ident(name)) => self.lookup(start, &name),
+            Some(Tok::Ident(name)) => self.lookup(start, name),
             Some(Tok::Number(v)) => Ok(self.g.constant(v)),
             Some(Tok::LParen) => {
                 let e = self.expr()?;
-                self.expect(&Tok::RParen, "')'")?;
+                self.expect(Tok::RParen, "')'")?;
                 Ok(e)
             }
             _ => Err(ParseError::new(
@@ -346,7 +354,7 @@ impl<'a> Parser<'a> {
 
     /// A possibly-negated number literal (range bounds admit `-1.5`).
     fn signed_number(&mut self) -> Result<f64, ParseError> {
-        let neg = if self.peek() == Some(&Tok::Minus) {
+        let neg = if self.peek() == Some(Tok::Minus) {
             self.idx += 1;
             true
         } else {
@@ -362,40 +370,44 @@ impl<'a> Parser<'a> {
     }
 
     fn stmt(&mut self) -> Result<(), ParseError> {
-        if self.peek() == Some(&Tok::In) {
+        if self.peek() == Some(Tok::In) {
             self.idx += 1;
             loop {
                 let pos = self.pos();
                 match self.bump() {
                     Some(Tok::Ident(n)) => {
-                        if self.vars.contains_key(&n) {
+                        if self.vars.contains_key(n) {
                             return Err(ParseError::new(
                                 pos,
                                 format!("duplicate declaration of input '{n}'"),
                             ));
                         }
-                        let id = self.g.input(n.clone());
-                        self.vars.insert(n.clone(), id);
-                        if self.peek() == Some(&Tok::LBracket) {
+                        let id = self.g.input(n);
+                        self.vars.insert(n, id);
+                        if self.peek() == Some(Tok::LBracket) {
                             self.idx += 1;
                             let lo = self.signed_number()?;
-                            self.expect(&Tok::Comma, "',' between range bounds")?;
+                            self.expect(Tok::Comma, "',' between range bounds")?;
                             let hi = self.signed_number()?;
-                            self.expect(&Tok::RBracket, "']' after range bounds")?;
-                            self.ranges.push(RangeDecl { name: n, lo, hi });
+                            self.expect(Tok::RBracket, "']' after range bounds")?;
+                            self.ranges.push(RangeDecl {
+                                name: n.to_string(),
+                                lo,
+                                hi,
+                            });
                         }
                     }
                     _ => return Err(ParseError::new(pos, "expected input name after 'in'")),
                 }
-                if self.peek() == Some(&Tok::Comma) {
+                if self.peek() == Some(Tok::Comma) {
                     self.idx += 1;
                 } else {
                     break;
                 }
             }
-            return self.expect(&Tok::Semi, "';'");
+            return self.expect(Tok::Semi, "';'");
         }
-        let is_out = if self.peek() == Some(&Tok::Out) {
+        let is_out = if self.peek() == Some(Tok::Out) {
             self.idx += 1;
             true
         } else {
@@ -410,10 +422,10 @@ impl<'a> Parser<'a> {
                 ))
             }
         };
-        self.expect(&Tok::Eq, "'='")?;
+        self.expect(Tok::Eq, "'='")?;
         let value = self.expr()?;
-        self.expect(&Tok::Semi, "';'")?;
-        self.vars.insert(name.clone(), value);
+        self.expect(Tok::Semi, "';'")?;
+        self.vars.insert(name, value);
         if is_out {
             self.g.output(name, value);
         }
@@ -445,7 +457,7 @@ fn parse_inner(src: &str) -> Result<(Cdfg, Vec<RangeDecl>), ParseError> {
     let toks = tokenize(src)?;
     // any `in` declaration anywhere makes the whole program strict, so
     // a use *before* the declaration cannot silently mint an input
-    let strict = toks.iter().any(|(_, t)| *t == Tok::In);
+    let strict = toks.iter().any(|&(_, t)| t == Tok::In);
     let mut p = Parser {
         toks: &toks,
         idx: 0,

@@ -152,14 +152,26 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 }
 
 fn put_f64s(out: &mut Vec<u8>, data: &[f64]) {
-    for &v in data {
-        out.extend_from_slice(&v.to_le_bytes());
+    let start = out.len();
+    out.resize(start + 8 * data.len(), 0);
+    for (dst, v) in out[start..].chunks_exact_mut(8).zip(data) {
+        dst.copy_from_slice(&v.to_le_bytes());
     }
 }
 
-/// Encode a frame, length prefix included.
+/// Encode a frame, length prefix included, into one buffer sized up
+/// front; the prefix is patched in once the body is written.
 pub fn encode(frame: &Frame) -> Vec<u8> {
-    let mut body = Vec::new();
+    // the variable-length fields, plus room for any kind's fixed ones
+    let variable = match frame {
+        Frame::Submit { graph, data, .. } => graph.len() + 8 * data.len(),
+        Frame::Result { data, .. } => 8 * data.len(),
+        Frame::Error { message, .. } => message.len(),
+        Frame::Stats { json } => json.len(),
+        _ => 0,
+    };
+    let mut out = Vec::with_capacity(32 + variable);
+    put_u32(&mut out, 0);
     match frame {
         Frame::Submit {
             backend,
@@ -168,13 +180,13 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             graph,
             data,
         } => {
-            body.push(tag::SUBMIT);
-            body.push(*backend);
-            put_u32(&mut body, *deadline_ms);
-            put_u32(&mut body, *rows);
-            put_u32(&mut body, graph.len() as u32);
-            body.extend_from_slice(graph.as_bytes());
-            put_f64s(&mut body, data);
+            out.push(tag::SUBMIT);
+            out.push(*backend);
+            put_u32(&mut out, *deadline_ms);
+            put_u32(&mut out, *rows);
+            put_u32(&mut out, graph.len() as u32);
+            out.extend_from_slice(graph.as_bytes());
+            put_f64s(&mut out, data);
         }
         Frame::Result {
             digest,
@@ -182,38 +194,37 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             quarantined,
             data,
         } => {
-            body.push(tag::RESULT);
-            body.extend_from_slice(&digest.to_le_bytes());
-            put_u32(&mut body, *rows);
-            put_u32(&mut body, *quarantined);
-            put_f64s(&mut body, data);
+            out.push(tag::RESULT);
+            out.extend_from_slice(&digest.to_le_bytes());
+            put_u32(&mut out, *rows);
+            put_u32(&mut out, *quarantined);
+            put_f64s(&mut out, data);
         }
         Frame::Error { code, message } => {
-            body.push(tag::ERROR);
-            body.extend_from_slice(&code.to_le_bytes());
-            body.extend_from_slice(message.as_bytes());
+            out.push(tag::ERROR);
+            out.extend_from_slice(&code.to_le_bytes());
+            out.extend_from_slice(message.as_bytes());
         }
         Frame::Shed { retry_after_ms } => {
-            body.push(tag::SHED);
-            put_u32(&mut body, *retry_after_ms);
+            out.push(tag::SHED);
+            put_u32(&mut out, *retry_after_ms);
         }
         Frame::Deadline { elapsed_ms } => {
-            body.push(tag::DEADLINE);
-            put_u32(&mut body, *elapsed_ms);
+            out.push(tag::DEADLINE);
+            put_u32(&mut out, *elapsed_ms);
         }
         Frame::Ping { token } => {
-            body.push(tag::PING);
-            body.extend_from_slice(&token.to_le_bytes());
+            out.push(tag::PING);
+            out.extend_from_slice(&token.to_le_bytes());
         }
-        Frame::Drain => body.push(tag::DRAIN),
+        Frame::Drain => out.push(tag::DRAIN),
         Frame::Stats { json } => {
-            body.push(tag::STATS);
-            body.extend_from_slice(json.as_bytes());
+            out.push(tag::STATS);
+            out.extend_from_slice(json.as_bytes());
         }
     }
-    let mut out = Vec::with_capacity(4 + body.len());
-    put_u32(&mut out, body.len() as u32);
-    out.extend_from_slice(&body);
+    let len = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&len.to_le_bytes());
     out
 }
 

@@ -60,10 +60,14 @@ pub fn canonicalize(v: f64) -> f64 {
 }
 
 /// True when a host-computed result cannot be trusted to match the
-/// soft-float operator bit-for-bit and must be recomputed.
+/// soft-float operator bit-for-bit and must be recomputed: the guard of
+/// every `hosted_*` operator, exported so a chunk evaluator can check a
+/// whole buffer of host results at once. The operators are `|` and `&`,
+/// not `||` and `&&`, so such a loop compiles to vector compares instead
+/// of a branch per value.
 #[inline]
-fn needs_softfloat(r: f64) -> bool {
-    r.is_nan() || (r != 0.0 && r.abs() <= f64::MIN_POSITIVE)
+pub fn needs_softfloat(r: f64) -> bool {
+    r.is_nan() | ((r != 0.0) & (r.abs() <= f64::MIN_POSITIVE))
 }
 
 #[inline]

@@ -4,12 +4,14 @@
 //! reproduce the scalar reference interpreters **bit for bit** —
 //! `TapeBackend::BitAccurate` against `eval_bit_accurate` and
 //! `TapeBackend::F64` against `eval_f64`, on discrete graphs and on
-//! graphs rewritten by the Fig. 12 fusion pass.
+//! graphs rewritten by the Fig. 12 fusion pass. Full 64-row chunks with
+//! one lane in the soft-float guard's window pin the bit backend's
+//! chunk-wide guard.
 
 use csfma::hls::interp::{eval_bit_accurate, eval_f64};
 use csfma::hls::{
-    compile, compile_with, fuse_critical_paths, Cdfg, CompileOptions, FmaKind, FusionConfig,
-    Profiler, Tape, TapeBackend,
+    compile, compile_with, fuse_critical_paths, Cdfg, CompileOptions, FmaKind, FusionConfig, Instr,
+    Profiler, RobustOptions, Tape, TapeBackend,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -201,5 +203,131 @@ proptest! {
         let kind = if kind_pick { FmaKind::Pcs } else { FmaKind::Fcs };
         let fused = fuse_critical_paths(&g, &FusionConfig::new(kind)).fused;
         assert_tape_matches(&fused, &vals);
+    }
+}
+
+/// Operands `(a, b)` of `a op b` whose host result the soft-float guard
+/// flags: `kind` 0 gives NaN, 1 a result inside `(0, MIN_POSITIVE)`, and
+/// 2 the boundary `MIN_POSITIVE` itself, reached by `*` and `/` through
+/// the round-to-even tie at `MIN_POSITIVE - 2^-1075`. Every operand is
+/// normal, so input canonicalization keeps it.
+fn flagged_operands(op: char, kind: usize) -> (f64, f64) {
+    const MIN: f64 = f64::MIN_POSITIVE;
+    let below_one = 1.0 - f64::EPSILON / 2.0; // 1 - 2^-53
+    match (op, kind) {
+        ('+', 0) => (f64::INFINITY, f64::NEG_INFINITY),
+        ('-', 0) => (f64::INFINITY, f64::INFINITY),
+        ('*', 0) => (0.0, f64::INFINITY),
+        ('/', 0) => (0.0, 0.0),
+        ('+', 1) => (1.5 * MIN, -MIN),
+        ('-', 1) => (1.5 * MIN, MIN),
+        ('*', 1) => (1.999999 * MIN, 0.5),
+        ('/', 1) => (MIN, 3.0),
+        ('+', _) => (3.0 * MIN, -2.0 * MIN),
+        ('-', _) => (3.0 * MIN, 2.0 * MIN),
+        ('*', _) => (below_one, MIN),
+        _ => (2.0 * below_one * MIN, 2.0),
+    }
+}
+
+fn host(op: char, a: f64, b: f64) -> f64 {
+    match op {
+        '+' => a + b,
+        '-' => a - b,
+        '*' => a * b,
+        _ => a / b,
+    }
+}
+
+/// A batch of `chunks` full chunks of `a op b` rows: `flags` lists
+/// `(row, kind)` pairs of [`flagged_operands`]; every other row gives a
+/// normal result.
+fn guard_batch(op: char, chunks: usize, flags: &[(usize, usize)]) -> Vec<f64> {
+    let mut rows = Vec::new();
+    for r in 0..chunks * 64 {
+        let (a, b) = match flags.iter().find(|&&(row, _)| row == r) {
+            Some(&(_, kind)) => flagged_operands(op, kind),
+            None => (1.5 + r as f64, 0.75),
+        };
+        let v = host(op, a, b);
+        let flagged = csfma::softfloat::batch::needs_softfloat(v);
+        assert_eq!(flagged, flags.iter().any(|&(row, _)| row == r), "row {r}");
+        if flags.iter().any(|&(row, kind)| row == r && kind == 2) {
+            assert_eq!(v, f64::MIN_POSITIVE, "{op}: the boundary case");
+        }
+        rows.extend([a, b]);
+    }
+    rows
+}
+
+/// Panics at the first row where `got` and `want` differ in any bit.
+fn same_bits(got: &[f64], want: &[f64], ctx: &str) {
+    assert_eq!(got.len(), want.len(), "{ctx}");
+    if let Some(r) = (0..got.len()).find(|&r| got[r].to_bits() != want[r].to_bits()) {
+        panic!("{ctx}: row {r} gives {:e}, want {:e}", got[r], want[r]);
+    }
+}
+
+/// The bit backend's hosted IEEE arms compute a whole chunk on the host
+/// and check the soft-float guard once per chunk. One flagged lane among
+/// 63 clean ones must still take the soft-float path, bit for bit as the
+/// oracles, and count exactly one fallback; a promoted instruction takes
+/// no guard at all.
+#[test]
+fn one_flagged_lane_per_chunk_takes_the_softfloat_path() {
+    for op in ['+', '-', '*', '/'] {
+        let g = csfma::hls::parse_program(&format!("out y = a {op} b;")).unwrap();
+        let tape = compile(&g).unwrap();
+        let mut promoted = compile(&g).unwrap();
+        let ieee = |i: &Instr| {
+            matches!(
+                i,
+                Instr::Add { .. } | Instr::Sub { .. } | Instr::Mul { .. } | Instr::Div { .. }
+            )
+        };
+        let mask: Vec<bool> = promoted.instrs().iter().map(ieee).collect();
+        assert_eq!(mask.iter().filter(|&&m| m).count(), 1);
+        promoted.set_promoted(mask);
+
+        let mut batches: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
+        for lane in [0, 31, 63] {
+            for kind in 0..3 {
+                batches.push((1, vec![(lane, kind)]));
+            }
+        }
+        batches.push((2, vec![(0, 0), (31, 1), (63, 2), (64 + 63, 1)]));
+        for (chunks, flags) in batches {
+            let rows = guard_batch(op, chunks, &flags);
+            let ctx = format!("{op} with flagged rows {flags:?}");
+            let want = tape.eval_batch(TapeBackend::Oracle, &rows, 1);
+            let interp: Vec<f64> = rows
+                .chunks(2)
+                .map(|p| {
+                    eval_bit_accurate(&g, &[("a".into(), p[0]), ("b".into(), p[1])].into())["y"]
+                })
+                .collect();
+            same_bits(&interp, &want, &format!("{ctx}, the two oracles"));
+            for threads in [1, 2] {
+                let run = format!("{ctx}, {threads} thread(s)");
+                let (got, st) =
+                    tape.eval_batch_with_stats(TapeBackend::BitAccurate, &rows, threads);
+                same_bits(&got, &want, &run);
+                assert_eq!(st.softfloat_fallbacks, flags.len() as u64, "{run}");
+                let opts = RobustOptions {
+                    threads,
+                    ..RobustOptions::default()
+                };
+                for t in [&tape, &promoted] {
+                    let (got, _) = t.eval_batch_robust(TapeBackend::BitAccurate, &rows, &opts);
+                    same_bits(&got, &want, &format!("{run}, robust"));
+                }
+                // promoted: the host result in every lane, flagged or not
+                let (got, st) =
+                    promoted.eval_batch_with_stats(TapeBackend::BitAccurate, &rows, threads);
+                let raw: Vec<f64> = rows.chunks(2).map(|p| host(op, p[0], p[1])).collect();
+                same_bits(&got, &raw, &format!("{run}, promoted"));
+                assert_eq!(st.softfloat_fallbacks, 0, "{run}, promoted");
+            }
+        }
     }
 }

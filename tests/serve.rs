@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use csfma_serve::frame::{self, backend, tag, Frame};
 use csfma_serve::{Client, ServeConfig, Server, ServerHandle};
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 
 const GRAPH: &str = "x1 = a*b + c*d;\nx2 = e*f + g*x1;\nout x3 = h*i + k*x2;";
 const NUM_INPUTS: usize = 10; // a b c d e f g h i k
@@ -335,5 +335,169 @@ fn served_digest_matches_the_csfma_run_binary() {
             assert_eq!(format!("{digest:#018x}"), cli_digest);
         }
         other => panic!("expected RESULT, got {other:?}"),
+    }
+}
+
+/// The frame encoder as first written: the body grows from an empty
+/// `Vec`, its `f64` rows 8 bytes at a time, and is then copied behind
+/// the length prefix. The codec's own round-trip tests live in
+/// `crates/serve`; this reference pins the wire bytes in tier-1.
+mod reference {
+    use csfma_serve::frame::{tag, Frame};
+
+    fn put_u32(out: &mut Vec<u8>, v: u32) {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_f64s(out: &mut Vec<u8>, data: &[f64]) {
+        for &v in data {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    pub fn encode(frame: &Frame) -> Vec<u8> {
+        let mut body = Vec::new();
+        match frame {
+            Frame::Submit {
+                backend,
+                deadline_ms,
+                rows,
+                graph,
+                data,
+            } => {
+                body.push(tag::SUBMIT);
+                body.push(*backend);
+                put_u32(&mut body, *deadline_ms);
+                put_u32(&mut body, *rows);
+                put_u32(&mut body, graph.len() as u32);
+                body.extend_from_slice(graph.as_bytes());
+                put_f64s(&mut body, data);
+            }
+            Frame::Result {
+                digest,
+                rows,
+                quarantined,
+                data,
+            } => {
+                body.push(tag::RESULT);
+                body.extend_from_slice(&digest.to_le_bytes());
+                put_u32(&mut body, *rows);
+                put_u32(&mut body, *quarantined);
+                put_f64s(&mut body, data);
+            }
+            Frame::Error { code, message } => {
+                body.push(tag::ERROR);
+                body.extend_from_slice(&code.to_le_bytes());
+                body.extend_from_slice(message.as_bytes());
+            }
+            Frame::Shed { retry_after_ms } => {
+                body.push(tag::SHED);
+                put_u32(&mut body, *retry_after_ms);
+            }
+            Frame::Deadline { elapsed_ms } => {
+                body.push(tag::DEADLINE);
+                put_u32(&mut body, *elapsed_ms);
+            }
+            Frame::Ping { token } => {
+                body.push(tag::PING);
+                body.extend_from_slice(&token.to_le_bytes());
+            }
+            Frame::Drain => body.push(tag::DRAIN),
+            Frame::Stats { json } => {
+                body.push(tag::STATS);
+                body.extend_from_slice(json.as_bytes());
+            }
+        }
+        let mut out = Vec::with_capacity(4 + body.len());
+        put_u32(&mut out, body.len() as u32);
+        out.extend_from_slice(&body);
+        out
+    }
+}
+
+/// `frame` with its `f64` rows as bit patterns, so NaN payloads and
+/// signed zeros compare exactly.
+fn frame_bits(frame: &Frame) -> (Frame, Vec<u64>) {
+    let mut frame = frame.clone();
+    let data = match &mut frame {
+        Frame::Submit { data, .. } | Frame::Result { data, .. } => std::mem::take(data),
+        _ => Vec::new(),
+    };
+    (frame, data.iter().map(|v| v.to_bits()).collect())
+}
+
+/// `n` doubles that cycle through NaN payloads, signed zeros, subnormals,
+/// infinities and extremes, then seeded raw bit patterns.
+fn awkward_doubles(n: usize, seed: u64) -> Vec<f64> {
+    let specials = [
+        f64::from_bits(0x7ff0_0000_0000_0001), // signaling NaN
+        f64::from_bits(0xfff8_0000_dead_beef), // negative quiet NaN, payload
+        f64::NAN,
+        -0.0,
+        0.0,
+        f64::from_bits(1),                      // smallest subnormal
+        -f64::from_bits(0x000f_ffff_ffff_ffff), // largest subnormal, negated
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MAX,
+        f64::MIN_POSITIVE,
+    ];
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|i| match specials.get(i % 32) {
+            Some(&v) => v,
+            None => f64::from_bits(rng.next_u64()),
+        })
+        .collect()
+}
+
+#[test]
+fn frames_encode_to_the_reference_bytes_and_decode_bit_for_bit() {
+    let frames = [
+        Frame::Submit {
+            backend: backend::BIT,
+            deadline_ms: 250,
+            rows: 256,
+            graph: GRAPH.into(),
+            data: awkward_doubles(256 * 156, 1),
+        },
+        Frame::Submit {
+            backend: backend::ORACLE,
+            deadline_ms: 0,
+            rows: 0,
+            graph: String::new(),
+            data: Vec::new(),
+        },
+        Frame::Result {
+            digest: 0xdead_beef_cafe_f00d,
+            rows: 256,
+            quarantined: 3,
+            data: awkward_doubles(256 * 40, 2),
+        },
+        Frame::Error {
+            code: 3,
+            message: "SV003: parse error at 1:11: unexpected character 'é'".into(),
+        },
+        Frame::Shed { retry_after_ms: 50 },
+        Frame::Deadline { elapsed_ms: 107 },
+        Frame::Ping { token: u64::MAX },
+        Frame::Drain,
+        Frame::Stats {
+            json: String::new(),
+        },
+        Frame::Stats {
+            json: "{\"accepted\":3}".into(),
+        },
+    ];
+    for f in &frames {
+        let bytes = frame::encode(f);
+        // a mismatch names the frame without printing its 40k rows
+        let head = frame_bits(f).0;
+        assert!(bytes == reference::encode(f), "{head:?}: wire bytes differ");
+        let (got, consumed) = frame::decode(&bytes, 16 << 20)
+            .expect("decodes")
+            .expect("complete");
+        assert_eq!(consumed, bytes.len());
+        assert_eq!(frame_bits(&got), frame_bits(f));
     }
 }
