@@ -61,9 +61,10 @@ done
 cargo test -q --test golden_vectors
 cargo test -q --test cli_run
 
-# fusion oracle (DESIGN.md §7 item 5): the flat working-graph pass must
-# match the rebuild-per-trial reference node for node, including on the
-# ldlsolve-s2 and -s3 kernels that tier-1 skips
+# fusion oracle (DESIGN.md §7 item 5): the incremental-timing pass must
+# match the rebuild-per-trial reference node for node and trial for
+# trial, including on the ldlsolve-s2 and -s3 kernels and the
+# 20,000-case random-graph run that tier-1 skips
 cargo test --release -q --test fusion_oracle -- --include-ignored
 
 # reorder oracle (DESIGN.md §9): the optimizer's wake-up/select pressure

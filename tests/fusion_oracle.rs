@@ -5,8 +5,9 @@
 //! conversions, drop dead nodes) through the public graph API, and every
 //! candidate scan builds a full ASAP and a users-list ALAP schedule. It
 //! is slow and obviously faithful to the paper's loop. `fuse_critical_paths` runs
-//! the same loop on a flat working graph; these tests require the two to
-//! produce identical [`FusionReport`]s, node for node.
+//! the same loop on incremental timing (DESIGN.md §7 item 5); these tests
+//! require the two to produce identical [`FusionReport`]s, node for node
+//! and with equal trial counts.
 
 use csfma::hls::interp::eval_bit_accurate;
 use csfma::hls::{
@@ -140,9 +141,10 @@ mod reference {
         let initial_length = asap_schedule(g, t).length;
         let mut cur = g.clone();
         let mut cur_length = initial_length;
-        let mut passes = 0;
+        let (mut passes, mut trials) = (0, 0);
         'outer: while passes < cfg.max_passes {
             for cand in find_candidates(&cur, t) {
+                trials += 1;
                 let trial = eliminate_conversions(&apply(&cur, &cand, cfg.kind))
                     .eliminate_dead()
                     .0;
@@ -162,6 +164,7 @@ mod reference {
             fused: cur,
             initial_length,
             passes,
+            trials,
         }
     }
 }
@@ -176,10 +179,18 @@ fn same_op(a: &Op, b: &Op) -> bool {
 
 /// Describe the first difference between two reports, if any.
 fn report_diff(got: &FusionReport, want: &FusionReport) -> Option<String> {
-    let counts = |r: &FusionReport| (r.initial_length, r.final_length, r.fma_nodes, r.passes);
+    let counts = |r: &FusionReport| {
+        (
+            r.initial_length,
+            r.final_length,
+            r.fma_nodes,
+            r.passes,
+            r.trials,
+        )
+    };
     if counts(got) != counts(want) {
         return Some(format!(
-            "(initial, final, fma_nodes, passes) {:?} vs reference {:?}",
+            "(initial, final, fma_nodes, passes, trials) {:?} vs reference {:?}",
             counts(got),
             counts(want)
         ));
@@ -194,10 +205,16 @@ fn report_diff(got: &FusionReport, want: &FusionReport) -> Option<String> {
 }
 
 fn check_against_reference(g: &Cdfg, kind: FmaKind) -> Result<FusionReport, String> {
-    let cfg = FusionConfig::new(kind);
-    let got = fuse_critical_paths(g, &cfg);
-    match report_diff(&got, &reference::fuse(g, &cfg)) {
-        Some(d) => Err(format!("{kind:?}: {d}")),
+    check_config_against_reference(g, &FusionConfig::new(kind))
+}
+
+fn check_config_against_reference(g: &Cdfg, cfg: &FusionConfig) -> Result<FusionReport, String> {
+    let got = fuse_critical_paths(g, cfg);
+    match report_diff(&got, &reference::fuse(g, cfg)) {
+        Some(d) => Err(format!(
+            "{:?}, max_passes {}: {d}",
+            cfg.kind, cfg.max_passes
+        )),
         None => Ok(got),
     }
 }
@@ -232,24 +249,97 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// The generator above at 20,000 cases. Rare graph shapes, such as
+    /// the one in `a_later_conversion_moves_to_the_new_fma`, first show
+    /// up at this scale.
+    #[test]
+    #[ignore = "20,000 cases: ci.sh runs them with --include-ignored"]
+    fn fused_graphs_match_the_reference_at_20000_cases(
+        n_inputs in 1usize..5,
+        consts in prop::collection::vec(-4.0f64..4.0, 0..3),
+        ops in prop::collection::vec((0usize..5, any::<prop::sample::Index>(), any::<prop::sample::Index>()), 1..40),
+        extra_out: prop::sample::Index,
+    ) {
+        let g = random_graph(n_inputs, &consts, &ops, extra_out);
+        if let Err(e) = check_all_orders(&g) {
+            prop_assert!(false, "{}\n{}", e, csfma::hls::to_source(&g));
+        }
+    }
+}
+
+/// The dead `t5` chain sets the initial length (69), so `t4` fuses first,
+/// in a pass that also drops the chain. Then `t3` fuses, and the
+/// conversion of its `C` operand already sits later in the order, where
+/// `t4`'s FMA reads it: it moves to just before the new FMA.
+const MOVED_CONVERSION: &str = "t0 = i1 / i0; t1 = t0 + t0; t2 = t1 * i1; t3 = i0 + t2; \
+    t4 = t1 + t2; t5 = t4 / t0; t12 = t3 * t4; out last = t12;";
+
+#[test]
+fn a_later_conversion_moves_to_the_new_fma() {
+    check_all_orders(&parse_program(MOVED_CONVERSION).unwrap()).unwrap();
+}
+
+/// A hand-built graph may convert a sum to carry-save and straight back.
+/// Once `s2` fuses, its `IeeeToCs` cancels, so the `CsToIeee` after it
+/// reads the new FMA and must merge into the FMA's own `CsToIeee`, which
+/// output `z` keeps alive.
+#[test]
+fn a_conversion_round_trip_merges_into_the_new_fma() {
+    let mut g = Cdfg::new();
+    let [a, b, c, d, e] = ["a", "b", "c", "d", "e"].map(|n| g.input(n));
+    let m1 = g.mul(a, b);
+    let s1 = g.add(m1, c);
+    let m2 = g.mul(s1, d);
+    let s2 = g.add(m2, e);
+    g.output("z", s2);
+    let cs = g.push(Op::IeeeToCs(FmaKind::Pcs), vec![s2]);
+    let back = g.push(Op::CsToIeee(FmaKind::Pcs), vec![cs]);
+    g.output("y", back);
+    check_all_orders(&g).unwrap();
+}
+
+/// A pass cut short by `max_passes` leaves the reference's graph, node
+/// for node, wherever it stops.
+#[test]
+fn max_passes_stops_mid_way_identically() {
+    for g in [ldlsolve(0), parse_program(MOVED_CONVERSION).unwrap()] {
+        for kind in [FmaKind::Pcs, FmaKind::Fcs] {
+            for max_passes in [0, 1, 2, 17, 61] {
+                let cfg = FusionConfig {
+                    max_passes,
+                    ..FusionConfig::new(kind)
+                };
+                check_config_against_reference(&g, &cfg).unwrap();
+            }
+        }
+    }
+}
+
 fn ldlsolve(solver: usize) -> Cdfg {
     let kkt = KktSystem::assemble(&solver_suite()[solver]);
     generate_ldlsolve(&LdlFactors::factor(&kkt.matrix)).cdfg
 }
 
+/// Equal reports with equal trial counts: the pass tried the same
+/// candidates in the same order as the reference.
 #[test]
 fn ldlsolve_s1_matches_the_reference() {
-    for kind in [FmaKind::Pcs, FmaKind::Fcs] {
-        check_against_reference(&ldlsolve(0), kind).unwrap();
+    for (kind, trials) in [(FmaKind::Pcs, 136), (FmaKind::Fcs, 67)] {
+        let rep = check_against_reference(&ldlsolve(0), kind).unwrap();
+        assert_eq!(rep.trials, trials, "{kind:?}");
     }
 }
 
 #[test]
 #[ignore = "the larger kernels: ci.sh runs them with --include-ignored"]
 fn ldlsolve_s2_and_s3_match_the_reference() {
-    for solver in [1, 2] {
-        for kind in [FmaKind::Pcs, FmaKind::Fcs] {
-            check_against_reference(&ldlsolve(solver), kind).unwrap();
+    for (solver, trials) in [(1, [276, 131]), (2, [416, 195])] {
+        for (kind, trials) in [FmaKind::Pcs, FmaKind::Fcs].into_iter().zip(trials) {
+            let rep = check_against_reference(&ldlsolve(solver), kind).unwrap();
+            assert_eq!(rep.trials, trials, "ldlsolve-s{} {kind:?}", solver + 1);
         }
     }
 }
