@@ -83,6 +83,12 @@ cargo test --release -q --test parser_oracle -- --include-ignored
 # pairs at widths 1-200
 cargo test --release -q --test lza_oracle -- --include-ignored
 
+# JIT oracle (DESIGN.md §16): the four-row native code must match the
+# bit-accurate interpreter on the 20,000 random IEEE graphs that tier-1
+# skips, plus the lane-isolation and ragged-tail bailout cases, in the
+# optimized build the benchmark measures
+cargo test --release -q --test jit_differential -- --include-ignored
+
 # executable filetest corpus: `; run:` directives pin per-backend result
 # bits (the bit backend goes through the bit-plane kernel on a full
 # 64-lane chunk) and `; run-differential:` sweeps adversarial batches

@@ -50,6 +50,7 @@
 
 use crate::cdfg::{Cdfg, FmaKind, NodeId, Op};
 use crate::interp::format_of;
+use crate::jit;
 use crate::lint::lint_dataflow;
 use crate::opt::{optimize_graph, OptStats};
 use crate::profile::EvalStats;
@@ -311,6 +312,13 @@ pub(crate) struct ChunkScratch {
     // here rather than on the stack, so one-row chunks skip a 512-byte
     // zero fill per instruction
     pub(crate) host: [f64; CHUNK_ROWS],
+    // the JIT's lane-major block buffers (`[input][lane]` in,
+    // `[output][lane]` out) and the row-major inputs and outputs of the
+    // chunk's bailed rows, which the interpreter re-runs as one chunk
+    pub(crate) lanes_in: Vec<[f64; jit::LANES]>,
+    pub(crate) lanes_out: Vec<[f64; jit::LANES]>,
+    pub(crate) bail_in: Vec<f64>,
+    pub(crate) bail_out: Vec<f64>,
 }
 
 /// The work one row puts on each execution resource, counted once when
@@ -490,8 +498,9 @@ fn hosted_chunk(
             *r = guarded(x, y, fb);
         }
     }
-    // a loop, not `copy_from_slice`: on the one-row chunks of JIT
-    // bailouts and `eval_row`, a `memcpy` call costs more than the copy
+    // a loop, not `copy_from_slice`: on the one-row chunks of `eval_row`
+    // and of a JIT chunk with one bailed row, a `memcpy` call costs more
+    // than the copy
     for (d, &r) in f[p(dst)..p(dst) + len].iter_mut().zip(r.iter()) {
         *d = r;
     }
@@ -1087,6 +1096,10 @@ impl Tape {
             plane: PlaneScratch::default(),
             b_lane: Vec::new(),
             host: [0.0; CHUNK_ROWS],
+            lanes_in: Vec::new(),
+            lanes_out: Vec::new(),
+            bail_in: Vec::new(),
+            bail_out: Vec::new(),
         });
         s.f.resize(self.n_f64_regs * CHUNK_ROWS, 0.0);
         s.cs_f.resize(self.n_cs_regs * CHUNK_ROWS, 0.0);
@@ -1194,12 +1207,16 @@ impl Tape {
     }
 
     /// Chunk evaluation on the native JIT module, bit-identical to
-    /// [`Tape::eval_chunk`] with [`TapeBackend::BitAccurate`]: each row
-    /// runs the emitted function; a row whose bailout guard fires is
-    /// re-evaluated alone on the bit-accurate interpreter (sound
-    /// because chunk lanes are independent — a one-row chunk computes
-    /// exactly what that lane of any chunk computes). With no module at
-    /// all the whole chunk keeps the interpreter and every row counts
+    /// [`Tape::eval_chunk`] with [`TapeBackend::BitAccurate`]. Each call
+    /// of the module evaluates a block of [`jit::LANES`] rows: the block
+    /// is transposed into lane-major buffers, a ragged tail pads its
+    /// lanes with its last real row, and the clean lanes of the returned
+    /// mask are transposed back. Padded lanes never store and never
+    /// count. The rows of flagged lanes are gathered and re-evaluated as
+    /// one chunk on the bit-accurate interpreter (sound because chunk
+    /// lanes are independent — lane `j` of any chunk computes exactly
+    /// what its row computes alone), then scattered back. With no module
+    /// at all the whole chunk keeps the interpreter and every row counts
     /// as a bailout.
     fn eval_chunk_jit(
         &self,
@@ -1209,26 +1226,58 @@ impl Tape {
         out: &mut [f64],
         s: &mut ChunkScratch,
     ) -> EvalStats {
+        use jit::LANES;
         let Some(module) = self.jit_module() else {
             let mut st = self.eval_chunk_bit(rows, base, len, out, s, &mut NoHook);
             st.jit_rows = len as u64;
             st.jit_bailouts = len as u64;
             return st;
         };
-        let module = Arc::clone(module);
         let ni = self.inputs.len();
         let no = self.outputs.len();
+        let row = |k: usize| &rows[(base + k) * ni..(base + k + 1) * ni];
+        s.lanes_in.resize(ni, [0.0; LANES]);
+        s.lanes_out.resize(no, [0.0; LANES]);
+        s.bail_in.clear();
+        let mut bailed = [0u8; CHUNK_ROWS];
+        let mut nb = 0;
+        for first in (0..len).step_by(LANES) {
+            let n = LANES.min(len - first);
+            for l in 0..LANES {
+                for (lane, &v) in s.lanes_in.iter_mut().zip(row(first + l.min(n - 1))) {
+                    lane[l] = v;
+                }
+            }
+            let mask = module.run_block(&s.lanes_in, &mut s.lanes_out);
+            for l in 0..n {
+                let k = first + l;
+                if mask & (1 << l) != 0 {
+                    bailed[nb] = k as u8;
+                    nb += 1;
+                    s.bail_in.extend_from_slice(row(k));
+                    continue;
+                }
+                for (d, lane) in out[k * no..(k + 1) * no].iter_mut().zip(&s.lanes_out) {
+                    *d = lane[l];
+                }
+            }
+        }
         let mut st = EvalStats {
             jit_rows: len as u64,
+            jit_bailouts: nb as u64,
             ..EvalStats::default()
         };
-        for k in 0..len {
-            let row = &rows[(base + k) * ni..(base + k + 1) * ni];
-            let dst = &mut out[k * no..(k + 1) * no];
-            if !module.run_row(row, dst) {
-                st.jit_bailouts += 1;
-                st.merge(&self.eval_chunk_bit(rows, base + k, 1, dst, s, &mut NoHook));
+        if nb > 0 {
+            let bail_in = std::mem::take(&mut s.bail_in);
+            let mut bail_out = std::mem::take(&mut s.bail_out);
+            bail_out.resize(nb * no, 0.0);
+            st.merge(&self.eval_chunk_bit(&bail_in, 0, nb, &mut bail_out, s, &mut NoHook));
+            for (j, &k) in bailed[..nb].iter().enumerate() {
+                let k = k as usize;
+                out[k * no..(k + 1) * no].copy_from_slice(&bail_out[j * no..(j + 1) * no]);
             }
+            s.bail_in = bail_in;
+            s.bail_out = bail_out;
         }
         st
     }

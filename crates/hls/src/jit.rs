@@ -1,11 +1,12 @@
 //! Dependency-free native code generation for the IEEE fast path.
 //!
 //! [`compile_module`] lowers a validated [`Tape`] to executable x86-64
-//! machine code (SSE2 scalar `movsd`/`addsd`/`mulsd`) in an mmap'd W^X
-//! code buffer. The emitted function evaluates **one row** and returns
-//! a bail flag; see `docs/JIT.md` for the ABI, the W^X policy and the
-//! bailout contract. On any other platform no module is built and the
-//! interpreter runs every row.
+//! machine code (packed AVX `vaddpd`/`vmulpd`/... on `ymm` registers) in
+//! an mmap'd W^X code buffer. The emitted function evaluates **four rows**
+//! per call ([`LANES`], one row per 64-bit lane) and returns a bail mask;
+//! see `docs/JIT.md` for the ABI, the W^X policy and the bailout
+//! contract. On a host without AVX, and on any other platform, no module
+//! is built and the interpreter runs every row.
 //!
 //! # Semantics and the bailout contract
 //!
@@ -16,21 +17,25 @@
 //! * only scalar IEEE instructions are lowered — a tape containing any
 //!   fused carry-save instruction (`Fma`/`IeeeToCs`/`CsToIeee`) refuses
 //!   to build a module and the whole batch keeps the behavioral path;
-//! * every `LoadInput` is guarded: if canonicalization would alter the
-//!   value (NaN or subnormal input) the row bails to the interpreter;
+//! * every `LoadInput` is guarded: a lane whose input canonicalization
+//!   would alter (NaN or subnormal input) is flagged;
 //! * every **unpromoted** arithmetic result is guarded with exactly the
 //!   soft-float fallback window of `csfma_softfloat::batch` (NaN, or
-//!   nonzero with magnitude ≤ `f64::MIN_POSITIVE`) — the row bails
+//!   nonzero with magnitude ≤ `f64::MIN_POSITIVE`) — a lane is flagged
 //!   precisely when the interpreter would have left the hosted fast
-//!   path;
+//!   path for its row;
 //! * instructions promoted by the value-range analysis
 //!   ([`Tape::set_promoted`](crate::Tape::set_promoted), DESIGN.md §16)
 //!   run guard-free, which is sound because the range proof shows the
 //!   guard can never fire.
 //!
-//! Together these maintain the invariant that no NaN and no nonzero
-//! subnormal ever exists in the native register file, so unguarded
-//! negation (a raw sign flip) and native ±∞ propagation are exact.
+//! Guards do not branch: each ORs its flagged lanes into an accumulator,
+//! and a flagged lane goes on computing. Packed IEEE operations are
+//! lane-wise, so what a flagged lane holds never reaches another lane;
+//! the caller discards its outputs and re-runs its row on the
+//! interpreter. Every lane that ever holds a NaN or a nonzero subnormal
+//! is flagged, so in every kept lane unguarded negation (a raw sign
+//! flip) and native ±∞ propagation are exact.
 //!
 //! # Disabling
 //!
@@ -43,15 +48,9 @@ use csfma_verify::{Diagnostic, Rule, Span};
 use std::fmt;
 use std::sync::OnceLock;
 
-/// `2 · f64::MIN_POSITIVE.to_bits()` — the sign-stripped (`bits << 1`)
-/// encoding of the smallest normal magnitude. A value `v` with
-/// `s = v.to_bits() << 1` is subnormal iff `0 < s < SUB_WINDOW`, and
-/// triggers the interpreter's soft-float fallback iff
-/// `s != 0 && (s <= SUB_WINDOW || s > INF_WINDOW)`.
-const SUB_WINDOW: u64 = 0x0020_0000_0000_0000;
-/// `2 · f64::INFINITY.to_bits()` — sign-stripped infinity; anything
-/// above is a NaN.
-const INF_WINDOW: u64 = 0xFFE0_0000_0000_0000;
+/// Rows one call of the emitted function evaluates: one per 64-bit lane
+/// of a 256-bit `ymm` register.
+pub const LANES: usize = 4;
 
 /// Which interpreter the emitted code must be bit-identical to. `Bit`
 /// is the only mode; the parameter of [`compile_module`] stays only
@@ -59,15 +58,10 @@ const INF_WINDOW: u64 = 0xFFE0_0000_0000_0000;
 /// benchmark drops it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JitSemantics {
-    /// Bit-accurate semantics with per-row bailout guards; the module
+    /// Bit-accurate semantics with per-lane bailout guards; the module
     /// backing [`TapeBackend::Jit`](crate::TapeBackend::Jit).
     Bit,
 }
-
-/// The emitted per-row entry point: `fn(row, out, consts) -> bail`.
-/// Returns 0 when the row completed natively, nonzero when it must be
-/// re-evaluated by the interpreter.
-type RowFn = unsafe extern "C" fn(*const f64, *mut f64, *const f64) -> u64;
 
 /// True when `CSFMA_JIT` does not disable the JIT (read once, cached).
 pub fn jit_env_enabled() -> bool {
@@ -81,11 +75,21 @@ pub fn jit_env_enabled() -> bool {
 }
 
 /// True when this build can emit and run native code at all: a unix
-/// host on x86-64, with the JIT not disabled by [`jit_env_enabled`].
-/// When false, `--backend jit` is pure interpreter fallback (still
-/// bit-exact, just not faster).
+/// host on x86-64 whose CPU and OS support AVX, with the JIT not
+/// disabled by [`jit_env_enabled`]. When false, `--backend jit` is pure
+/// interpreter fallback (still bit-exact, just not faster).
 pub fn jit_available() -> bool {
-    cfg!(all(unix, target_arch = "x86_64")) && jit_env_enabled()
+    host_has_avx() && jit_env_enabled()
+}
+
+#[cfg(all(unix, target_arch = "x86_64"))]
+fn host_has_avx() -> bool {
+    std::is_x86_feature_detected!("avx")
+}
+
+#[cfg(not(all(unix, target_arch = "x86_64")))]
+fn host_has_avx() -> bool {
+    false
 }
 
 // ---------------------------------------------------------------------
@@ -191,15 +195,22 @@ mod mem {
 // Module
 // ---------------------------------------------------------------------
 
-/// A compiled native module for one [`Tape`]: one per-row function in a
+/// The emitted block entry point: `fn(lanes_in, lanes_out, pool) ->
+/// mask`. Bit `l` of the mask is set when a guard flagged lane `l`.
+#[cfg(all(unix, target_arch = "x86_64"))]
+type BlockFn =
+    unsafe extern "C" fn(*const [f64; LANES], *mut [f64; LANES], *const x86::Broadcast) -> u32;
+
+/// A compiled native module for one [`Tape`]: one four-row function in a
 /// sealed W^X buffer, plus the constant pool it reads and the
 /// pseudo-assembly dump `csfma-run --dump-jit` prints.
 #[cfg(all(unix, target_arch = "x86_64"))]
 pub struct JitModule {
     buf: mem::CodeBuf,
-    /// The canonicalized constant pool the emitted code indexes. Owned
-    /// so the module never dangles into a dropped tape.
-    consts: Vec<f64>,
+    /// The guard bounds and the canonicalized tape constants, each
+    /// broadcast to every lane. Owned so the module never dangles into a
+    /// dropped tape.
+    pool: Vec<x86::Broadcast>,
     num_inputs: usize,
     num_outputs: usize,
     native_instrs: usize,
@@ -209,18 +220,38 @@ pub struct JitModule {
 
 #[cfg(all(unix, target_arch = "x86_64"))]
 impl JitModule {
-    /// Evaluate one row natively. `true` means `out` now holds the
-    /// row's outputs, bit-identical to the interpreter; `false` means a
-    /// guard fired and the caller must re-evaluate the row on the
-    /// interpreter (any partial stores in `out` may be overwritten).
-    pub fn run_row(&self, row: &[f64], out: &mut [f64]) -> bool {
-        assert_eq!(row.len(), self.num_inputs, "jit row arity mismatch");
-        assert_eq!(out.len(), self.num_outputs, "jit output arity mismatch");
+    /// Evaluate one block of [`LANES`] rows natively. The buffers are
+    /// lane-major: `lanes_in[i][l]` is input `i` of lane `l`'s row, and
+    /// `lanes_out[o][l]` receives output `o` of that row. Bit `l` of the
+    /// returned mask is set when a guard flagged lane `l`: its outputs
+    /// are garbage and the caller must re-evaluate its row on the
+    /// interpreter. Every lane whose bit is clear holds outputs
+    /// bit-identical to the interpreter's.
+    pub(crate) fn run_block(
+        &self,
+        lanes_in: &[[f64; LANES]],
+        lanes_out: &mut [[f64; LANES]],
+    ) -> u32 {
+        assert_eq!(lanes_in.len(), self.num_inputs, "jit input arity mismatch");
+        assert_eq!(
+            lanes_out.len(),
+            self.num_outputs,
+            "jit output arity mismatch"
+        );
         // SAFETY: `entry` points at a sealed, immutable function emitted
-        // for exactly this tape shape; the pointers are valid for the
-        // asserted lengths and the function writes only `out`.
-        let f: RowFn = unsafe { std::mem::transmute(self.buf.entry()) };
-        unsafe { f(row.as_ptr(), out.as_mut_ptr(), self.consts.as_ptr()) == 0 }
+        // for exactly this tape shape, and a module exists only on a host
+        // with AVX (`compile_module` checks `jit_available`). The function
+        // reads `num_inputs` entries of `lanes_in` and the whole pool,
+        // writes `num_outputs` entries of `lanes_out` and its own stack
+        // frame, and nothing else; the asserts above bound both buffers.
+        let f: BlockFn = unsafe { std::mem::transmute(self.buf.entry()) };
+        unsafe {
+            f(
+                lanes_in.as_ptr(),
+                lanes_out.as_mut_ptr(),
+                self.pool.as_ptr(),
+            )
+        }
     }
 
     /// Tape instructions lowered to native code.
@@ -264,8 +295,8 @@ pub struct JitModule {}
 #[cfg(not(all(unix, target_arch = "x86_64")))]
 impl JitModule {
     /// Never reachable on this platform.
-    pub fn run_row(&self, _row: &[f64], _out: &mut [f64]) -> bool {
-        false
+    pub(crate) fn run_block(&self, _in: &[[f64; LANES]], _out: &mut [[f64; LANES]]) -> u32 {
+        (1 << LANES) - 1
     }
 
     /// Never reachable on this platform.
@@ -298,9 +329,8 @@ pub enum JitRefusal {
     /// (`Fma`/`IeeeToCs`/`CsToIeee`); bit semantics keep the behavioral
     /// path for them.
     FusedInstrs(usize),
-    /// A constant in the pool canonicalizes to NaN — a NaN in the
-    /// native register file would break the no-NaN invariant the
-    /// guard scheme relies on.
+    /// A constant in the pool canonicalizes to NaN — it would flag every
+    /// lane of every row, so no row could ever complete natively.
     NanConst,
 }
 
@@ -372,9 +402,10 @@ pub fn lint_jit(tape: &Tape) -> Vec<Diagnostic> {
 }
 
 /// Lower `tape` to a native module. `None` when the tape is not
-/// lowerable ([`jit_refusal`]), when the platform cannot execute emitted
-/// code, or when `CSFMA_JIT` disables the JIT. A `None` is never an
-/// error: callers fall back to the interpreter, which is always correct.
+/// lowerable ([`jit_refusal`]), when the host cannot execute emitted
+/// code (not x86-64 unix, or no AVX), or when `CSFMA_JIT` disables the
+/// JIT. A `None` is never an error: callers fall back to the
+/// interpreter, which is always correct.
 pub fn compile_module(tape: &Tape, _semantics: JitSemantics) -> Option<JitModule> {
     if !jit_available() || jit_refusal(tape).is_some() {
         return None;
@@ -389,11 +420,12 @@ pub fn compile_module(tape: &Tape, _semantics: JitSemantics) -> Option<JitModule
     }
 }
 
-/// Emitter output: machine code, dump text, native instruction count,
-/// guard count.
+/// Emitter output: machine code, the constant pool it reads, dump
+/// text, native instruction count, guard count.
 #[cfg(all(unix, target_arch = "x86_64"))]
 struct Emitted {
     code: Vec<u8>,
+    pool: Vec<x86::Broadcast>,
     dump: String,
     native_instrs: usize,
     guards: usize,
@@ -403,7 +435,7 @@ struct Emitted {
 fn seal(tape: &Tape, e: Emitted) -> Option<JitModule> {
     Some(JitModule {
         buf: mem::CodeBuf::new(&e.code)?,
-        consts: tape.consts_canonical.clone(),
+        pool: e.pool,
         num_inputs: tape.num_inputs(),
         num_outputs: tape.num_outputs(),
         native_instrs: e.native_instrs,
@@ -412,47 +444,112 @@ fn seal(tape: &Tape, e: Emitted) -> Option<JitModule> {
     })
 }
 
-/// Where a tape register slot lives in the native frame.
-#[cfg(all(unix, target_arch = "x86_64"))]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Loc {
-    /// A hardware FP register (xmm*N*).
-    Reg(u8),
-    /// A stack spill at `[sp + byte_offset]`.
-    Spill(u32),
-}
-
 // ---------------------------------------------------------------------
 // x86-64 emitter
 // ---------------------------------------------------------------------
 
 #[cfg(all(unix, target_arch = "x86_64"))]
 mod x86 {
-    //! System-V x86-64 emitter. ABI of the emitted function:
-    //! `rdi` = row pointer, `rsi` = out pointer, `rdx` = consts pointer;
-    //! returns `rax` (0 = ok, 1 = bail). Register plan: tape slots
-    //! 0..=12 live in `xmm0`..=`xmm12`, further slots spill to the
-    //! stack frame; `xmm14` holds the sign mask, `xmm15` is the working
-    //! register every result passes through. `r10`/`r11` hold the guard
-    //! window constants and `rax` is the guard scratch. All of these are
-    //! caller-saved, so the function needs no save/restore beyond its
-    //! `rsp` frame.
+    //! System-V x86-64 AVX emitter. ABI of the emitted function:
+    //! `rdi` = `lanes_in`, `rsi` = `lanes_out`, `rdx` = pool; returns the
+    //! bail mask in `eax`. Register plan: tape slots 0..=11 live in
+    //! `ymm0`..=`ymm11` and further slots spill to 32-byte frame slots
+    //! addressed from `rcx`; `ymm12` is the flag accumulator, `ymm13` and
+    //! `ymm14` are guard temporaries and `ymm15` is the working register.
+    //! `r11` keeps the caller's `rsp` while the frame is 32-byte aligned.
+    //! All of these are caller-saved, so the function saves nothing.
+    //!
+    //! The three argument pointers and the frame base point [`BIAS`]
+    //! bytes past the start of their arrays, so a disp8 operand reaches
+    //! the first eight entries of each instead of four.
 
-    use super::{Emitted, Loc, INF_WINDOW, SUB_WINDOW};
+    use super::{Emitted, LANES};
     use crate::compile::{Instr, Tape};
     use std::fmt::Write as _;
 
-    /// Slots resident in xmm registers; the rest spill.
-    const REG_SLOTS: u32 = 13;
-    const RDI: u8 = 7;
-    const RSI: u8 = 6;
+    /// One constant-pool entry: a 64-bit pattern broadcast to every
+    /// lane, 32-byte aligned so each packed load from the pool stays
+    /// inside one cache line.
+    #[derive(Clone, Copy)]
+    #[repr(C, align(32))]
+    pub(super) struct Broadcast([u64; LANES]);
+
+    /// Pool entries ahead of the tape's constants: the masks and guard
+    /// bounds the emitted code reads. Constant `idx` of the tape is pool
+    /// entry `POOL_CONSTS + idx`.
+    const POOL_ABS: u32 = 0;
+    const POOL_SIGN: u32 = 1;
+    const POOL_MIN_POSITIVE: u32 = 2;
+    const POOL_ZERO: u32 = 3;
+    const POOL_CONSTS: u32 = 4;
+
+    /// Slots resident in `ymm` registers; the rest spill.
+    const REG_SLOTS: u32 = 12;
+    /// The flag accumulator, the guard temporaries, the working register.
+    const ACC: u8 = 12;
+    const T0: u8 = 13;
+    const T1: u8 = 14;
+    const WORK: u8 = 15;
+    const RCX: u8 = 1;
     const RDX: u8 = 2;
-    const RSP: u8 = 4;
+    const RSI: u8 = 6;
+    const RDI: u8 = 7;
+    /// Bytes per lane-major entry: one f64 per lane.
+    const ENTRY: i32 = 8 * LANES as i32;
+    const BIAS: i32 = 128;
+    /// The stack-probe stride.
+    const PAGE: u32 = 4096;
+
+    // VEX.256.66.0F opcodes
+    const VMOVUPD_LOAD: u8 = 0x10;
+    const VMOVUPD_STORE: u8 = 0x11;
+    const VMOVMSKPD: u8 = 0x50;
+    const VANDPD: u8 = 0x54;
+    const VORPD: u8 = 0x56;
+    const VXORPD: u8 = 0x57;
+    const VADDPD: u8 = 0x58;
+    const VMULPD: u8 = 0x59;
+    const VSUBPD: u8 = 0x5C;
+    const VDIVPD: u8 = 0x5E;
+    const VCMPPD: u8 = 0xC2;
+
+    // vcmppd predicates
+    const NEQ_UQ: u8 = 0x04;
+    const NGE_US: u8 = 0x09;
+    const NGT_US: u8 = 0x0A;
+
+    /// The biased displacement of entry `k` of a lane-major array.
+    fn entry(k: u32) -> i32 {
+        k as i32 * ENTRY - BIAS
+    }
+
+    /// Where a tape register slot lives.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Loc {
+        /// A `ymm` register.
+        Reg(u8),
+        /// A frame slot at `[rcx + disp]`.
+        Spill(i32),
+    }
+
+    fn loc(slot: u32) -> Loc {
+        if slot < REG_SLOTS {
+            Loc::Reg(slot as u8)
+        } else {
+            Loc::Spill(entry(slot - REG_SLOTS))
+        }
+    }
+
+    /// The r/m operand of a VEX instruction.
+    #[derive(Clone, Copy)]
+    enum Rm {
+        Ymm(u8),
+        /// `[base + disp]`, `base` one of the four pointer registers.
+        Mem(u8, i32),
+    }
 
     struct Asm {
         code: Vec<u8>,
-        dump: String,
-        bail_fixups: Vec<usize>,
         guards: usize,
     }
 
@@ -461,92 +558,84 @@ mod x86 {
             self.code.extend_from_slice(bytes);
         }
 
-        /// `modrm(mod=10, reg, rm=base) disp32`, with the SIB byte rsp
-        /// addressing requires.
-        fn mem(&mut self, reg: u8, base: u8, disp: u32) {
-            self.put(&[0x80 | ((reg & 7) << 3) | (base & 7)]);
-            if base & 7 == RSP {
-                self.put(&[0x24]);
+        /// `VEX.256.66.0F op reg, src1, rm`. The two-byte VEX prefix
+        /// unless `rm` is `ymm8`..`ymm15`, which needs the three-byte
+        /// form's `B` bit. An unused `src1` is 0 (encoded `1111b`).
+        fn vex(&mut self, op: u8, reg: u8, src1: u8, rm: Rm) {
+            let r = u8::from(reg < 8) << 7;
+            let tail = ((!src1 & 0xF) << 3) | 0b101; // L = 256, pp = 66
+            match rm {
+                Rm::Ymm(x) if x >= 8 => self.put(&[0xC4, r | 0x41, tail]),
+                _ => self.put(&[0xC5, r | tail]),
             }
-            self.put(&disp.to_le_bytes());
-        }
-
-        /// SSE op with a memory operand: `prefix [REX] 0F op reg, [base+disp]`.
-        fn sse_mem(&mut self, prefix: u8, op: u8, reg: u8, base: u8, disp: u32) {
-            self.put(&[prefix]);
-            if reg >= 8 {
-                self.put(&[0x44]); // REX.R
-            }
-            self.put(&[0x0F, op]);
-            self.mem(reg, base, disp);
-        }
-
-        /// SSE op, register-register: `prefix [REX] 0F op reg, rm`.
-        fn sse_rr(&mut self, prefix: u8, op: u8, reg: u8, rm: u8) {
-            self.put(&[prefix]);
-            let rex = 0x40 | (u8::from(reg >= 8) << 2) | u8::from(rm >= 8);
-            if rex != 0x40 {
-                self.put(&[rex]);
-            }
-            self.put(&[0x0F, op, 0xC0 | ((reg & 7) << 3) | (rm & 7)]);
-        }
-
-        /// Copy a slot's value into xmm register `x`.
-        fn load_slot(&mut self, x: u8, loc: Loc) {
-            match loc {
-                Loc::Reg(r) if r == x => {}
-                Loc::Reg(r) => self.sse_rr(0x66, 0x28, x, r), // movapd x, r
-                Loc::Spill(off) => self.sse_mem(0xF2, 0x10, x, RSP, off), // movsd
+            self.put(&[op]);
+            match rm {
+                Rm::Ymm(x) => self.put(&[0xC0 | ((reg & 7) << 3) | (x & 7)]),
+                Rm::Mem(base, disp) => {
+                    debug_assert!(matches!(base, RCX | RDX | RSI | RDI));
+                    let modrm = ((reg & 7) << 3) | base;
+                    if disp == 0 {
+                        self.put(&[modrm]);
+                    } else if let Ok(d8) = i8::try_from(disp) {
+                        self.put(&[0x40 | modrm, d8 as u8]);
+                    } else {
+                        self.put(&[0x80 | modrm]);
+                        self.put(&disp.to_le_bytes());
+                    }
+                }
             }
         }
 
-        /// Copy xmm register `x` into a slot.
-        fn store_slot(&mut self, x: u8, loc: Loc) {
-            match loc {
-                Loc::Reg(r) if r == x => {}
-                Loc::Reg(r) => self.sse_rr(0x66, 0x28, r, x),
-                Loc::Spill(off) => self.sse_mem(0xF2, 0x11, x, RSP, off),
+        /// The register holding slot `l` for reading: its own `ymm`, or
+        /// the working register after a reload from the frame.
+        fn read(&mut self, l: Loc) -> u8 {
+            match l {
+                Loc::Reg(r) => r,
+                Loc::Spill(d) => {
+                    self.vex(VMOVUPD_LOAD, WORK, 0, Rm::Mem(RCX, d));
+                    WORK
+                }
             }
         }
 
-        /// Arithmetic `op xmm15, <slot>` (addsd/subsd/mulsd/divsd).
-        fn arith15(&mut self, op: u8, b: Loc) {
-            match b {
-                Loc::Reg(r) => self.sse_rr(0xF2, op, 15, r),
-                Loc::Spill(off) => self.sse_mem(0xF2, op, 15, RSP, off),
+        /// Write the result in `x` (see [`dst`]) back to a spilled slot.
+        fn write_back(&mut self, l: Loc, x: u8) {
+            if let Loc::Spill(d) = l {
+                self.vex(VMOVUPD_STORE, x, 0, Rm::Mem(RCX, d));
             }
         }
 
-        /// `xorpd xmm15, xmm14` — flip the sign bit.
-        fn flip_sign15(&mut self) {
-            self.put(&[0x66, 0x45, 0x0F, 0x57, 0xFE]);
-        }
-
-        /// Record a 4-byte rel32 to be patched to the bail label.
-        fn bail_rel32(&mut self) {
-            self.bail_fixups.push(self.code.len());
-            self.put(&[0, 0, 0, 0]);
-        }
-
-        /// Emit a bailout guard over the value in `xmm15`.
-        ///
-        /// Computes `s = value_bits << 1` and bails when
-        /// `s != 0 && (s <cmp> SUB_WINDOW || s > INF_WINDOW)` where
-        /// `<cmp>` is `<` for the load window (canonicalize would alter
-        /// the value: subnormal or NaN) and `<=` for the result window
-        /// (the interpreter's exact soft-float fallback predicate).
-        fn guard15(&mut self, result_window: bool) {
-            self.put(&[0x66, 0x4C, 0x0F, 0x7E, 0xF8]); // movq rax, xmm15
-            self.put(&[0x48, 0x01, 0xC0]); // add rax, rax
-            self.put(&[0x48, 0x85, 0xC0]); // test rax, rax
-            self.put(&[0x74, 18]); // je past both compare/branch pairs
-            self.put(&[0x4C, 0x39, 0xD0]); // cmp rax, r10
-            self.put(&[0x0F, if result_window { 0x86 } else { 0x82 }]); // jbe/jb bail
-            self.bail_rel32();
-            self.put(&[0x4C, 0x39, 0xD8]); // cmp rax, r11
-            self.put(&[0x0F, 0x87]); // ja bail
-            self.bail_rel32();
+        /// OR into the accumulator the lanes of `v` that the guard
+        /// flags: NaN, or `0 < |v| <= MIN_POSITIVE` under `NGT_US` (the
+        /// interpreter's soft-float fallback window) and
+        /// `0 < |v| < MIN_POSITIVE` under `NGE_US` (the values input
+        /// canonicalization alters). ±0 and ±∞ pass.
+        fn guard(&mut self, v: u8, pred: u8) {
+            self.vex(VANDPD, T0, v, Rm::Mem(RDX, entry(POOL_ABS)));
+            self.vex(VCMPPD, T0, T0, Rm::Mem(RDX, entry(POOL_MIN_POSITIVE)));
+            self.put(&[pred]);
+            self.vex(VCMPPD, T1, v, Rm::Mem(RDX, entry(POOL_ZERO)));
+            self.put(&[NEQ_UQ]);
+            self.vex(VANDPD, T0, T0, Rm::Ymm(T1));
+            self.vex(VORPD, ACC, ACC, Rm::Ymm(T0));
             self.guards += 1;
+        }
+    }
+
+    /// The register an instruction computes slot `l` into: its own
+    /// `ymm`, or the working register for a spilled slot.
+    fn dst(l: Loc) -> u8 {
+        match l {
+            Loc::Reg(r) => r,
+            Loc::Spill(_) => WORK,
+        }
+    }
+
+    /// The r/m operand reading slot `l` in place.
+    fn rm(l: Loc) -> Rm {
+        match l {
+            Loc::Reg(r) => Rm::Ymm(r),
+            Loc::Spill(d) => Rm::Mem(RCX, d),
         }
     }
 
@@ -556,137 +645,135 @@ mod x86 {
     pub(super) fn emit(tape: &Tape) -> Emitted {
         let slots = tape.num_f64_regs() as u32;
         let spill_slots = slots.saturating_sub(REG_SLOTS);
-        let frame = (spill_slots * 8).div_ceil(16) * 16;
-        let f_loc = |r: u32| -> Loc {
-            if r < REG_SLOTS {
-                Loc::Reg(r as u8)
-            } else {
-                Loc::Spill((r - REG_SLOTS) * 8)
-            }
-        };
+        let frame = spill_slots * ENTRY as u32;
 
         let mut a = Asm {
             code: Vec::new(),
-            dump: String::new(),
-            bail_fixups: Vec::new(),
             guards: 0,
         };
+        let mut dump = String::new();
         let _ = writeln!(
-            a.dump,
-            "; jit module: x86-64, semantics=bit, {} tape instr(s), \
-             {slots} slot(s) ({} spilled, {frame}-byte frame)",
+            dump,
+            "; jit module: x86-64 AVX, {LANES} rows per call, semantics=bit, {} tape \
+             instr(s), {slots} slot(s) ({spill_slots} spilled, {frame}-byte frame)",
             tape.instrs().len(),
-            spill_slots,
         );
         let _ = writeln!(
-            a.dump,
-            "; abi: fn(row=rdi, out=rsi, consts=rdx) -> rax (0=ok, 1=bail)"
+            dump,
+            "; abi: fn(lanes_in=rdi, lanes_out=rsi, pool=rdx) -> eax (bit l set = lane l bails)"
         );
 
-        // prologue: frame, guard windows, sign mask
+        // prologue: aligned spill frame, biased pointers, clear flags
         if frame > 0 {
-            a.put(&[0x48, 0x81, 0xEC]); // sub rsp, imm32
-            a.put(&frame.to_le_bytes());
+            a.put(&[0x49, 0x89, 0xE3]); // mov r11, rsp
+            a.put(&[0x48, 0x83, 0xE4, 0xE0]); // and rsp, -32
+
+            // touch each page on the way down, so a frame larger than a
+            // page reaches the stack's guard page before anything below it
+            for _ in 0..frame / PAGE {
+                a.put(&[0x48, 0x81, 0xEC]); // sub rsp, PAGE
+                a.put(&PAGE.to_le_bytes());
+                a.put(&[0x48, 0x83, 0x0C, 0x24, 0x00]); // or qword [rsp], 0
+            }
+            if !frame.is_multiple_of(PAGE) {
+                a.put(&[0x48, 0x81, 0xEC]); // sub rsp, frame % PAGE
+                a.put(&(frame % PAGE).to_le_bytes());
+            }
+            a.put(&[0x48, 0x8D, 0x8C, 0x24]); // lea rcx, [rsp + BIAS]
+            a.put(&BIAS.to_le_bytes());
         }
-        a.put(&[0x49, 0xBA]); // mov r10, SUB_WINDOW
-        a.put(&SUB_WINDOW.to_le_bytes());
-        a.put(&[0x49, 0xBB]); // mov r11, INF_WINDOW
-        a.put(&INF_WINDOW.to_le_bytes());
-        a.put(&[0x48, 0xB8]); // mov rax, sign mask
-        a.put(&0x8000_0000_0000_0000u64.to_le_bytes());
-        a.put(&[0x66, 0x4C, 0x0F, 0x6E, 0xF0]); // movq xmm14, rax
+        a.put(&[0x48, 0x83, 0xEF, 0x80]); // sub rdi, -BIAS
+        a.put(&[0x48, 0x83, 0xEE, 0x80]); // sub rsi, -BIAS
+        a.put(&[0x48, 0x83, 0xEA, 0x80]); // sub rdx, -BIAS
+        a.vex(VXORPD, ACC, ACC, Rm::Ymm(ACC));
 
         let promoted = |i: usize| tape.promoted.get(i).copied().unwrap_or(false);
         let mut native = 0usize;
         for (i, ins) in tape.instrs().iter().enumerate() {
-            let note = match *ins {
-                Instr::LoadInput { dst, input } => {
-                    a.sse_mem(0xF2, 0x10, 15, RDI, input * 8);
-                    a.guard15(false);
-                    a.store_slot(15, f_loc(dst));
-                    format!("r{dst} = row[{input}]  ; guard-load")
+            // straight into the dump: per-instruction `format!` strings
+            // cost more than emitting the code
+            let _ = write!(dump, "  {i:4}: ");
+            match *ins {
+                Instr::LoadInput { dst: d, input } => {
+                    let x = dst(loc(d));
+                    a.vex(VMOVUPD_LOAD, x, 0, Rm::Mem(RDI, entry(input)));
+                    a.guard(x, NGE_US);
+                    a.write_back(loc(d), x);
+                    let _ = writeln!(dump, "r{d} = in[{input}]  ; guard-load");
                 }
-                Instr::LoadConst { dst, idx } => {
-                    a.sse_mem(0xF2, 0x10, 15, RDX, idx * 8);
-                    a.store_slot(15, f_loc(dst));
-                    format!("r{dst} = consts[{idx}]")
+                Instr::LoadConst { dst: d, idx } => {
+                    let x = dst(loc(d));
+                    a.vex(VMOVUPD_LOAD, x, 0, Rm::Mem(RDX, entry(POOL_CONSTS + idx)));
+                    a.write_back(loc(d), x);
+                    let _ = writeln!(dump, "r{d} = consts[{idx}]");
                 }
-                Instr::Add { dst, a: x, b }
-                | Instr::Sub { dst, a: x, b }
-                | Instr::Mul { dst, a: x, b }
-                | Instr::Div { dst, a: x, b } => {
+                Instr::Add { dst: d, a: p, b: q }
+                | Instr::Sub { dst: d, a: p, b: q }
+                | Instr::Mul { dst: d, a: p, b: q }
+                | Instr::Div { dst: d, a: p, b: q } => {
                     let (op, sym) = match ins {
-                        Instr::Add { .. } => (0x58, '+'),
-                        Instr::Sub { .. } => (0x5C, '-'),
-                        Instr::Mul { .. } => (0x59, '*'),
-                        _ => (0x5E, '/'),
+                        Instr::Add { .. } => (VADDPD, '+'),
+                        Instr::Sub { .. } => (VSUBPD, '-'),
+                        Instr::Mul { .. } => (VMULPD, '*'),
+                        _ => (VDIVPD, '/'),
                     };
-                    a.load_slot(15, f_loc(x));
-                    a.arith15(op, f_loc(b));
+                    let x = a.read(loc(p));
+                    let y = dst(loc(d));
+                    a.vex(op, y, x, rm(loc(q)));
                     let guard = !promoted(i);
                     if guard {
-                        a.guard15(true);
+                        a.guard(y, NGT_US);
                     }
-                    a.store_slot(15, f_loc(dst));
-                    format!(
-                        "r{dst} = r{x} {sym} r{b}  ; {}",
+                    a.write_back(loc(d), y);
+                    let _ = writeln!(
+                        dump,
+                        "r{d} = r{p} {sym} r{q}  ; {}",
                         if guard { "guard-result" } else { "promoted" }
-                    )
+                    );
                 }
-                Instr::Neg { dst, a: x } => {
-                    a.load_slot(15, f_loc(x));
-                    a.flip_sign15();
-                    a.store_slot(15, f_loc(dst));
-                    format!("r{dst} = -r{x}")
+                Instr::Neg { dst: d, a: p } => {
+                    let x = a.read(loc(p));
+                    let y = dst(loc(d));
+                    a.vex(VXORPD, y, x, Rm::Mem(RDX, entry(POOL_SIGN)));
+                    a.write_back(loc(d), y);
+                    let _ = writeln!(dump, "r{d} = -r{p}");
                 }
                 Instr::Fma { .. } | Instr::IeeeToCs { .. } | Instr::CsToIeee { .. } => {
                     unreachable!("jit_refusal refuses fused tapes")
                 }
                 Instr::Store { output, src } => {
-                    match f_loc(src) {
-                        Loc::Reg(r) => a.sse_mem(0xF2, 0x11, r, RSI, output * 8),
-                        Loc::Spill(_) => {
-                            a.load_slot(15, f_loc(src));
-                            a.sse_mem(0xF2, 0x11, 15, RSI, output * 8);
-                        }
-                    }
-                    format!("out[{output}] = r{src}")
+                    let x = a.read(loc(src));
+                    a.vex(VMOVUPD_STORE, x, 0, Rm::Mem(RSI, entry(output)));
+                    let _ = writeln!(dump, "out[{output}] = r{src}");
                 }
-            };
+            }
             native += 1;
-            let _ = writeln!(a.dump, "  {i:4}: {note}");
         }
 
-        // ok epilogue
-        a.put(&[0x31, 0xC0]); // xor eax, eax
+        // epilogue: the mask is the accumulator's sign bits
+        a.vex(VMOVMSKPD, 0, 0, Rm::Ymm(ACC)); // vmovmskpd eax, ymm12
         if frame > 0 {
-            a.put(&[0x48, 0x81, 0xC4]); // add rsp, imm32
-            a.put(&frame.to_le_bytes());
+            a.put(&[0x4C, 0x89, 0xDC]); // mov rsp, r11
         }
+        a.put(&[0xC5, 0xF8, 0x77]); // vzeroupper
         a.put(&[0xC3]); // ret
-
-        // bail epilogue + fixups
-        let bail = a.code.len();
-        a.put(&[0xB8, 1, 0, 0, 0]); // mov eax, 1
-        if frame > 0 {
-            a.put(&[0x48, 0x81, 0xC4]);
-            a.put(&frame.to_le_bytes());
-        }
-        a.put(&[0xC3]);
-        for fix in std::mem::take(&mut a.bail_fixups) {
-            let rel = (bail as i64 - (fix as i64 + 4)) as i32;
-            a.code[fix..fix + 4].copy_from_slice(&rel.to_le_bytes());
-        }
         let _ = writeln!(
-            a.dump,
+            dump,
             "; {} guard(s), {} byte(s) of code",
             a.guards,
             a.code.len()
         );
 
+        let mut pool = vec![Broadcast([0; LANES]); POOL_CONSTS as usize];
+        pool[POOL_ABS as usize] = Broadcast([!(1u64 << 63); LANES]);
+        pool[POOL_SIGN as usize] = Broadcast([1u64 << 63; LANES]);
+        pool[POOL_MIN_POSITIVE as usize] = Broadcast([f64::MIN_POSITIVE.to_bits(); LANES]);
+        let consts = tape.consts_canonical.iter();
+        pool.extend(consts.map(|c| Broadcast([c.to_bits(); LANES])));
         Emitted {
             code: a.code,
-            dump: a.dump,
+            pool,
+            dump,
             native_instrs: native,
             guards: a.guards,
         }
@@ -713,6 +800,26 @@ mod tests {
         .expect("test program compiles")
     }
 
+    /// Run one block whose lane `l` holds `rows[l]`: the mask must be
+    /// `want_mask`, and every clean lane must equal the interpreter's row.
+    fn assert_clean_lanes_match(tape: &Tape, m: &JitModule, rows: [&[f64]; LANES], want_mask: u32) {
+        let lanes_in: Vec<[f64; LANES]> =
+            (0..tape.num_inputs()).map(|i| rows.map(|r| r[i])).collect();
+        let mut out = vec![[0.0; LANES]; tape.num_outputs()];
+        let mask = m.run_block(&lanes_in, &mut out);
+        assert_eq!(mask, want_mask, "bail mask");
+        for (l, row) in rows.iter().enumerate() {
+            if mask & (1 << l) != 0 {
+                continue;
+            }
+            let mut want = vec![0.0f64; tape.num_outputs()];
+            tape.eval_row(TapeBackend::BitAccurate, row, &mut want);
+            for (o, w) in want.iter().enumerate() {
+                assert_eq!(out[o][l].to_bits(), w.to_bits(), "lane {l} output {o}");
+            }
+        }
+    }
+
     #[test]
     fn ieee_tape_builds_a_module_and_matches_the_interpreter() {
         let tape = tape_of("in a, b, c;\nout y = (a * b + c) / (a - 3.25);\n", true);
@@ -722,13 +829,13 @@ mod tests {
         };
         assert!(m.guard_count() > 0, "unpromoted tape must carry guards");
         assert!(m.dump().contains("guard-load"), "{}", m.dump());
-        for row in [[1.0, 2.0, 3.0], [-7.5, 0.125, 1e100], [f64::MAX, 2.0, -1.0]] {
-            let mut want = [0.0f64];
-            tape.eval_row(TapeBackend::BitAccurate, &row, &mut want);
-            let mut got = [0.0f64];
-            assert!(m.run_row(&row, &mut got), "ordinary row must not bail");
-            assert_eq!(got[0].to_bits(), want[0].to_bits());
-        }
+        let rows: [&[f64]; LANES] = [
+            &[1.0, 2.0, 3.0],
+            &[-7.5, 0.125, 1e100],
+            &[f64::MAX, 2.0, -1.0],
+            &[3.25, 1.0, 1.0], // x / 0 -> +inf, which runs native
+        ];
+        assert_clean_lanes_match(&tape, &m, rows, 0);
     }
 
     #[test]
@@ -737,28 +844,20 @@ mod tests {
         let Some(m) = compile_module(&tape, JitSemantics::Bit) else {
             return;
         };
-        let mut out = [0.0f64];
-        assert!(
-            !m.run_row(&[f64::NAN, 1.0], &mut out),
-            "NaN input must bail"
-        );
-        assert!(
-            !m.run_row(&[5e-324, 1.0], &mut out),
-            "subnormal input must bail"
-        );
+        let rows: [&[f64]; LANES] = [&[1.0, 2.0], &[f64::NAN, 1.0], &[0.0, -0.0], &[5e-324, 1.0]];
+        assert_clean_lanes_match(&tape, &m, rows, 0b1010);
         // the result window: two tiny normals multiply into the
         // subnormal soft-float fallback region (1e-310; a product below
         // ~4.9e-324 would round clean to zero and rightly not bail)
         let tiny = tape_of("in a, b;\nout y = a * b;\n", true);
         let tm = compile_module(&tiny, JitSemantics::Bit).unwrap();
-        assert!(
-            !tm.run_row(&[1e-200, 1e-110], &mut out),
-            "subnormal-producing row must bail"
-        );
-        assert!(
-            tm.run_row(&[1e-200, 1e160], &mut out),
-            "normal-producing row must not bail"
-        );
+        let rows: [&[f64]; LANES] = [
+            &[1e-200, 1e160],
+            &[1e-200, 1e-200],
+            &[1e-200, 1e-110],
+            &[f64::MIN_POSITIVE, 1.0],
+        ];
+        assert_clean_lanes_match(&tiny, &tm, rows, 0b1100);
     }
 
     #[test]
@@ -787,13 +886,14 @@ mod tests {
 
     #[test]
     fn spilled_slots_evaluate_correctly() {
-        // a chain wide enough to overflow the 13-register file
+        // a chain wide enough to overflow the 12-register file, the
+        // eight disp8 frame slots and a page of frame (one stack probe)
         let mut src = String::from("in a, b;\n");
-        for i in 0..24 {
+        for i in 0..160 {
             src.push_str(&format!("t{i} = a * {}.5 + b;\n", i + 1));
         }
         src.push_str("out y = t0");
-        for i in 1..24 {
+        for i in 1..160 {
             src.push_str(&format!(" + t{i}"));
         }
         src.push_str(";\n");
@@ -802,11 +902,12 @@ mod tests {
         let Some(m) = compile_module(&tape, JitSemantics::Bit) else {
             return;
         };
-        let row = [3.5, -1.25];
-        let mut want = [0.0f64];
-        tape.eval_row(TapeBackend::BitAccurate, &row, &mut want);
-        let mut got = [0.0f64];
-        assert!(m.run_row(&row, &mut got));
-        assert_eq!(got[0].to_bits(), want[0].to_bits());
+        assert!(
+            tape.num_f64_regs() > 12 + 4096 / 32,
+            "{} slots",
+            tape.num_f64_regs()
+        );
+        let rows: [&[f64]; LANES] = [&[3.5, -1.25], &[0.0, 1.0], &[-2.0, 1e300], &[1e-3, 7.0]];
+        assert_clean_lanes_match(&tape, &m, rows, 0);
     }
 }

@@ -477,7 +477,8 @@ fn main() -> ExitCode {
             }
             None if !csfma_hls::jit_available() => {
                 println!(
-                    "jit module: none (JIT unavailable on this platform or disabled via CSFMA_JIT)"
+                    "jit module: none (the JIT needs x86-64 unix with AVX, \
+                     or CSFMA_JIT disabled it)"
                 );
             }
             None => match csfma_hls::jit_refusal(&tape) {

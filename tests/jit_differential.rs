@@ -12,7 +12,7 @@
 //! becomes trivial. Assertions about the module itself are therefore
 //! conditional on [`jit_available`].
 
-use csfma::hls::jit::jit_available;
+use csfma::hls::jit::{jit_available, LANES};
 use csfma::hls::{
     compile, fuse_critical_paths, lint_ranges, parse_program, parse_program_with_ranges,
     promotion_mask, Cdfg, FmaKind, FusionConfig, NodeId, Op, Profiler, Tape, TapeBackend,
@@ -126,6 +126,25 @@ proptest! {
         let kind = if kind_pick { FmaKind::Pcs } else { FmaKind::Fcs };
         let fused = fuse_critical_paths(&g, &FusionConfig::new(kind)).fused;
         assert_jit_matches_interpreter(&fused, &vals, n_rows);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// The random-graph identity above at 20,000 cases.
+    #[test]
+    #[ignore = "20,000 cases: ci.sh runs them with --include-ignored"]
+    fn jit_matches_interpreter_on_random_ieee_graphs_at_20000_cases(
+        n_inputs in 1usize..5,
+        consts in prop::collection::vec(stimulus(), 0..3),
+        ops in prop::collection::vec((0usize..5, any::<prop::sample::Index>(), any::<prop::sample::Index>()), 1..40),
+        extra_out: prop::sample::Index,
+        vals in prop::collection::vec(stimulus(), 1..12),
+        n_rows in 1usize..150,
+    ) {
+        let g = random_graph(n_inputs, &consts, &ops, extra_out);
+        assert_jit_matches_interpreter(&g, &vals, n_rows);
     }
 }
 
@@ -252,5 +271,116 @@ fn nan_rows_bail_and_ordinary_rows_do_not() {
     if cfg!(feature = "obs") {
         assert_eq!(rows, 70.0);
         assert_eq!(bailouts, 0.0, "ordinary rows must run native");
+    }
+}
+
+/// The program the lane tests evaluate: a product, a quotient and a
+/// difference, so a trigger can sit in a load or in any of the three
+/// results.
+const LANE_PROGRAM: &str = "in a, b, c, d;\nout p = a * b;\nout q = c / d;\nout r = c - d;\n";
+
+/// A row of `LANE_PROGRAM` that runs native end to end.
+const CLEAN: [f64; 4] = [1.5, 2.0, 3.0, 4.0];
+
+/// Rows whose lane must bail: a NaN input, a subnormal input, a result
+/// in `(0, MIN_POSITIVE)`, a result of exactly ±`MIN_POSITIVE`, `0/0`
+/// and `inf - inf`.
+const MUST_BAIL: [(&str, [f64; 4]); 7] = [
+    ("NaN input", [f64::NAN, 2.0, 3.0, 4.0]),
+    ("subnormal input", [1.5, 2.0, 3.0, -5e-324]),
+    ("subnormal product", [1e-200, 1e-110, 3.0, 4.0]),
+    (
+        "product of +MIN_POSITIVE",
+        [f64::MIN_POSITIVE, 1.0, 3.0, 4.0],
+    ),
+    (
+        "product of -MIN_POSITIVE",
+        [f64::MIN_POSITIVE, -1.0, 3.0, 4.0],
+    ),
+    ("0/0", [1.5, 2.0, 0.0, 0.0]),
+    ("inf - inf", [1.5, 2.0, f64::INFINITY, f64::INFINITY]),
+];
+
+/// Rows whose lane must run native: an input of exactly `MIN_POSITIVE`,
+/// ±0 results, `x/0` → ±inf, a product that underflows to a clean 0, and
+/// infinite inputs and results.
+const MUST_NOT_BAIL: [(&str, [f64; 4]); 6] = [
+    ("MIN_POSITIVE input", [f64::MIN_POSITIVE, 4.0, 3.0, 4.0]),
+    ("±0 results", [0.0, -2.0, 3.0, 3.0]),
+    ("x/0 = +inf", [1.5, 2.0, 3.0, 0.0]),
+    ("x/-0 = -inf", [1.5, 2.0, 3.0, -0.0]),
+    ("product underflowing to 0", [1e-200, 1e-200, 3.0, 4.0]),
+    ("infinite input", [f64::NEG_INFINITY, 2.0, 3.0, 4.0]),
+];
+
+/// Evaluate `rows` on the JIT at `threads`, require every byte to equal
+/// the bit-accurate interpreter's and the batch to bail exactly
+/// `bailed` rows — or every row, where no module runs.
+fn assert_jit_bails(tape: &Tape, rows: &[f64], threads: usize, bailed: u64, what: &str) {
+    let n = (rows.len() / tape.num_inputs()) as u64;
+    let want = tape.eval_batch(TapeBackend::BitAccurate, rows, 1);
+    let (got, st) = tape.eval_batch_with_stats(TapeBackend::Jit, rows, threads);
+    for (i, (x, y)) in want.iter().zip(&got).enumerate() {
+        assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "{what}: jit({threads}t) diverged at flat output {i} ({x:e} vs {y:e})"
+        );
+    }
+    let bailed = if tape.jit_module().is_some() {
+        bailed
+    } else {
+        n
+    };
+    assert_eq!(st.jit_rows, n, "{what}: jit rows");
+    assert_eq!(st.jit_bailouts, bailed, "{what}: jit bailouts");
+}
+
+/// Lane isolation: a trigger in any one lane of a block bails exactly
+/// that lane's row — not its neighbours in the block, not the blocks
+/// around it — and a value on the right side of each guard's edge bails
+/// nothing.
+#[test]
+fn a_trigger_in_any_lane_bails_exactly_its_own_row() {
+    let tape = compile(&parse_program(LANE_PROGRAM).unwrap()).unwrap();
+    if jit_available() {
+        assert!(tape.jit_module().is_some(), "IEEE tape builds a module");
+    }
+    let cases = MUST_BAIL
+        .iter()
+        .map(|c| (c, 1))
+        .chain(MUST_NOT_BAIL.iter().map(|c| (c, 0)));
+    for ((what, trigger), bailed) in cases {
+        for lane in 0..LANES {
+            // three blocks; the trigger sits in the middle one
+            let mut rows = CLEAN.repeat(3 * LANES);
+            let k = LANES + lane;
+            rows[k * 4..(k + 1) * 4].copy_from_slice(trigger);
+            assert_jit_bails(&tape, &rows, 1, bailed, &format!("{what} in lane {lane}"));
+        }
+    }
+}
+
+/// Ragged tails: at every row count around a block, a chunk and two
+/// chunks, the padded lanes of the last block copy its last real row —
+/// here always a bailing one — yet never store and never count.
+#[test]
+fn ragged_tails_pad_without_storing_or_counting() {
+    let tape = compile(&parse_program(LANE_PROGRAM).unwrap()).unwrap();
+    let trigger = MUST_BAIL[2].1; // its native product is a subnormal
+    for n in (1..=9).chain(63..=65).chain(127..=129) {
+        // every fifth row and the last row bail
+        let bails = |k: usize| k % 5 == 4 || k == n - 1;
+        let rows: Vec<f64> = (0..n)
+            .flat_map(|k| {
+                let mut row = if bails(k) { trigger } else { CLEAN };
+                row[2] += k as f64; // distinct rows
+                row
+            })
+            .collect();
+        let bailed = (0..n).filter(|&k| bails(k)).count() as u64;
+        for threads in [1, 2] {
+            assert_jit_bails(&tape, &rows, threads, bailed, &format!("{n} rows"));
+        }
     }
 }
