@@ -83,6 +83,11 @@ cargo test --release -q --test parser_oracle -- --include-ignored
 # pairs at widths 1-200
 cargo test --release -q --test lza_oracle -- --include-ignored
 
+# conversion oracle (DESIGN.md §13.3): the word-level binary64 <-> carry-
+# save conversions must match the exact routes they replaced, in all five
+# rounding modes, again including the 10^6 cases that tier-1 skips
+cargo test --release -q --test conversion_oracle -- --include-ignored
+
 # JIT oracle (DESIGN.md §16): the four-row native code must match the
 # bit-accurate interpreter on the 20,000 random IEEE graphs that tier-1
 # skips, plus the lane-isolation and ragged-tail bailout cases, in the

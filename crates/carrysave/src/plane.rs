@@ -15,8 +15,6 @@
 //! [`CsNumber::carry_reduce`](crate::CsNumber::carry_reduce)) — enforced
 //! lane-by-lane by the tests at the bottom of this module.
 
-use csfma_bits::Bits;
-
 /// Lanes carried by one plane word (bits of a `u64`).
 pub const PLANE_LANES: usize = 64;
 
@@ -40,64 +38,10 @@ pub fn transpose64(a: &mut [u64; 64]) {
     }
 }
 
-/// Transpose lane-major values into plane-major words: `out[j]` bit `l`
-/// equals `lanes[l].bit(j)`. Lanes beyond `lanes.len()` (up to
-/// [`PLANE_LANES`]) read as all-zero; lanes narrower than `width` are
-/// zero-extended. `out` is resized to exactly `width` words.
-///
-/// # Panics
-/// If more than [`PLANE_LANES`] lanes are supplied.
-pub fn lanes_to_planes(lanes: &[Bits], width: usize, out: &mut Vec<u64>) {
-    assert!(lanes.len() <= PLANE_LANES, "too many lanes");
-    out.clear();
-    out.resize(width, 0);
-    let mut m = [0u64; PLANE_LANES];
-    for g in 0..width.div_ceil(64) {
-        for (l, w) in m.iter_mut().enumerate() {
-            *w = lanes
-                .get(l)
-                .and_then(|b| b.limbs().get(g))
-                .copied()
-                .unwrap_or(0);
-        }
-        transpose64(&mut m);
-        let hi = (width - g * 64).min(64);
-        out[g * 64..g * 64 + hi].copy_from_slice(&m[..hi]);
-    }
-}
-
-/// Inverse of [`lanes_to_planes`]: rebuild `n_lanes` width-`width`
-/// [`Bits`] values from plane words, appending them to `out` (which is
-/// cleared first). Plane bits of lanes `>= n_lanes` are discarded.
-///
-/// # Panics
-/// If `planes.len() < width` or `n_lanes > PLANE_LANES`.
-pub fn planes_to_lanes(planes: &[u64], width: usize, n_lanes: usize, out: &mut Vec<Bits>) {
-    assert!(planes.len() >= width, "plane set narrower than width");
-    assert!(n_lanes <= PLANE_LANES, "too many lanes");
-    out.clear();
-    let groups = width.div_ceil(64);
-    let mut m = [0u64; PLANE_LANES];
-    let mut limbs = vec![0u64; n_lanes * groups];
-    for g in 0..groups {
-        let hi = (width - g * 64).min(64);
-        m[..hi].copy_from_slice(&planes[g * 64..g * 64 + hi]);
-        m[hi..].fill(0);
-        transpose64(&mut m);
-        for (l, lane_limbs) in limbs.chunks_exact_mut(groups).enumerate() {
-            lane_limbs[g] = m[l];
-        }
-    }
-    for lane_limbs in limbs.chunks_exact(groups) {
-        out.push(Bits::from_limbs(width, lane_limbs));
-    }
-}
-
 /// Transpose plane-major words into a flat lane-major limb matrix:
 /// `out[l * groups + g]` is limb `g` of lane `l`'s value, where
 /// `groups = width.div_ceil(64)`. All [`PLANE_LANES`] lanes are
-/// produced; bits above `width` read zero. The raw-limb counterpart of
-/// [`planes_to_lanes`] for callers that stay in word arithmetic.
+/// produced; bits above `width` read zero.
 ///
 /// # Panics
 /// If `planes.len() < width`.
@@ -320,6 +264,33 @@ pub fn plane_carry_reduce(sum: &mut [u64], carry: &mut [u64], spacing: usize) {
 mod tests {
     use super::*;
     use crate::{csa3_2, reduce_to_cs_with, CsNumber, ReduceScratch};
+    use csfma_bits::Bits;
+
+    /// Transpose lane-major values into plane-major words: `out[j]` bit
+    /// `l` equals `lanes[l].bit(j)`; lanes beyond `lanes.len()` read zero.
+    fn lanes_to_planes(lanes: &[Bits], width: usize, out: &mut Vec<u64>) {
+        out.clear();
+        out.resize(width, 0);
+        let mut m = [0u64; PLANE_LANES];
+        for g in 0..width.div_ceil(64) {
+            for (l, w) in m.iter_mut().enumerate() {
+                *w = lanes.get(l).map_or(0, |b| b.limbs()[g]);
+            }
+            transpose64(&mut m);
+            let hi = (width - g * 64).min(64);
+            out[g * 64..g * 64 + hi].copy_from_slice(&m[..hi]);
+        }
+    }
+
+    /// The first `n_lanes` lanes of plane words, rebuilt as values
+    /// through [`planes_to_lane_limbs`].
+    fn planes_to_lanes(planes: &[u64], width: usize, n_lanes: usize, out: &mut Vec<Bits>) {
+        let mut limbs = Vec::new();
+        planes_to_lane_limbs(planes, width, &mut limbs);
+        let g = width.div_ceil(64);
+        out.clear();
+        out.extend((0..n_lanes).map(|l| Bits::from_limbs(width, &limbs[l * g..(l + 1) * g])));
+    }
 
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -45,7 +45,7 @@ pub use operand::CsOperand;
 pub use pipeline::PipelinedFma;
 #[cfg(feature = "fault-inject")]
 pub use plane::PlaneStrike;
-pub use plane::{plane_fma_chunk, PlaneScratch, PlaneStats};
+pub use plane::{plane_fma_chunk, PlaneScratch, PlaneStats, PLANE_STAGES};
 pub use reference::{exact_fma, ulp_error_vs_exact};
 pub use trace::{NopSink, TraceSink, VecSink};
 pub use unit::{CsFmaUnit, FmaReport, FmaScratch};

@@ -102,10 +102,23 @@ impl CsOperand {
             FpClass::Normal => {
                 let m = format.mant_bits();
                 let shift = format.frac_bits() - value.format().frac_bits as usize;
-                let mut mant_bits = Bits::from_u64(m, value.significand()).shl(shift);
-                if value.sign() {
-                    mant_bits = mant_bits.wrapping_neg();
-                }
+                let mant_bits = if m <= 128 {
+                    // the significand's integer bit lands at frac_bits < 128
+                    let sig = (value.significand() as u128) << shift;
+                    let sig = if value.sign() {
+                        sig.wrapping_neg()
+                    } else {
+                        sig
+                    };
+                    Bits::from_u128(m, sig)
+                } else {
+                    let sig = Bits::from_u64(m, value.significand()).shl(shift);
+                    if value.sign() {
+                        sig.wrapping_neg()
+                    } else {
+                        sig
+                    }
+                };
                 CsOperand {
                     format,
                     class: FpClass::Normal,
@@ -128,11 +141,21 @@ impl CsOperand {
     /// resolve the carries, detect the sign, normalize at single-bit
     /// granularity and round. This is the expensive direction the fusion
     /// pass tries to keep off the critical path.
+    ///
+    /// Into binary64 the box works on three 64-bit limbs (see
+    /// `to_binary64`); other targets round the [`exact_value`](Self::exact_value).
+    /// An exact zero gives `+0` either way.
     pub fn to_ieee(&self, target: FpFormat, mode: Round) -> SoftFloat {
         match self.class {
             FpClass::Zero => SoftFloat::zero(target, self.sign_hint),
             FpClass::Inf => SoftFloat::inf(target, self.sign_hint),
             FpClass::Nan => SoftFloat::nan(target),
+            FpClass::Normal
+                if target == FpFormat::BINARY64
+                    && self.mant.width() + self.format.block_bits + 2 <= 64 * 3 =>
+            {
+                self.to_binary64(mode)
+            }
             FpClass::Normal => {
                 let e = self.exact_value();
                 if e.is_zero() {
@@ -141,6 +164,58 @@ impl CsOperand {
                 SoftFloat::from_rounded(target, e.round(target, mode))
             }
         }
+    }
+
+    /// `to_ieee` of a normal operand into binary64, on three 64-bit
+    /// limbs: the signed two-word mantissa sum, one block up, plus the
+    /// unsigned rounding block is the exact value at `2^scale`; its
+    /// magnitude is rounded at its leading one with guard and sticky.
+    /// Overflow goes to infinity or the largest finite value per `mode`,
+    /// and a result below `emin` flushes to signed zero.
+    fn to_binary64(&self, mode: Round) -> SoftFloat {
+        const F: FpFormat = FpFormat::BINARY64;
+        let bb = self.format.block_bits;
+        let mant = add3(sext3(self.mant.sum()), sext3(self.mant.carry()));
+        let rnd = add3(limbs3(self.round.sum()), limbs3(self.round.carry()));
+        let total = add3(shl3(mant, bb), rnd);
+        let sign = total[2] >> 63 != 0;
+        let mag = if sign { neg3(total) } else { total };
+        let Some(lead) = leading_one3(&mag) else {
+            return SoftFloat::zero(F, false);
+        };
+        let scale = self.exp.unbiased() as i64 - self.format.frac_bits() as i64 - bb as i64;
+        let mut exp = lead as i64 + scale;
+        let (mut sig, guard, sticky) = if lead <= 52 {
+            (mag[0] << (52 - lead), false, false)
+        } else {
+            let drop = lead - 52;
+            let guard = (mag[(drop - 1) / 64] >> ((drop - 1) % 64)) & 1 != 0;
+            (shr3(mag, drop)[0], guard, any_below3(&mag, drop - 1))
+        };
+        if round_up(mode, sign, sig & 1 != 0, guard, sticky) {
+            sig += 1;
+            if sig >> 53 != 0 {
+                sig >>= 1;
+                exp += 1;
+            }
+        }
+        if exp > F.emax() as i64 {
+            let to_inf = match mode {
+                Round::NearestEven | Round::HalfAwayFromZero => true,
+                Round::TowardZero => false,
+                Round::TowardPosInf => !sign,
+                Round::TowardNegInf => sign,
+            };
+            return if to_inf {
+                SoftFloat::inf(F, sign)
+            } else {
+                SoftFloat::from_parts(F, sign, F.emax(), (1u64 << 52) - 1)
+            };
+        }
+        if exp < F.emin() as i64 {
+            return SoftFloat::zero(F, sign);
+        }
+        SoftFloat::from_parts(F, sign, exp as i32, sig & ((1u64 << 52) - 1))
     }
 
     /// The exact real value this operand denotes (mantissa and rounding
@@ -262,6 +337,128 @@ impl CsOperand {
         packed = packed.concat(&exp);
         packed
     }
+}
+
+/// Whether `mode` increments a significand with the given sign, least
+/// significant kept bit, guard bit and sticky bit: one 16-entry truth
+/// table per mode, indexed by `sign | lsb | guard | sticky`.
+fn round_up(mode: Round, sign: bool, lsb: bool, guard: bool, sticky: bool) -> bool {
+    const fn table(mode: Round) -> u16 {
+        let mut t = 0u16;
+        let mut i = 0;
+        while i < 16 {
+            let (sign, lsb, guard, sticky) = (i & 8 != 0, i & 4 != 0, i & 2 != 0, i & 1 != 0);
+            let up = match mode {
+                Round::NearestEven => guard && (sticky || lsb),
+                Round::HalfAwayFromZero => guard,
+                Round::TowardZero => false,
+                Round::TowardPosInf => (guard || sticky) && !sign,
+                Round::TowardNegInf => (guard || sticky) && sign,
+            };
+            t |= (up as u16) << i;
+            i += 1;
+        }
+        t
+    }
+    let t = match mode {
+        Round::NearestEven => const { table(Round::NearestEven) },
+        Round::HalfAwayFromZero => const { table(Round::HalfAwayFromZero) },
+        Round::TowardZero => const { table(Round::TowardZero) },
+        Round::TowardPosInf => const { table(Round::TowardPosInf) },
+        Round::TowardNegInf => const { table(Round::TowardNegInf) },
+    };
+    let i = (sign as u32) << 3 | (lsb as u32) << 2 | (guard as u32) << 1 | sticky as u32;
+    (t >> i) & 1 != 0
+}
+
+/// A value of at most three limbs, zero-extended to exactly three.
+fn limbs3(b: &Bits) -> [u64; 3] {
+    let mut x = [0u64; 3];
+    x[..b.limbs().len()].copy_from_slice(b.limbs());
+    x
+}
+
+/// A two's-complement value of at most three limbs, sign-extended from
+/// its width to 192 bits.
+fn sext3(b: &Bits) -> [u64; 3] {
+    let mut x = limbs3(b);
+    if b.sign_bit() {
+        let w = b.width();
+        for (i, l) in x.iter_mut().enumerate() {
+            if w <= 64 * i {
+                *l = !0;
+            } else if w < 64 * (i + 1) {
+                *l |= !0u64 << (w - 64 * i);
+            }
+        }
+    }
+    x
+}
+
+/// 192-bit wrapping sum.
+fn add3(a: [u64; 3], b: [u64; 3]) -> [u64; 3] {
+    let mut out = [0u64; 3];
+    let mut carry = false;
+    for i in 0..3 {
+        let (s, c1) = a[i].overflowing_add(b[i]);
+        let (s, c2) = s.overflowing_add(carry as u64);
+        out[i] = s;
+        carry = c1 | c2;
+    }
+    out
+}
+
+/// 192-bit two's-complement negation.
+fn neg3(x: [u64; 3]) -> [u64; 3] {
+    add3([!x[0], !x[1], !x[2]], [1, 0, 0])
+}
+
+/// 192-bit left shift by `n < 192`.
+fn shl3(x: [u64; 3], n: usize) -> [u64; 3] {
+    let (q, r) = (n / 64, n % 64);
+    let mut out = [0u64; 3];
+    for i in q..3 {
+        out[i] = x[i - q] << r;
+        if r > 0 && i > q {
+            out[i] |= x[i - q - 1] >> (64 - r);
+        }
+    }
+    out
+}
+
+/// 192-bit logical right shift by `n < 192`.
+fn shr3(x: [u64; 3], n: usize) -> [u64; 3] {
+    let (q, r) = (n / 64, n % 64);
+    let mut out = [0u64; 3];
+    for i in 0..3 - q {
+        out[i] = x[i + q] >> r;
+        if r > 0 && i + q + 1 < 3 {
+            out[i] |= x[i + q + 1] << (64 - r);
+        }
+    }
+    out
+}
+
+/// Position of the leading one, `None` for zero.
+fn leading_one3(x: &[u64; 3]) -> Option<usize> {
+    (0..3)
+        .rev()
+        .find(|&i| x[i] != 0)
+        .map(|i| 64 * i + 63 - x[i].leading_zeros() as usize)
+}
+
+/// Whether any of bits `0..n` is set: one mask per limb.
+fn any_below3(x: &[u64; 3], n: usize) -> bool {
+    let mut any = 0u64;
+    for (i, &l) in x.iter().enumerate() {
+        let lo = 64 * i;
+        if n >= lo + 64 {
+            any |= l;
+        } else if n > lo {
+            any |= l & ((1u64 << (n - lo)) - 1);
+        }
+    }
+    any != 0
 }
 
 #[cfg(test)]

@@ -51,8 +51,8 @@ use crate::operand::CsOperand;
 use crate::unit::{CsFmaUnit, FmaScratch};
 use csfma_bits::Bits;
 use csfma_carrysave::plane::{
-    align_lanes_to_planes, lanes_to_planes, plane_carry_reduce, plane_csa3_2, plane_reduce_to_cs,
-    planes_to_lane_limbs, planes_to_lanes, transpose64, PLANE_LANES,
+    align_lanes_to_planes, plane_carry_reduce, plane_csa3_2, plane_reduce_to_cs,
+    planes_to_lane_limbs, transpose64, PLANE_LANES,
 };
 use csfma_carrysave::CsNumber;
 use csfma_softfloat::{FpClass, SoftFloat};
@@ -117,8 +117,8 @@ impl Default for LanePrep {
 }
 
 /// Reusable working storage for [`plane_fma_chunk`] — plane arenas,
-/// lane buffers and the scalar-fallback scratch. One per batch-engine
-/// worker, like [`FmaScratch`].
+/// lane-major limb matrices and the scalar-fallback scratch. One per
+/// batch-engine worker, like [`FmaScratch`].
 #[derive(Clone, Debug, Default)]
 pub struct PlaneScratch {
     /// Plane-kernel strikes armed for the next [`plane_fma_chunk`] call
@@ -137,18 +137,15 @@ pub struct PlaneScratch {
     #[doc(hidden)]
     pub corrupt_next_plane_word: bool,
     fma: FmaScratch,
-    a_ops: Vec<CsOperand>,
-    c_ops: Vec<CsOperand>,
     prep: Vec<LanePrep>,
     early: Vec<Option<CsOperand>>,
     skips: Vec<usize>,
-    lane_bits: Vec<Bits>,
-    lane_bits2: Vec<Bits>,
     lane_limbs: Vec<u64>,
     lane_limbs2: Vec<u64>,
     align_scratch: Vec<u64>,
     ext_s: Vec<u64>,
     ext_c: Vec<u64>,
+    corr: Vec<u64>,
     layer: Vec<u64>,
     spare: Vec<u64>,
     prod_s: Vec<u64>,
@@ -164,7 +161,36 @@ pub struct PlaneScratch {
     res_c: Vec<u64>,
     rnd_s: Vec<u64>,
     rnd_c: Vec<u64>,
+    /// The result words untransposed into lane-major limb matrices
+    /// (mantissa sum and carry, rounding sum and carry), read by the
+    /// writeback.
+    out: [Vec<u64>; 4],
 }
+
+/// The kernel's stages in datapath order, named as
+/// [`PlaneStats::stage_ns`] indexes them: the scalar preamble, the
+/// transpose of `C` and `B` into planes, the multiplier (level 0, the
+/// Wallace tree and the sign stage), the per-lane alignment, the window
+/// (compression and Carry Reduce), normalization (block classes, skip
+/// chain and result mux) and the writeback (untranspose and operand
+/// assembly).
+pub const PLANE_STAGES: [&str; 7] = [
+    "preamble",
+    "transpose_in",
+    "multiplier",
+    "alignment",
+    "window",
+    "normalize",
+    "writeback",
+];
+
+const PREAMBLE: usize = 0;
+const TRANSPOSE_IN: usize = 1;
+const MULTIPLIER: usize = 2;
+const ALIGNMENT: usize = 3;
+const WINDOW: usize = 4;
+const NORMALIZE: usize = 5;
+const WRITEBACK: usize = 6;
 
 /// What one [`plane_fma_chunk`] call did, returned to its caller: the
 /// batch engine sums these into the evaluation's own stats, so nothing
@@ -177,8 +203,12 @@ pub struct PlaneStats {
     /// products never reach the datapath).
     pub exception_lanes: u64,
     /// Nanoseconds spent transposing between lane-major and plane-major
-    /// form (`0` unless the `obs` feature is on).
+    /// form (`0` unless the `obs` feature is on). These transposes also
+    /// count toward their stages in `stage_ns`.
     pub transpose_ns: u64,
+    /// Nanoseconds per stage, indexed like [`PLANE_STAGES`] (`0` unless
+    /// the `obs` feature is on). Each stage is timed once per call.
+    pub stage_ns: [u64; PLANE_STAGES.len()],
 }
 
 /// Run `f`, adding its wall time to `ns` when the `obs` feature is on.
@@ -194,11 +224,55 @@ fn timed<R>(ns: &mut u64, f: impl FnOnce() -> R) -> R {
     }
 }
 
+/// Transpose `n` lane-major values of `width` bits into `out`'s
+/// `width` plane words (`out[j]` bit `l` = bit `j` of lane `l`), reading
+/// lane `l`'s little-endian limbs from `limbs(l)`. Lanes `n..` read as
+/// zero.
+fn gather_planes<'a>(limbs: impl Fn(usize) -> &'a [u64], n: usize, width: usize, out: &mut [u64]) {
+    let mut m = [0u64; PLANE_LANES];
+    for g in 0..width.div_ceil(64) {
+        for (l, w) in m.iter_mut().enumerate() {
+            *w = if l < n { limbs(l)[g] } else { 0 };
+        }
+        transpose64(&mut m);
+        let hi = (width - g * 64).min(64);
+        out[g * 64..g * 64 + hi].copy_from_slice(&m[..hi]);
+    }
+}
+
+/// Sign of `sext(sum) + sext(carry)` for two `width`-bit words given as
+/// little-endian limbs — what `CsNumber::resolve_signed_extended`'s top
+/// bit reads, without building the words.
+fn two_word_sign(sum: &[u64], carry: &[u64], width: usize) -> bool {
+    let (top, bit) = ((width - 1) / 64, (width - 1) % 64);
+    // limb `i` of a word sign-extended from `width` bits
+    let sext = |x: &[u64], i: usize| -> u64 {
+        let fill = if (x[top] >> bit) & 1 != 0 { !0u64 } else { 0 };
+        match i.cmp(&top) {
+            std::cmp::Ordering::Less => x[i],
+            std::cmp::Ordering::Equal => x[top] | (fill << bit),
+            std::cmp::Ordering::Greater => fill,
+        }
+    };
+    let mut carry_in = false;
+    for i in 0..=top {
+        let (v, c1) = sext(sum, i).overflowing_add(sext(carry, i));
+        let (_, c2) = v.overflowing_add(carry_in as u64);
+        carry_in = c1 | c2;
+    }
+    // the sum fits in `width + 1` bits, so the next limb holds its sign
+    let ext = sext(sum, top + 1)
+        .wrapping_add(sext(carry, top + 1))
+        .wrapping_add(carry_in as u64);
+    ext >> 63 != 0
+}
+
 /// Evaluate one FMA instruction over a SoA chunk in bit-plane form:
 /// `bank[dst + k] = bank[acc + k] + b[k] * bank[mulc + k]` for
 /// `k < len`, bit-identical to calling [`CsFmaUnit::fma_with`] per
-/// lane (including when `dst` aliases `acc` or `mulc` — inputs are
-/// latched before writeback). Returns the call's [`PlaneStats`].
+/// lane, including when `dst` aliases `acc` or `mulc`: every read of
+/// the bank happens before the writeback. Returns the call's
+/// [`PlaneStats`].
 ///
 /// # Panics
 /// If `len > PLANE_LANES`, `b.len() < len`, or the bank slices are out
@@ -228,70 +302,66 @@ pub fn plane_fma_chunk(
     let fc = f.frac_bits() as i64;
     let right_off = (f.right_blocks * bb) as i64;
     let max_shift = (w - m) as i64 - 2;
-
-    // ---- latch inputs (dst may alias acc/mulc) ----
-    s.a_ops.clear();
-    s.a_ops.extend_from_slice(&bank[acc..acc + len]);
-    s.c_ops.clear();
-    s.c_ops.extend_from_slice(&bank[mulc..mulc + len]);
+    let mut ns = [0u64; PLANE_STAGES.len()];
+    let mut transpose_ns = 0u64;
+    let a_ops = &bank[acc..acc + len];
+    let c_ops = &bank[mulc..mulc + len];
 
     // ---- scalar preamble: exceptions, rounding, window placement ----
-    s.prep.clear();
-    s.prep.resize(len, LanePrep::default());
-    s.early.clear();
-    s.early.resize(len, None);
-    let mut n_plane = 0u64;
-    #[allow(clippy::needless_range_loop)] // k indexes four parallel lane arrays
-    for k in 0..len {
-        let (a, c, bv) = (&s.a_ops[k], &s.c_ops[k], &b[k]);
-        let normal = a.class() != FpClass::Nan
-            && a.class() != FpClass::Inf
-            && bv.class() == FpClass::Normal
-            && c.class() == FpClass::Normal;
-        if !normal {
-            // exception lanes never reach the datapath; the scalar
-            // engine's early-return ladder resolves them bit-exactly
-            s.early[k] = Some(unit.fma_with(a, bv, c, &mut s.fma));
-            continue;
+    let n_plane = timed(&mut ns[PREAMBLE], || {
+        s.prep.clear();
+        s.prep.resize(len, LanePrep::default());
+        s.early.clear();
+        s.early.resize(len, None);
+        let mut n_plane = 0u64;
+        #[allow(clippy::needless_range_loop)] // k indexes four parallel lane arrays
+        for k in 0..len {
+            let (a, c, bv) = (&a_ops[k], &c_ops[k], &b[k]);
+            let normal = a.class() != FpClass::Nan
+                && a.class() != FpClass::Inf
+                && bv.class() == FpClass::Normal
+                && c.class() == FpClass::Normal;
+            if !normal {
+                // exception lanes never reach the datapath; the scalar
+                // engine's early-return ladder resolves them bit-exactly
+                s.early[k] = Some(unit.fma_with(a, bv, c, &mut s.fma));
+                continue;
+            }
+            n_plane += 1;
+            let a_zero = a.class() == FpClass::Zero;
+            let up_c = round_up_from_block(c.round());
+            let up_a = !a_zero && round_up_from_block(a.round());
+            let e_p = bv.exp() as i64 + c.exp().unbiased() as i64;
+            let fb_b = bv.format().frac_bits as i64;
+            let mut wls = e_p - fc - fb_b - right_off;
+            let shift_a_raw = if a_zero {
+                0
+            } else {
+                a.exp().unbiased() as i64 - fc - wls
+            };
+            let extra = (shift_a_raw - max_shift).max(0);
+            let p_shift = right_off - extra;
+            let a_shift = shift_a_raw - extra;
+            wls += extra;
+            let skip_cap = match f.normalizer {
+                Normalizer::ZeroDetect => usize::MAX,
+                Normalizer::EarlyLza => unit.anticipated_skip(a, c, a_zero, a_shift, p_shift),
+            };
+            s.prep[k] = LanePrep {
+                normal: true,
+                a_zero,
+                up_c,
+                up_a,
+                negate: bv.sign(),
+                b_sig: bv.significand(),
+                p_shift,
+                a_shift,
+                wls,
+                skip_cap,
+            };
         }
-        n_plane += 1;
-        let a_zero = a.class() == FpClass::Zero;
-        let up_c = round_up_from_block(c.round());
-        let up_a = !a_zero && round_up_from_block(a.round());
-        let e_p = bv.exp() as i64 + c.exp().unbiased() as i64;
-        let fb_b = bv.format().frac_bits as i64;
-        let mut wls = e_p - fc - fb_b - right_off;
-        let shift_a_raw = if a_zero {
-            0
-        } else {
-            a.exp().unbiased() as i64 - fc - wls
-        };
-        let extra = (shift_a_raw - max_shift).max(0);
-        let p_shift = right_off - extra;
-        let a_shift = shift_a_raw - extra;
-        wls += extra;
-        let skip_cap = match f.normalizer {
-            Normalizer::ZeroDetect => usize::MAX,
-            Normalizer::EarlyLza => unit.anticipated_skip(a, c, a_zero, a_shift, p_shift),
-        };
-        s.prep[k] = LanePrep {
-            normal: true,
-            a_zero,
-            up_c,
-            up_a,
-            negate: bv.sign(),
-            b_sig: bv.significand(),
-            p_shift,
-            a_shift,
-            wls,
-            skip_cap,
-        };
-    }
-    let mut stats = PlaneStats {
-        lanes: n_plane,
-        exception_lanes: len as u64 - n_plane,
-        transpose_ns: 0,
-    };
+        n_plane
+    });
 
     // lane masks driving the per-lane selects
     let mut up_c_mask = 0u64;
@@ -305,452 +375,427 @@ pub fn plane_fma_chunk(
         }
     }
 
-    // ---- plane multiplier (Fig. 6, fixed 2·b_sig+1-row tree) ----
-    timed(&mut stats.transpose_ns, || {
-        s.lane_bits.clear();
-        s.lane_bits2.clear();
-        for c in &s.c_ops {
-            s.lane_bits.push(c.mant().sum().clone());
-            s.lane_bits2.push(c.mant().carry().clone());
+    // ---- transpose in: C's mantissa words and B's significands ----
+    // Level-0 rows read `ext[j - i]` for shifts `i < bw`, so each `ext`
+    // arena carries `pad = bw - 1` zero planes below bit 0: a row is then
+    // a plain `out_w`-word slice starting at `pad - i`, zeros included.
+    let pad = bw - 1;
+    let bm = timed(&mut ns[TRANSPOSE_IN], || {
+        timed(&mut transpose_ns, || {
+            for (ext, carry) in [(&mut s.ext_s, false), (&mut s.ext_c, true)] {
+                ext.clear();
+                ext.resize(pad + out_w, 0);
+                let word = |l: usize| {
+                    let mant = c_ops[l].mant();
+                    if carry { mant.carry() } else { mant.sum() }.limbs()
+                };
+                gather_planes(word, len, m, &mut ext[pad..pad + m]);
+                // sign extension is plane replication: bit j >= m reads
+                // the sign plane
+                let sign = ext[pad + m - 1];
+                ext[pad + m..].fill(sign);
+            }
+        });
+        // B-significand bit masks: one 64x64 transpose of the lane values
+        let mut bm = [0u64; PLANE_LANES];
+        for (k, p) in s.prep.iter().enumerate() {
+            bm[k] = p.b_sig;
         }
-        lanes_to_planes(&s.lane_bits, m, &mut s.ext_s);
-        lanes_to_planes(&s.lane_bits2, m, &mut s.ext_c);
+        transpose64(&mut bm);
+        bm
     });
-    // sign extension is plane replication: bit j >= m reads the sign plane
-    let sign_s = s.ext_s[m - 1];
-    let sign_c = s.ext_c[m - 1];
-    s.ext_s.resize(out_w, sign_s);
-    s.ext_c.resize(out_w, sign_c);
-    // B-significand bit masks: one 64x64 transpose of the lane values
-    let mut bm = [0u64; PLANE_LANES];
-    for (k, p) in s.prep.iter().enumerate() {
-        bm[k] = p.b_sig;
-    }
-    transpose64(&mut bm);
-    #[cfg(feature = "fault-inject")]
-    for st in &strikes {
-        if st.site == crate::fault::FaultSite::TransposeOut {
-            // strike one of the top 16 B-significand planes: the flipped
-            // bit feeds a wrong row mask to every Wallace level of the
-            // struck lane, and a high partial product survives rounding
-            let j = bw - 1 - (st.sel as usize % bw.min(16));
-            bm[j] ^= 1u64 << (st.lane % PLANE_LANES);
-        }
-    }
-    // Level 0 of the Wallace tree is evaluated straight off the two
-    // shifted `ext` planes instead of materializing all `2·b_sig+1`
-    // rows: chunk `t` compresses virtual rows `3t, 3t+1, 3t+2`, where
-    // row `r` reads `ext_{s,c}[j - r/2] & bm[r/2]` (and the final row is
-    // the +B rounding correction). The grouping is exactly the first
-    // level `plane_reduce_to_cs` would perform, so the tree shape — and
-    // therefore the CS pair — is unchanged; only the row arena traffic
-    // is saved. Every word of the level-1 arena is written below.
-    let n_rows = 2 * bw + 1;
-    let chunks0 = n_rows / 3;
-    let rem0 = n_rows % 3;
-    let n1 = 2 * chunks0 + rem0;
-    let corr_row = 2 * bw; // the +B rounding-correction row
-    s.layer.resize(n1 * out_w, 0);
-    let (ext_s, ext_c) = (&s.ext_s, &s.ext_c);
-    // virtual level-0 row word, handling shifts, masks and the
-    // correction row (used on the rare non-tight paths)
-    let row_word = |r: usize, j: usize| -> u64 {
-        if r == corr_row {
-            if j < bw {
-                bm[j] & up_c_mask
-            } else {
-                0
+
+    // ---- plane multiplier (Fig. 6, fixed 2·b_sig+1-row tree) ----
+    timed(&mut ns[MULTIPLIER], || {
+        #[cfg(feature = "fault-inject")]
+        let mut bm = bm;
+        #[cfg(feature = "fault-inject")]
+        for st in &strikes {
+            if st.site == crate::fault::FaultSite::TransposeOut {
+                // strike one of the top 16 B-significand planes: the
+                // flipped bit feeds a wrong row mask to every Wallace
+                // level of the struck lane, and a high partial product
+                // survives rounding
+                let j = bw - 1 - (st.sel as usize % bw.min(16));
+                bm[j] ^= 1u64 << (st.lane % PLANE_LANES);
             }
-        } else {
+        }
+        // Level 0 of the Wallace tree is evaluated straight off the two
+        // padded `ext` arenas instead of materializing all `2·b_sig+1`
+        // rows: chunk `t` compresses rows `3t, 3t+1, 3t+2`, where row `r`
+        // reads `ext_{s,c}[j - r/2] & bm[r/2]` and the final row is the
+        // +B rounding correction (`bm[j] & up_c_mask` below bit `bw`).
+        // The grouping is exactly the first level `plane_reduce_to_cs`
+        // would perform, so the tree shape — and therefore the CS pair —
+        // is unchanged; only the row arena traffic is saved. Every word
+        // of the level-1 arena is written below.
+        let n_rows = 2 * bw + 1;
+        let chunks0 = n_rows / 3;
+        let rem0 = n_rows % 3;
+        let n1 = 2 * chunks0 + rem0;
+        let corr_row = 2 * bw;
+        s.corr.clear();
+        s.corr.extend(bm[..bw].iter().map(|&x| x & up_c_mask));
+        s.corr.resize(out_w, 0);
+        s.layer.resize(n1 * out_w, 0);
+        let (ext_s, ext_c, corr) = (&s.ext_s, &s.ext_c, &s.corr);
+        // row `r` as a plain slice of `out_w` plane words and its lane mask
+        let row = |r: usize| -> (&[u64], u64) {
+            if r == corr_row {
+                return (corr, !0);
+            }
             let i = r >> 1;
-            if j < i {
-                0
-            } else if r & 1 == 0 {
-                ext_s[j - i] & bm[i]
-            } else {
-                ext_c[j - i] & bm[i]
-            }
-        }
-    };
-    for t in 0..chunks0 {
-        let out = &mut s.layer[2 * t * out_w..(2 * t + 2) * out_w];
-        let (out_s, out_c) = out.split_at_mut(out_w);
-        let rows = [3 * t, 3 * t + 1, 3 * t + 2];
-        let mut prev_maj = 0u64;
-        if rows[2] == corr_row {
-            // the last chunk may carry the correction row: branchy path
-            for j in 0..out_w {
-                let (a, b, c) = (
-                    row_word(rows[0], j),
-                    row_word(rows[1], j),
-                    row_word(rows[2], j),
-                );
-                out_s[j] = a ^ b ^ c;
-                out_c[j] = prev_maj;
+            let ext = if r & 1 == 0 { ext_s } else { ext_c };
+            (&ext[pad - i..pad - i + out_w], bm[i])
+        };
+        for t in 0..chunks0 {
+            let out = &mut s.layer[2 * t * out_w..(2 * t + 2) * out_w];
+            let (out_s, out_c) = out.split_at_mut(out_w);
+            let ((e0, m0), (e1, m1), (e2, m2)) = (row(3 * t), row(3 * t + 1), row(3 * t + 2));
+            let mut prev_maj = 0u64;
+            let rows = e0.iter().zip(e1).zip(e2);
+            for ((os, oc), ((&x0, &x1), &x2)) in out_s.iter_mut().zip(out_c.iter_mut()).zip(rows) {
+                let (a, b, c) = (x0 & m0, x1 & m1, x2 & m2);
+                *os = a ^ b ^ c;
+                *oc = prev_maj;
                 prev_maj = (a & b) | (b & c) | (a & c);
             }
-            continue;
         }
-        let pick = |r: usize| -> (&[u64], usize, u64) {
-            let i = r >> 1;
-            (if r & 1 == 0 { ext_s } else { ext_c }, i, bm[i])
-        };
-        let (e0, i0, m0) = pick(rows[0]);
-        let (e1, i1, m1) = pick(rows[1]);
-        let (e2, i2, m2) = pick(rows[2]);
-        let start = i2.min(out_w); // i0 <= i1 <= i2
-        for j in 0..start {
-            let a = if j >= i0 { e0[j - i0] & m0 } else { 0 };
-            let b = if j >= i1 { e1[j - i1] & m1 } else { 0 };
-            out_s[j] = a ^ b;
-            out_c[j] = prev_maj;
-            prev_maj = a & b;
+        // remainder rows ride along to the next level verbatim
+        for (q, r) in (3 * chunks0..n_rows).enumerate() {
+            let out = &mut s.layer[(2 * chunks0 + q) * out_w..][..out_w];
+            let (e, mask) = row(r);
+            for (o, &x) in out.iter_mut().zip(e) {
+                *o = x & mask;
+            }
         }
-        for j in start..out_w {
-            let a = e0[j - i0] & m0;
-            let b = e1[j - i1] & m1;
-            let c = e2[j - i2] & m2;
-            out_s[j] = a ^ b ^ c;
-            out_c[j] = prev_maj;
-            prev_maj = (a & b) | (b & c) | (a & c);
+        plane_reduce_to_cs(
+            &mut s.layer,
+            n1,
+            out_w,
+            &mut s.spare,
+            &mut s.prod_s,
+            &mut s.prod_c,
+        );
+        #[cfg(feature = "fault-inject")]
+        for st in &strikes {
+            if st.site == crate::fault::FaultSite::PlaneCsaWord {
+                // strike one of the top 32 product-sum planes — within the
+                // 53 bits the final rounding keeps, so the flip is visible
+                let top = s.prod_s.len();
+                let j = top - 1 - (st.sel as usize % top.min(32));
+                s.prod_s[j] ^= 1u64 << (st.lane % PLANE_LANES);
+            }
         }
-    }
-    // remainder rows ride along to the next level verbatim
-    for (q, r) in (3 * chunks0..n_rows).enumerate() {
-        let out = &mut s.layer[(2 * chunks0 + q) * out_w..][..out_w];
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = row_word(r, j);
-        }
-    }
-    plane_reduce_to_cs(
-        &mut s.layer,
-        n1,
-        out_w,
-        &mut s.spare,
-        &mut s.prod_s,
-        &mut s.prod_c,
-    );
-    #[cfg(feature = "fault-inject")]
-    for st in &strikes {
-        if st.site == crate::fault::FaultSite::PlaneCsaWord {
-            // strike one of the top 32 product-sum planes — within the
-            // 53 bits the final rounding keeps, so the flip is visible
-            let top = s.prod_s.len();
-            let j = top - 1 - (st.sel as usize % top.min(32));
-            s.prod_s[j] ^= 1u64 << (st.lane % PLANE_LANES);
-        }
-    }
 
-    // ---- sign stage: compute the negation arm, select per lane ----
-    // negate() = csa3_2(!sum, !carry, 2); the non-negating arm must
-    // pass the pair through untouched (see `apply_sign`)
-    if neg_mask != 0 {
-        let mut prev_maj = 0u64; // maj plane j-1 (the scalar `<< 1`)
-        for j in 0..out_w {
-            let (ps, pc) = (s.prod_s[j], s.prod_c[j]);
-            let two = if j == 1 { !0u64 } else { 0 };
-            let neg_s = ps ^ pc ^ two;
-            let (x, y) = (!ps, !pc);
-            let maj = (x & y) | (two & (x | y));
-            let neg_c = prev_maj;
-            prev_maj = maj;
-            s.prod_s[j] = (neg_s & neg_mask) | (ps & !neg_mask);
-            s.prod_c[j] = (neg_c & neg_mask) | (pc & !neg_mask);
+        // ---- sign stage: compute the negation arm, select per lane ----
+        // negate() = csa3_2(!sum, !carry, 2); the non-negating arm must
+        // pass the pair through untouched (see `apply_sign`)
+        if neg_mask != 0 {
+            let mut prev_maj = 0u64; // maj plane j-1 (the scalar `<< 1`)
+            for j in 0..out_w {
+                let (ps, pc) = (s.prod_s[j], s.prod_c[j]);
+                let two = if j == 1 { !0u64 } else { 0 };
+                let neg_s = ps ^ pc ^ two;
+                let (x, y) = (!ps, !pc);
+                let maj = (x & y) | (two & (x | y));
+                let neg_c = prev_maj;
+                prev_maj = maj;
+                s.prod_s[j] = (neg_s & neg_mask) | (ps & !neg_mask);
+                s.prod_c[j] = (neg_c & neg_mask) | (pc & !neg_mask);
+            }
         }
-    }
+    });
 
     // ---- per-lane alignment (the one variable-shift stage) ----
     // done without leaving word arithmetic: each lane's window placement
     // is a sign-extending funnel shift over its lane-major limbs
     // (`align_lanes_to_planes`), bit-exact with `align_addend`'s
     // sign-extend-and-place frame semantics
-    let mut p_shifts = [0i64; PLANE_LANES];
-    let mut a_shifts = [0i64; PLANE_LANES];
-    let mut act_p = 0u64; // lanes with a product in the window
-    let mut act_a = 0u64; // lanes with a nonzero addend in the window
-    for (k, p) in s.prep.iter().enumerate() {
-        if !p.normal {
-            continue;
+    timed(&mut ns[ALIGNMENT], || {
+        let mut p_shifts = [0i64; PLANE_LANES];
+        let mut a_shifts = [0i64; PLANE_LANES];
+        let mut act_p = 0u64; // lanes with a product in the window
+        let mut act_a = 0u64; // lanes with a nonzero addend in the window
+        for (k, p) in s.prep.iter().enumerate() {
+            if !p.normal {
+                continue;
+            }
+            act_p |= 1 << k;
+            p_shifts[k] = p.p_shift;
+            if !p.a_zero {
+                act_a |= 1 << k;
+                a_shifts[k] = p.a_shift;
+            }
         }
-        act_p |= 1 << k;
-        p_shifts[k] = p.p_shift;
-        if !p.a_zero {
-            act_a |= 1 << k;
-            a_shifts[k] = p.a_shift;
+        timed(&mut transpose_ns, || {
+            for (prod, win) in [(&s.prod_s, 0), (&s.prod_c, 1)] {
+                planes_to_lane_limbs(prod, out_w, &mut s.lane_limbs);
+                align_lanes_to_planes(
+                    &s.lane_limbs,
+                    out_w,
+                    &p_shifts[..len],
+                    act_p,
+                    w,
+                    &mut s.align_scratch,
+                    &mut s.win[win],
+                );
+            }
+        });
+        // the addend's lane-major limbs come straight from the bank
+        let mg = m.div_ceil(64);
+        s.lane_limbs.clear();
+        s.lane_limbs.resize(PLANE_LANES * mg, 0);
+        s.lane_limbs2.clear();
+        s.lane_limbs2.resize(PLANE_LANES * mg, 0);
+        for (k, a) in a_ops.iter().enumerate() {
+            if act_a & (1 << k) == 0 {
+                continue;
+            }
+            let (sl, cl) = (a.mant().sum().limbs(), a.mant().carry().limbs());
+            s.lane_limbs[k * mg..k * mg + sl.len()].copy_from_slice(sl);
+            s.lane_limbs2[k * mg..k * mg + cl.len()].copy_from_slice(cl);
         }
-    }
-    timed(&mut stats.transpose_ns, || {
-        planes_to_lane_limbs(&s.prod_s, out_w, &mut s.lane_limbs);
-        align_lanes_to_planes(
-            &s.lane_limbs,
-            out_w,
-            &p_shifts[..len],
-            act_p,
-            w,
-            &mut s.align_scratch,
-            &mut s.win[0],
-        );
-        planes_to_lane_limbs(&s.prod_c, out_w, &mut s.lane_limbs);
-        align_lanes_to_planes(
-            &s.lane_limbs,
-            out_w,
-            &p_shifts[..len],
-            act_p,
-            w,
-            &mut s.align_scratch,
-            &mut s.win[1],
-        );
-    });
-    // the addend's lane-major limbs come straight from the operands
-    let mg = m.div_ceil(64);
-    s.lane_limbs.clear();
-    s.lane_limbs.resize(PLANE_LANES * mg, 0);
-    s.lane_limbs2.clear();
-    s.lane_limbs2.resize(PLANE_LANES * mg, 0);
-    for (k, a) in s.a_ops.iter().enumerate().take(len) {
-        if act_a & (1 << k) == 0 {
-            continue;
-        }
-        let (sl, cl) = (a.mant().sum().limbs(), a.mant().carry().limbs());
-        s.lane_limbs[k * mg..k * mg + sl.len()].copy_from_slice(sl);
-        s.lane_limbs2[k * mg..k * mg + cl.len()].copy_from_slice(cl);
-    }
-    timed(&mut stats.transpose_ns, || {
-        align_lanes_to_planes(
-            &s.lane_limbs,
-            m,
-            &a_shifts[..len],
-            act_a,
-            w,
-            &mut s.align_scratch,
-            &mut s.win[2],
-        );
-        align_lanes_to_planes(
-            &s.lane_limbs2,
-            m,
-            &a_shifts[..len],
-            act_a,
-            w,
-            &mut s.align_scratch,
-            &mut s.win[3],
-        );
+        timed(&mut transpose_ns, || {
+            for (limbs, win) in [(&s.lane_limbs, 2), (&s.lane_limbs2, 3)] {
+                align_lanes_to_planes(
+                    limbs,
+                    m,
+                    &a_shifts[..len],
+                    act_a,
+                    w,
+                    &mut s.align_scratch,
+                    &mut s.win[win],
+                );
+            }
+        });
     });
 
     // ---- window compression with the A-rounding one-hot select ----
-    s.win[4].clear();
-    s.win[4].resize(w, 0);
-    let mut m5 = 0u64; // lanes whose fifth row (A round one-hot) exists
-    for (k, p) in s.prep.iter().enumerate() {
-        if p.normal && p.up_a && (0..w as i64).contains(&p.a_shift) {
-            m5 |= 1 << k;
-            s.win[4][p.a_shift as usize] |= 1 << k;
+    timed(&mut ns[WINDOW], || {
+        s.win[4].clear();
+        s.win[4].resize(w, 0);
+        let mut m5 = 0u64; // lanes whose fifth row (A round one-hot) exists
+        for (k, p) in s.prep.iter().enumerate() {
+            if p.normal && p.up_a && (0..w as i64).contains(&p.a_shift) {
+                m5 |= 1 << k;
+                s.win[4][p.a_shift as usize] |= 1 << k;
+            }
         }
-    }
-    // shared tree prefix: csa(r0,r1,r2) -> csa(.,r3) is the 4-row
-    // result; one more csa over the one-hot is the 5-row result
-    for v in [
-        &mut s.red_a,
-        &mut s.red_b,
-        &mut s.red_c,
-        &mut s.red_d,
-        &mut s.red_e,
-        &mut s.red_f,
-    ] {
-        v.clear();
-        v.resize(w, 0);
-    }
-    plane_csa3_2(&s.win[0], &s.win[1], &s.win[2], &mut s.red_a, &mut s.red_b);
-    plane_csa3_2(&s.red_a, &s.red_b, &s.win[3], &mut s.red_c, &mut s.red_d);
-    plane_csa3_2(&s.red_c, &s.red_d, &s.win[4], &mut s.red_e, &mut s.red_f);
-    // win_s/win_c live in red_a/red_b from here on
-    for j in 0..w {
-        s.red_a[j] = (s.red_e[j] & m5) | (s.red_c[j] & !m5);
-        s.red_b[j] = (s.red_f[j] & m5) | (s.red_d[j] & !m5);
-    }
+        // shared tree prefix: csa(r0,r1,r2) -> csa(.,r3) is the 4-row
+        // result; one more csa over the one-hot is the 5-row result
+        for v in [
+            &mut s.red_a,
+            &mut s.red_b,
+            &mut s.red_c,
+            &mut s.red_d,
+            &mut s.red_e,
+            &mut s.red_f,
+        ] {
+            v.clear();
+            v.resize(w, 0);
+        }
+        plane_csa3_2(&s.win[0], &s.win[1], &s.win[2], &mut s.red_a, &mut s.red_b);
+        plane_csa3_2(&s.red_a, &s.red_b, &s.win[3], &mut s.red_c, &mut s.red_d);
+        plane_csa3_2(&s.red_c, &s.red_d, &s.win[4], &mut s.red_e, &mut s.red_f);
+        // win_s/win_c live in red_a/red_b from here on
+        for j in 0..w {
+            s.red_a[j] = (s.red_e[j] & m5) | (s.red_c[j] & !m5);
+            s.red_b[j] = (s.red_f[j] & m5) | (s.red_d[j] & !m5);
+        }
 
-    // ---- Carry Reduce (PCS only) ----
-    if let Some(k) = f.carry_spacing {
-        plane_carry_reduce(&mut s.red_a, &mut s.red_b, k);
-    }
-    let win_s = &s.red_a;
-    let win_c = &s.red_b;
+        // ---- Carry Reduce (PCS only) ----
+        if let Some(k) = f.carry_spacing {
+            plane_carry_reduce(&mut s.red_a, &mut s.red_b, k);
+        }
+    });
 
-    // ---- block classification (Fig. 10) over digit planes ----
-    let is0 = |ws: &[u64], wc: &[u64], p: usize| !ws[p] & !wc[p];
-    let is1 = |ws: &[u64], wc: &[u64], p: usize| ws[p] ^ wc[p];
-    let is2 = |ws: &[u64], wc: &[u64], p: usize| ws[p] & wc[p];
-    // MSB-first block k covers digits [(nb-1-k)*bb, (nb-k)*bb)
-    let mut az = [0u64; 16];
-    let mut ao = [0u64; 16];
-    let mut rz = [0u64; 16];
-    let mut top0 = [0u64; 16];
-    let mut top1 = [0u64; 16];
-    assert!(nb <= 16, "window block count exceeds classifier arrays");
-    for k in 0..nb {
-        let base = (nb - 1 - k) * bb;
-        let top = base + bb - 1;
-        let (mut all0, mut all1) = (!0u64, !0u64);
-        for p in base..=top {
-            all0 &= is0(win_s, win_c, p);
-            all1 &= is1(win_s, win_c, p);
+    let rw = keep * bb;
+    timed(&mut ns[NORMALIZE], || {
+        let win_s = &s.red_a;
+        let win_c = &s.red_b;
+
+        // ---- block classification (Fig. 10) over digit planes ----
+        let is0 = |ws: &[u64], wc: &[u64], p: usize| !ws[p] & !wc[p];
+        let is1 = |ws: &[u64], wc: &[u64], p: usize| ws[p] ^ wc[p];
+        let is2 = |ws: &[u64], wc: &[u64], p: usize| ws[p] & wc[p];
+        // MSB-first block k covers digits [(nb-1-k)*bb, (nb-k)*bb)
+        let mut az = [0u64; 16];
+        let mut ao = [0u64; 16];
+        let mut rz = [0u64; 16];
+        let mut top0 = [0u64; 16];
+        let mut top1 = [0u64; 16];
+        assert!(nb <= 16, "window block count exceeds classifier arrays");
+        for k in 0..nb {
+            let base = (nb - 1 - k) * bb;
+            let top = base + bb - 1;
+            let (mut all0, mut all1) = (!0u64, !0u64);
+            for p in base..=top {
+                all0 &= is0(win_s, win_c, p);
+                all1 &= is1(win_s, win_c, p);
+            }
+            // ripple-zero: a leading run of 1s closed by a 2, zeros below
+            let mut in_run = is1(win_s, win_c, top);
+            let mut await0 = 0u64;
+            for p in (base..top).rev() {
+                let next_await = (await0 & is0(win_s, win_c, p)) | (in_run & is2(win_s, win_c, p));
+                in_run &= is1(win_s, win_c, p);
+                await0 = next_await;
+            }
+            az[k] = all0;
+            ao[k] = all1;
+            rz[k] = await0 & !all1;
+            top0[k] = is0(win_s, win_c, top);
+            top1[k] = is1(win_s, win_c, top);
         }
-        // ripple-zero: a leading run of 1s closed by a 2, zeros below
-        let mut in_run = is1(win_s, win_c, top);
-        let mut await0 = 0u64;
-        for p in (base..top).rev() {
-            let next_await = (await0 & is0(win_s, win_c, p)) | (in_run & is2(win_s, win_c, p));
-            in_run &= is1(win_s, win_c, p);
-            await0 = next_await;
-        }
-        az[k] = all0;
-        ao[k] = all1;
-        rz[k] = await0 & !all1;
-        top0[k] = is0(win_s, win_c, top);
-        top1[k] = is1(win_s, win_c, top);
-    }
-    #[cfg(feature = "fault-inject")]
-    for st in &strikes {
-        if st.site == crate::fault::FaultSite::PlaneClassifyMask {
-            // strike an all-zero mask the struck lane's skip chain will
-            // actually consume: a flip below the chain's stop point is
-            // architecturally masked and tells a campaign nothing, so
-            // walk the skippable range (starting from the seeded block)
-            // for a flip that changes the lane's resolved skip — halting
-            // the chain early (low mantissa bits fall out of the kept
-            // slice) or driving it past a live block (leading bits lost)
-            let k = st.lane % PLANE_LANES;
-            let range = (nb - keep).max(1);
-            let lane_skip = |az: &[u64; 16]| -> usize {
-                if k >= len || !s.prep[k].normal {
-                    return 0;
-                }
-                let lane = 1u64 << k;
-                let mut skip = 0usize;
-                while nb - skip > keep {
-                    let ok = if (az[skip] | rz[skip]) & lane != 0 {
-                        top0[skip + 1] & lane != 0
-                    } else if ao[skip] & lane != 0 {
-                        top1[skip + 1] & lane != 0
-                    } else {
-                        false
-                    };
-                    if !ok {
+        #[cfg(feature = "fault-inject")]
+        for st in &strikes {
+            if st.site == crate::fault::FaultSite::PlaneClassifyMask {
+                // strike an all-zero mask the struck lane's skip chain will
+                // actually consume: a flip below the chain's stop point is
+                // architecturally masked and tells a campaign nothing, so
+                // walk the skippable range (starting from the seeded block)
+                // for a flip that changes the lane's resolved skip — halting
+                // the chain early (low mantissa bits fall out of the kept
+                // slice) or driving it past a live block (leading bits lost)
+                let k = st.lane % PLANE_LANES;
+                let range = (nb - keep).max(1);
+                let lane_skip = |az: &[u64; 16]| -> usize {
+                    if k >= len || !s.prep[k].normal {
+                        return 0;
+                    }
+                    let lane = 1u64 << k;
+                    let mut skip = 0usize;
+                    while nb - skip > keep {
+                        let ok = if (az[skip] | rz[skip]) & lane != 0 {
+                            top0[skip + 1] & lane != 0
+                        } else if ao[skip] & lane != 0 {
+                            top1[skip + 1] & lane != 0
+                        } else {
+                            false
+                        };
+                        if !ok {
+                            break;
+                        }
+                        skip += 1;
+                    }
+                    skip.min(s.prep[k].skip_cap)
+                };
+                let clean = lane_skip(&az);
+                let mut j = st.sel as usize % range;
+                for off in 0..range {
+                    let cand = (st.sel as usize + off) % range;
+                    let mut flipped = az;
+                    flipped[cand] ^= 1u64 << k;
+                    if lane_skip(&flipped) != clean {
+                        j = cand;
                         break;
                     }
-                    skip += 1;
                 }
-                skip.min(s.prep[k].skip_cap)
-            };
-            let clean = lane_skip(&az);
-            let mut j = st.sel as usize % range;
-            for off in 0..range {
-                let cand = (st.sel as usize + off) % range;
-                let mut flipped = az;
-                flipped[cand] ^= 1u64 << k;
-                if lane_skip(&flipped) != clean {
-                    j = cand;
+                az[j] ^= 1u64 << k;
+            }
+        }
+
+        // ---- per-lane skip chain over the block-class masks ----
+        s.skips.clear();
+        s.skips.resize(len, 0);
+        for (k, p) in s.prep.iter().enumerate() {
+            if !p.normal {
+                continue;
+            }
+            let lane = 1u64 << k;
+            let mut skip = 0usize;
+            while nb - skip > keep {
+                let ok = if (az[skip] | rz[skip]) & lane != 0 {
+                    top0[skip + 1] & lane != 0
+                } else if ao[skip] & lane != 0 {
+                    top1[skip + 1] & lane != 0
+                } else {
+                    false
+                };
+                if !ok {
                     break;
                 }
+                skip += 1;
             }
-            az[j] ^= 1u64 << k;
+            s.skips[k] = skip.min(p.skip_cap);
         }
-    }
 
-    // ---- per-lane skip chain over the block-class masks ----
-    s.skips.clear();
-    s.skips.resize(len, 0);
-    for (k, p) in s.prep.iter().enumerate() {
-        if !p.normal {
-            continue;
-        }
-        let lane = 1u64 << k;
-        let mut skip = 0usize;
-        while nb - skip > keep {
-            let ok = if (az[skip] | rz[skip]) & lane != 0 {
-                top0[skip + 1] & lane != 0
-            } else if ao[skip] & lane != 0 {
-                top1[skip + 1] & lane != 0
-            } else {
-                false
-            };
-            if !ok {
-                break;
-            }
-            skip += 1;
-        }
-        s.skips[k] = skip.min(p.skip_cap);
-    }
-
-    // ---- result block mux: OR the windows under per-skip lane masks ----
-    let mut sel = [0u64; 16];
-    for (k, p) in s.prep.iter().enumerate() {
-        if p.normal {
-            sel[s.skips[k]] |= 1 << k;
-        }
-    }
-    let rw = keep * bb;
-    s.res_s.clear();
-    s.res_s.resize(rw, 0);
-    s.res_c.clear();
-    s.res_c.resize(rw, 0);
-    s.rnd_s.clear();
-    s.rnd_s.resize(bb, 0);
-    s.rnd_c.clear();
-    s.rnd_c.resize(bb, 0);
-    #[allow(clippy::needless_range_loop)] // sk also derives the window base offset
-    for sk in 0..=(nb - keep) {
-        let mask = sel[sk];
-        if mask == 0 {
-            continue;
-        }
-        let base = (nb - keep - sk) * bb;
-        for r in 0..rw {
-            s.res_s[r] |= win_s[base + r] & mask;
-            s.res_c[r] |= win_c[base + r] & mask;
-        }
-        if sk + keep < nb {
-            // the block below the selected slice is the rounding data
-            for r in 0..bb {
-                s.rnd_s[r] |= win_s[base - bb + r] & mask;
-                s.rnd_c[r] |= win_c[base - bb + r] & mask;
+        // ---- result block mux: OR the windows under per-skip lane masks ----
+        let mut sel = [0u64; 16];
+        for (k, p) in s.prep.iter().enumerate() {
+            if p.normal {
+                sel[s.skips[k]] |= 1 << k;
             }
         }
-    }
-    if std::mem::take(&mut s.corrupt_next_plane_word) {
-        s.res_s[0] ^= 1;
-    }
-
-    // ---- untranspose + scalar postamble ----
-    let mut res_s_l: Vec<Bits> = Vec::new();
-    let mut res_c_l: Vec<Bits> = Vec::new();
-    let mut rnd_s_l: Vec<Bits> = Vec::new();
-    let mut rnd_c_l: Vec<Bits> = Vec::new();
-    timed(&mut stats.transpose_ns, || {
-        planes_to_lanes(&s.res_s, rw, len, &mut res_s_l);
-        planes_to_lanes(&s.res_c, rw, len, &mut res_c_l);
-        planes_to_lanes(&s.rnd_s, bb, len, &mut rnd_s_l);
-        planes_to_lanes(&s.rnd_c, bb, len, &mut rnd_c_l);
+        s.res_s.clear();
+        s.res_s.resize(rw, 0);
+        s.res_c.clear();
+        s.res_c.resize(rw, 0);
+        s.rnd_s.clear();
+        s.rnd_s.resize(bb, 0);
+        s.rnd_c.clear();
+        s.rnd_c.resize(bb, 0);
+        #[allow(clippy::needless_range_loop)] // sk also derives the window base offset
+        for sk in 0..=(nb - keep) {
+            let mask = sel[sk];
+            if mask == 0 {
+                continue;
+            }
+            let base = (nb - keep - sk) * bb;
+            for r in 0..rw {
+                s.res_s[r] |= win_s[base + r] & mask;
+                s.res_c[r] |= win_c[base + r] & mask;
+            }
+            if sk + keep < nb {
+                // the block below the selected slice is the rounding data
+                for r in 0..bb {
+                    s.rnd_s[r] |= win_s[base - bb + r] & mask;
+                    s.rnd_c[r] |= win_c[base - bb + r] & mask;
+                }
+            }
+        }
+        if std::mem::take(&mut s.corrupt_next_plane_word) {
+            s.res_s[0] ^= 1;
+        }
     });
-    for k in 0..len {
-        if let Some(r) = s.early[k].take() {
-            bank[dst + k] = r;
-            continue;
+
+    // ---- untranspose + writeback: the bank's first write ----
+    timed(&mut ns[WRITEBACK], || {
+        timed(&mut transpose_ns, || {
+            let words = [
+                (&s.res_s, rw),
+                (&s.res_c, rw),
+                (&s.rnd_s, bb),
+                (&s.rnd_c, bb),
+            ];
+            for (out, (planes, width)) in s.out.iter_mut().zip(words) {
+                planes_to_lane_limbs(planes, width, out);
+            }
+        });
+        let (rg, bg) = (rw.div_ceil(64), bb.div_ceil(64));
+        let [res_s, res_c, rnd_s, rnd_c] = &s.out;
+        for k in 0..len {
+            if let Some(r) = s.early[k].take() {
+                bank[dst + k] = r;
+                continue;
+            }
+            let (ms, mc) = (&res_s[k * rg..][..rg], &res_c[k * rg..][..rg]);
+            let (rs, rc) = (&rnd_s[k * bg..][..bg], &rnd_c[k * bg..][..bg]);
+            let mant = CsNumber::new(Bits::from_limbs(rw, ms), Bits::from_limbs(rw, mc));
+            let round = CsNumber::new(Bits::from_limbs(bb, rs), Bits::from_limbs(bb, rc));
+            let sign_hint = two_word_sign(ms, mc, rw);
+            let e_r = (nb - s.skips[k] - keep) as i64 * bb as i64 + s.prep[k].wls + fc;
+            let exp = BiasedExp::from_unbiased_saturating(e_r);
+            bank[dst + k] = CsOperand::from_raw(f, FpClass::Normal, sign_hint, mant, round, exp);
         }
-        let p = &s.prep[k];
-        let mant = CsNumber::new(
-            std::mem::replace(&mut res_s_l[k], Bits::zero(0)),
-            std::mem::replace(&mut res_c_l[k], Bits::zero(0)),
-        );
-        let round = CsNumber::new(
-            std::mem::replace(&mut rnd_s_l[k], Bits::zero(0)),
-            std::mem::replace(&mut rnd_c_l[k], Bits::zero(0)),
-        );
-        let sign_hint = mant.resolve_signed_extended().sign_bit();
-        let e_r = (nb - s.skips[k] - keep) as i64 * bb as i64 + p.wls + fc;
-        let exp = BiasedExp::from_unbiased_saturating(e_r);
-        bank[dst + k] = CsOperand::from_raw(f, FpClass::Normal, sign_hint, mant, round, exp);
+    });
+    PlaneStats {
+        lanes: n_plane,
+        exception_lanes: len as u64 - n_plane,
+        transpose_ns,
+        stage_ns: ns,
     }
-    stats
 }
 
 #[cfg(test)]

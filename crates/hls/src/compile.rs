@@ -53,7 +53,7 @@ use crate::interp::format_of;
 use crate::jit;
 use crate::lint::lint_dataflow;
 use crate::opt::{optimize_graph, OptStats};
-use crate::profile::EvalStats;
+use crate::profile::{EvalStats, PLANE_STAGE_COUNTERS};
 use crate::sched::OpTiming;
 use csfma_core::batch::{par_chunks_indexed, CHUNK_ROWS};
 use csfma_core::fault::FmaCtl;
@@ -473,8 +473,9 @@ impl ChunkHook for NoHook {
 /// share a slot with an operand), and the soft-float guard
 /// ([`sfb::needs_softfloat`]) is folded over them in the same pass,
 /// without a branch per lane. Only a chunk with a flagged lane re-runs
-/// its lanes through the guarded operator, which recomputes exactly the
-/// flagged lanes in soft float and counts each in `fallbacks`. A promoted
+/// its lanes through the guarded operator, which gives a flagged NaN
+/// lane the canonical NaN, recomputes any other flagged lane in soft
+/// float, and counts each flagged lane in `fallbacks`. A promoted
 /// instruction passes `None`: no guard, host results as they are.
 #[inline(always)]
 fn hosted_chunk(
@@ -1345,6 +1346,9 @@ impl Tape {
         prof.set_counter("plane_exception_lanes", c(st.plane_exception_lanes));
         prof.set_counter("plane_fallback_lanes", c(st.plane_fallback_lanes));
         prof.set_counter("plane_transpose_us", c(st.plane_transpose_ns) / 1000.0);
+        for (name, ns) in PLANE_STAGE_COUNTERS.into_iter().zip(st.plane_stage_ns) {
+            prof.set_counter(name, c(ns) / 1000.0);
+        }
         if backend == TapeBackend::Jit {
             prof.set_counter("jit_rows", c(st.jit_rows));
             prof.set_counter("jit_bailouts", c(st.jit_bailouts));

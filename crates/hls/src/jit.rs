@@ -202,8 +202,8 @@ type BlockFn =
     unsafe extern "C" fn(*const [f64; LANES], *mut [f64; LANES], *const x86::Broadcast) -> u32;
 
 /// A compiled native module for one [`Tape`]: one four-row function in a
-/// sealed W^X buffer, plus the constant pool it reads and the
-/// pseudo-assembly dump `csfma-run --dump-jit` prints.
+/// sealed W^X buffer, plus the constant pool it reads. Its listing is
+/// not kept; [`jit_listing`] runs the emitter again to produce it.
 #[cfg(all(unix, target_arch = "x86_64"))]
 pub struct JitModule {
     buf: mem::CodeBuf,
@@ -215,7 +215,6 @@ pub struct JitModule {
     num_outputs: usize,
     native_instrs: usize,
     guards: usize,
-    dump: String,
 }
 
 #[cfg(all(unix, target_arch = "x86_64"))]
@@ -268,11 +267,6 @@ impl JitModule {
     pub fn code_len(&self) -> usize {
         self.buf.len()
     }
-
-    /// The pseudo-assembly dump (`csfma-run --dump-jit`).
-    pub fn dump(&self) -> &str {
-        &self.dump
-    }
 }
 
 #[cfg(all(unix, target_arch = "x86_64"))]
@@ -297,11 +291,6 @@ impl JitModule {
     /// Never reachable on this platform.
     pub(crate) fn run_block(&self, _in: &[[f64; LANES]], _out: &mut [[f64; LANES]]) -> u32 {
         (1 << LANES) - 1
-    }
-
-    /// Never reachable on this platform.
-    pub fn dump(&self) -> &str {
-        ""
     }
 
     /// Never reachable on this platform.
@@ -412,7 +401,7 @@ pub fn compile_module(tape: &Tape, _semantics: JitSemantics) -> Option<JitModule
     }
     #[cfg(all(unix, target_arch = "x86_64"))]
     {
-        return seal(tape, x86::emit(tape));
+        return seal(tape, x86::emit(tape, None));
     }
     #[allow(unreachable_code)]
     {
@@ -420,13 +409,33 @@ pub fn compile_module(tape: &Tape, _semantics: JitSemantics) -> Option<JitModule
     }
 }
 
-/// Emitter output: machine code, the constant pool it reads, dump
-/// text, native instruction count, guard count.
+/// The pseudo-assembly listing of the module [`compile_module`] builds
+/// for `tape`, as `csfma-run --dump-jit` prints it: the same emitter
+/// run again, this time writing its listing. `None` whenever
+/// `compile_module` declines for lack of a lowerable tape or a capable
+/// host. Module builds never format a listing.
+pub fn jit_listing(tape: &Tape) -> Option<String> {
+    if !jit_available() || jit_refusal(tape).is_some() {
+        return None;
+    }
+    #[cfg(all(unix, target_arch = "x86_64"))]
+    {
+        let mut listing = String::new();
+        x86::emit(tape, Some(&mut listing));
+        return Some(listing);
+    }
+    #[allow(unreachable_code)]
+    {
+        None
+    }
+}
+
+/// Emitter output: machine code, the constant pool it reads, native
+/// instruction count, guard count.
 #[cfg(all(unix, target_arch = "x86_64"))]
 struct Emitted {
     code: Vec<u8>,
     pool: Vec<x86::Broadcast>,
-    dump: String,
     native_instrs: usize,
     guards: usize,
 }
@@ -440,7 +449,6 @@ fn seal(tape: &Tape, e: Emitted) -> Option<JitModule> {
         num_outputs: tape.num_outputs(),
         native_instrs: e.native_instrs,
         guards: e.guards,
-        dump: e.dump,
     })
 }
 
@@ -639,10 +647,11 @@ mod x86 {
         }
     }
 
-    /// Lower `tape` to x86-64 machine code. The caller has checked
+    /// Lower `tape` to x86-64 machine code, writing the pseudo-assembly
+    /// listing to `listing` when one is asked for. The caller has checked
     /// [`jit_refusal`](super::jit_refusal): the tape has no fused
     /// instructions and no NaN constants.
-    pub(super) fn emit(tape: &Tape) -> Emitted {
+    pub(super) fn emit(tape: &Tape, mut listing: Option<&mut String>) -> Emitted {
         let slots = tape.num_f64_regs() as u32;
         let spill_slots = slots.saturating_sub(REG_SLOTS);
         let frame = spill_slots * ENTRY as u32;
@@ -651,17 +660,21 @@ mod x86 {
             code: Vec::new(),
             guards: 0,
         };
-        let mut dump = String::new();
-        let _ = writeln!(
-            dump,
+        // the listing sink: `format_args!` formats nothing until a
+        // listing is asked for
+        let mut note = |args: std::fmt::Arguments| {
+            if let Some(l) = listing.as_deref_mut() {
+                let _ = l.write_fmt(args);
+            }
+        };
+        note(format_args!(
             "; jit module: x86-64 AVX, {LANES} rows per call, semantics=bit, {} tape \
-             instr(s), {slots} slot(s) ({spill_slots} spilled, {frame}-byte frame)",
+             instr(s), {slots} slot(s) ({spill_slots} spilled, {frame}-byte frame)\n",
             tape.instrs().len(),
-        );
-        let _ = writeln!(
-            dump,
-            "; abi: fn(lanes_in=rdi, lanes_out=rsi, pool=rdx) -> eax (bit l set = lane l bails)"
-        );
+        ));
+        note(format_args!(
+            "; abi: fn(lanes_in=rdi, lanes_out=rsi, pool=rdx) -> eax (bit l set = lane l bails)\n"
+        ));
 
         // prologue: aligned spill frame, biased pointers, clear flags
         if frame > 0 {
@@ -690,22 +703,20 @@ mod x86 {
         let promoted = |i: usize| tape.promoted.get(i).copied().unwrap_or(false);
         let mut native = 0usize;
         for (i, ins) in tape.instrs().iter().enumerate() {
-            // straight into the dump: per-instruction `format!` strings
-            // cost more than emitting the code
-            let _ = write!(dump, "  {i:4}: ");
+            note(format_args!("  {i:4}: "));
             match *ins {
                 Instr::LoadInput { dst: d, input } => {
                     let x = dst(loc(d));
                     a.vex(VMOVUPD_LOAD, x, 0, Rm::Mem(RDI, entry(input)));
                     a.guard(x, NGE_US);
                     a.write_back(loc(d), x);
-                    let _ = writeln!(dump, "r{d} = in[{input}]  ; guard-load");
+                    note(format_args!("r{d} = in[{input}]  ; guard-load\n"));
                 }
                 Instr::LoadConst { dst: d, idx } => {
                     let x = dst(loc(d));
                     a.vex(VMOVUPD_LOAD, x, 0, Rm::Mem(RDX, entry(POOL_CONSTS + idx)));
                     a.write_back(loc(d), x);
-                    let _ = writeln!(dump, "r{d} = consts[{idx}]");
+                    note(format_args!("r{d} = consts[{idx}]\n"));
                 }
                 Instr::Add { dst: d, a: p, b: q }
                 | Instr::Sub { dst: d, a: p, b: q }
@@ -725,18 +736,17 @@ mod x86 {
                         a.guard(y, NGT_US);
                     }
                     a.write_back(loc(d), y);
-                    let _ = writeln!(
-                        dump,
-                        "r{d} = r{p} {sym} r{q}  ; {}",
+                    note(format_args!(
+                        "r{d} = r{p} {sym} r{q}  ; {}\n",
                         if guard { "guard-result" } else { "promoted" }
-                    );
+                    ));
                 }
                 Instr::Neg { dst: d, a: p } => {
                     let x = a.read(loc(p));
                     let y = dst(loc(d));
                     a.vex(VXORPD, y, x, Rm::Mem(RDX, entry(POOL_SIGN)));
                     a.write_back(loc(d), y);
-                    let _ = writeln!(dump, "r{d} = -r{p}");
+                    note(format_args!("r{d} = -r{p}\n"));
                 }
                 Instr::Fma { .. } | Instr::IeeeToCs { .. } | Instr::CsToIeee { .. } => {
                     unreachable!("jit_refusal refuses fused tapes")
@@ -744,7 +754,7 @@ mod x86 {
                 Instr::Store { output, src } => {
                     let x = a.read(loc(src));
                     a.vex(VMOVUPD_STORE, x, 0, Rm::Mem(RSI, entry(output)));
-                    let _ = writeln!(dump, "out[{output}] = r{src}");
+                    note(format_args!("out[{output}] = r{src}\n"));
                 }
             }
             native += 1;
@@ -757,12 +767,11 @@ mod x86 {
         }
         a.put(&[0xC5, 0xF8, 0x77]); // vzeroupper
         a.put(&[0xC3]); // ret
-        let _ = writeln!(
-            dump,
-            "; {} guard(s), {} byte(s) of code",
+        note(format_args!(
+            "; {} guard(s), {} byte(s) of code\n",
             a.guards,
             a.code.len()
-        );
+        ));
 
         let mut pool = vec![Broadcast([0; LANES]); POOL_CONSTS as usize];
         pool[POOL_ABS as usize] = Broadcast([!(1u64 << 63); LANES]);
@@ -773,7 +782,6 @@ mod x86 {
         Emitted {
             code: a.code,
             pool,
-            dump,
             native_instrs: native,
             guards: a.guards,
         }
@@ -828,7 +836,8 @@ mod tests {
             return;
         };
         assert!(m.guard_count() > 0, "unpromoted tape must carry guards");
-        assert!(m.dump().contains("guard-load"), "{}", m.dump());
+        let listing = jit_listing(&tape).expect("a module implies a listing");
+        assert!(listing.contains("guard-load"), "{listing}");
         let rows: [&[f64]; LANES] = [
             &[1.0, 2.0, 3.0],
             &[-7.5, 0.125, 1e100],

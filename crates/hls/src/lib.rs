@@ -53,7 +53,8 @@ pub use compile::{
 };
 pub use fuse::{fuse_critical_paths, FusionConfig, FusionReport};
 pub use jit::{
-    compile_module, jit_available, jit_refusal, lint_jit, JitModule, JitRefusal, JitSemantics,
+    compile_module, jit_available, jit_listing, jit_refusal, lint_jit, JitModule, JitRefusal,
+    JitSemantics,
 };
 pub use lint::{
     capacity_list, debug_assert_tape_clean, lint_dataflow, lint_ranges, lint_schedule,

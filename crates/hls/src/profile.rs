@@ -18,9 +18,21 @@
 //! profile counts its own call and nothing that runs beside it.
 
 use csfma_core::batch::CHUNK_ROWS;
-use csfma_core::{PlaneStats, SchedStats};
+use csfma_core::{PlaneStats, SchedStats, PLANE_STAGES};
 
 pub use csfma_obs::{PipelineReport, Profiler, SpanToken, StageRecord};
+
+/// Profile counter names of the plane kernel's stage timers,
+/// `plane_<stage>_us` for each of [`PLANE_STAGES`] in order.
+pub(crate) const PLANE_STAGE_COUNTERS: [&str; PLANE_STAGES.len()] = [
+    "plane_preamble_us",
+    "plane_transpose_in_us",
+    "plane_multiplier_us",
+    "plane_alignment_us",
+    "plane_window_us",
+    "plane_normalize_us",
+    "plane_writeback_us",
+];
 
 /// What one [`Tape::eval_batch_with_stats`](crate::Tape::eval_batch_with_stats)
 /// call did, counted for that call alone.
@@ -60,6 +72,9 @@ pub struct EvalStats {
     /// Nanoseconds the plane kernel spent transposing (`0` without the
     /// `obs` feature).
     pub plane_transpose_ns: u64,
+    /// Nanoseconds the plane kernel spent per stage, indexed like
+    /// [`PLANE_STAGES`] (`0` without the `obs` feature).
+    pub plane_stage_ns: [u64; PLANE_STAGES.len()],
     /// Rows dispatched to native code ([`TapeBackend::Jit`](crate::TapeBackend::Jit) only).
     pub jit_rows: u64,
     /// JIT rows the interpreter re-ran: a guard fired, or no module
@@ -92,6 +107,9 @@ impl EvalStats {
         self.plane_exception_lanes += o.plane_exception_lanes;
         self.plane_fallback_lanes += o.plane_fallback_lanes;
         self.plane_transpose_ns += o.plane_transpose_ns;
+        for (t, o) in self.plane_stage_ns.iter_mut().zip(o.plane_stage_ns) {
+            *t += o;
+        }
         self.jit_rows += o.jit_rows;
         self.jit_bailouts += o.jit_bailouts;
     }
@@ -101,5 +119,20 @@ impl EvalStats {
         self.plane_lanes += p.lanes;
         self.plane_exception_lanes += p.exception_lanes;
         self.plane_transpose_ns += p.transpose_ns;
+        for (t, p) in self.plane_stage_ns.iter_mut().zip(p.stage_ns) {
+            *t += p;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stage_counters_follow_the_kernel_stage_names() {
+        for (name, stage) in PLANE_STAGE_COUNTERS.iter().zip(PLANE_STAGES) {
+            assert_eq!(*name, format!("plane_{stage}_us"));
+        }
     }
 }

@@ -13,13 +13,19 @@
 //! * a single NaN representation (`f64::NAN`, no payloads, no sign),
 //! * all other values (±0, ±Inf, normals) exactly as IEEE encodes them.
 //!
-//! On that domain the map `f64 ↔ SoftFloat(BINARY64)` is a bijection, so
-//! an operator may be evaluated *on the host FPU* whenever the host and
-//! the soft-float model provably agree, falling back to the soft-float
-//! operator in the narrow window where they can differ:
+//! On that domain the map `f64 ↔ SoftFloat(BINARY64)` is a bijection
+//! (`SoftFloat::from_f64` and `to_f64` unpack and pack the binary64
+//! fields directly, without an exact intermediate), so an operator may
+//! be evaluated *on the host FPU* whenever the host and the soft-float
+//! model provably agree, falling back to the soft-float operator in the
+//! narrow window where they can differ:
 //!
-//! * results that are NaN (host NaN bit patterns are platform-defined;
-//!   the model has exactly one NaN), and
+//! * results that are NaN: the host NaN bit pattern is platform-defined,
+//!   and the model has exactly one NaN. On canonical operands the host
+//!   gives a NaN exactly when the model does (a NaN operand, `inf - inf`,
+//!   `0 * inf`, `0 / 0`, `inf / inf`; no subnormal operand exists to
+//!   break that), so the guarded operators return `f64::NAN` directly:
+//!   soft float would compute that same NaN, and
 //! * results in `(0, MIN_POSITIVE]` — the flush-to-zero boundary, where
 //!   the host rounds on the subnormal grid but the model rounds on its
 //!   own finer `emin-1` grid before flushing (`x = MIN_POSITIVE` itself
@@ -31,9 +37,11 @@
 //! suites (`softfloat::tests`, `tests/exec_differential.rs`) enforce
 //! this on random and special operands.
 //!
-//! The guarded operators report each soft-float recomputation to their
-//! caller by incrementing its `fallbacks` tally, so a batch engine can
-//! attribute the slow path to the evaluation that took it.
+//! The guarded operators report each result the guard flagged (a NaN
+//! they canonicalized or a boundary result they recomputed in soft
+//! float) to their caller by incrementing its `fallbacks` tally, so a
+//! batch engine can attribute the slow path to the evaluation that took
+//! it.
 
 use crate::format::FpFormat;
 use crate::value::SoftFloat;
@@ -75,16 +83,29 @@ fn sf(v: f64) -> SoftFloat {
     SoftFloat::from_f64(F, v)
 }
 
+/// The guarded slow path of a host result `r` the trust guard flagged:
+/// a NaN is the model's one NaN as it stands, anything else is
+/// recomputed by `soft`. Either way it counts as one fallback.
+#[inline]
+fn flagged(r: f64, fallbacks: &mut u64, soft: impl FnOnce() -> SoftFloat) -> f64 {
+    *fallbacks += 1;
+    if r.is_nan() {
+        f64::NAN
+    } else {
+        soft().to_f64()
+    }
+}
+
 /// `a + b` with soft-float binary64 semantics at host speed.
 /// Operands must be canonical (see [`canonicalize`]); the result is.
-/// A result the trust guard recomputes with soft-float adds one to
-/// `*fallbacks` (likewise for the other guarded operators).
+/// A result the trust guard flags adds one to `*fallbacks` (likewise
+/// for the other guarded operators): a NaN comes back as `f64::NAN`,
+/// a result at the flush-to-zero boundary is recomputed in soft float.
 #[inline]
 pub fn hosted_add(a: f64, b: f64, fallbacks: &mut u64) -> f64 {
     let r = a + b;
     if needs_softfloat(r) {
-        *fallbacks += 1;
-        sf(a).add(&sf(b)).to_f64()
+        flagged(r, fallbacks, || sf(a).add(&sf(b)))
     } else {
         r
     }
@@ -95,8 +116,7 @@ pub fn hosted_add(a: f64, b: f64, fallbacks: &mut u64) -> f64 {
 pub fn hosted_sub(a: f64, b: f64, fallbacks: &mut u64) -> f64 {
     let r = a - b;
     if needs_softfloat(r) {
-        *fallbacks += 1;
-        sf(a).sub(&sf(b)).to_f64()
+        flagged(r, fallbacks, || sf(a).sub(&sf(b)))
     } else {
         r
     }
@@ -107,8 +127,7 @@ pub fn hosted_sub(a: f64, b: f64, fallbacks: &mut u64) -> f64 {
 pub fn hosted_mul(a: f64, b: f64, fallbacks: &mut u64) -> f64 {
     let r = a * b;
     if needs_softfloat(r) {
-        *fallbacks += 1;
-        sf(a).mul(&sf(b)).to_f64()
+        flagged(r, fallbacks, || sf(a).mul(&sf(b)))
     } else {
         r
     }
@@ -119,8 +138,7 @@ pub fn hosted_mul(a: f64, b: f64, fallbacks: &mut u64) -> f64 {
 pub fn hosted_div(a: f64, b: f64, fallbacks: &mut u64) -> f64 {
     let r = a / b;
     if needs_softfloat(r) {
-        *fallbacks += 1;
-        sf(a).div(&sf(b)).to_f64()
+        flagged(r, fallbacks, || sf(a).div(&sf(b)))
     } else {
         r
     }

@@ -112,6 +112,8 @@ impl SoftFloat {
 
     /// Convert a host `f64` into this format (round to nearest even).
     /// Subnormal `f64` inputs flush to zero; NaN/Inf map to their classes.
+    /// Into [`FpFormat::BINARY64`] a normal is its own sign, unbiased
+    /// exponent and fraction fields, unpacked directly.
     pub fn from_f64(format: FpFormat, v: f64) -> Self {
         if v.is_nan() {
             return SoftFloat::nan(format);
@@ -122,12 +124,24 @@ impl SoftFloat {
         if v == 0.0 || v.is_subnormal() {
             return SoftFloat::zero(format, v.is_sign_negative());
         }
+        if format == FpFormat::BINARY64 {
+            let bits = v.to_bits();
+            return SoftFloat {
+                format,
+                class: FpClass::Normal,
+                sign: bits >> 63 != 0,
+                exp: ((bits >> 52) & 0x7ff) as i32 - 1023,
+                frac: bits & ((1u64 << 52) - 1),
+            };
+        }
         let e = ExactFloat::from_f64(v);
         SoftFloat::from_rounded(format, e.round(format, Round::NearestEven))
     }
 
     /// Convert to a host `f64` (round to nearest even; exact whenever the
-    /// format fits inside binary64).
+    /// format fits inside binary64). A normal of a format that fits
+    /// (`frac_bits <= 52`, `emin >= -1022`, `emax <= 1023`) packs
+    /// directly into the binary64 fields.
     pub fn to_f64(&self) -> f64 {
         match self.class {
             FpClass::Nan => f64::NAN,
@@ -145,7 +159,16 @@ impl SoftFloat {
                     0.0
                 }
             }
-            FpClass::Normal => self.to_exact().to_f64_lossy(),
+            FpClass::Normal => {
+                let f = self.format;
+                if f.frac_bits <= 52 && f.emin() >= -1022 && f.emax() <= 1023 {
+                    let biased = (self.exp + 1023) as u64;
+                    let frac = self.frac << (52 - f.frac_bits);
+                    f64::from_bits((self.sign as u64) << 63 | biased << 52 | frac)
+                } else {
+                    self.to_exact().to_f64_lossy()
+                }
+            }
         }
     }
 

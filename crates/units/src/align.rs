@@ -130,7 +130,7 @@ mod tests {
     /// extension, same frame truncation, for any per-lane signed shift.
     #[test]
     fn plane_alignment_matches_align_addend_per_lane() {
-        use csfma_carrysave::plane::{align_lanes_to_planes, planes_to_lanes, PLANE_LANES};
+        use csfma_carrysave::plane::{align_lanes_to_planes, planes_to_lane_limbs, PLANE_LANES};
 
         let mut state = 0x51ab_17e5u64;
         let mut next = move || {
@@ -166,7 +166,8 @@ mod tests {
                 &mut scratch,
                 &mut planes,
             );
-            planes_to_lanes(&planes, w, PLANE_LANES, &mut got);
+            planes_to_lane_limbs(&planes, w, &mut got);
+            let wg = w.div_ceil(64);
             for l in 0..PLANE_LANES {
                 let want = if active & (1 << l) == 0 {
                     Bits::zero(w)
@@ -177,7 +178,8 @@ mod tests {
                     align_addend(&cs, w, shifts[l]).value.into_words().0
                 };
                 assert_eq!(
-                    got[l], want,
+                    &got[l * wg..(l + 1) * wg],
+                    want.limbs(),
                     "src_w {src_w} w {w} lane {l} shift {}",
                     shifts[l]
                 );

@@ -473,7 +473,7 @@ fn main() -> ExitCode {
                     m.guard_count(),
                     m.code_len(),
                 );
-                print!("{}", m.dump());
+                print!("{}", csfma_hls::jit_listing(&tape).unwrap_or_default());
             }
             None if !csfma_hls::jit_available() => {
                 println!(

@@ -331,3 +331,59 @@ fn one_flagged_lane_per_chunk_takes_the_softfloat_path() {
         }
     }
 }
+
+/// The guarded host operators on every ordered pair of a special set
+/// (signed zeros and infinities, NaN, the normal-range edges, and
+/// operands whose products or quotients underflow): every result must
+/// carry the soft-float operator's bits, and the fallback tally must
+/// count each result the trust guard flags, NaN results included — the
+/// per-operator totals are those of the implementation that recomputed
+/// every flagged result in soft float.
+#[test]
+fn hosted_ops_match_softfloat_on_special_pairs() {
+    use csfma::prelude::{FpFormat, SoftFloat};
+    use csfma::softfloat::batch::{hosted_add, hosted_div, hosted_mul, hosted_sub};
+    const SPECIALS: [f64; 21] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::MAX,
+        -f64::MAX,
+        1.0,
+        -1.0,
+        1.0e-200,
+        -1.0e-200,
+        1.0e200,
+        -1.0e200,
+        1.5e-154,
+        -1.5e-154,
+        0.75,
+        -3.0,
+        f64::MIN_POSITIVE * 1.5,
+        2.0e-308 * 4.0,
+    ];
+    type Hosted = fn(f64, f64, &mut u64) -> f64;
+    type Soft = fn(&SoftFloat, &SoftFloat) -> SoftFloat;
+    let ops: [(&str, Hosted, Soft); 4] = [
+        ("add", hosted_add, SoftFloat::add),
+        ("sub", hosted_sub, SoftFloat::sub),
+        ("mul", hosted_mul, SoftFloat::mul),
+        ("div", hosted_div, SoftFloat::div),
+    ];
+    let sf = |v: f64| SoftFloat::from_f64(FpFormat::BINARY64, v);
+    let mut fallbacks = [0u64; 4];
+    for ((name, hosted, soft), fb) in ops.iter().zip(&mut fallbacks) {
+        for &a in &SPECIALS {
+            for &b in &SPECIALS {
+                let got = hosted(a, b, fb);
+                let want = soft(&sf(a), &sf(b)).to_f64();
+                assert_eq!(got.to_bits(), want.to_bits(), "{name}({a:e}, {b:e})");
+            }
+        }
+    }
+    assert_eq!(fallbacks, [53, 53, 61, 64], "fallbacks per add/sub/mul/div");
+}
