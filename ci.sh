@@ -7,6 +7,9 @@ set -eu
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace
+# the same suite in the optimized build the benchmark measures: a result
+# that holds only in debug (timing, or float codegen) fails here
+cargo test --workspace --release -q
 # the benchmark package (perfbench/, its own workspace) must keep
 # building against the library APIs it imports
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
@@ -28,7 +31,7 @@ cargo test -q -p csfma-obs --no-default-features
 RUST_TEST_THREADS=8 cargo test -q --test observability
 
 # batch execution engine smoke: compile every example datapath and run a
-# tiny batch through the bit, f64 and jit backends (exit 1 on checker
+# tiny batch through the bit and jit backends (exit 1 on checker
 # errors or panics); the profiled run must produce the same digest as
 # the plain one (the observability determinism contract, DESIGN.md
 # §11). Every example must also pass the full static gauntlet — T* tape
@@ -42,7 +45,6 @@ for f in examples/datapaths/*.csfma; do
     d1=$(printf '%s\n' "$plain" | sed -n 's/.*digest //p')
     d2=$(printf '%s\n' "$prof" | sed -n 's/.*digest //p')
     [ -n "$d1" ] && [ "$d1" = "$d2" ] || { echo "ci: --profile changed digest on $f ($d1 vs $d2)" >&2; exit 1; }
-    cargo run -q --bin csfma-run -- --backend f64 --batch 16 "$f" > /dev/null
     # the JIT through the CLI: the fused runs above are refused by the
     # emitter, so run each example unfused, where the native code
     # executes; its digest must equal the bit backend's (DESIGN.md §16)

@@ -1,5 +1,6 @@
-//! Criterion benchmarks of the batch execution engine: scalar oracle vs
-//! compiled tape, both backends, plus compile and cache-hit cost.
+//! Criterion benchmarks of the batch execution engine: the scalar
+//! interpreters vs the compiled tape on the bit backend, plus compile and
+//! cache-hit cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use csfma_bench::throughput::bench_graphs;
@@ -39,9 +40,6 @@ fn bench_eval(c: &mut Criterion) {
         });
         grp.bench_function("tape_bit_batch", |b| {
             b.iter(|| black_box(tape.eval_batch(TapeBackend::BitAccurate, black_box(&stim), 1)))
-        });
-        grp.bench_function("tape_f64_batch", |b| {
-            b.iter(|| black_box(tape.eval_batch(TapeBackend::F64, black_box(&stim), 1)))
         });
         grp.finish();
     }

@@ -3,7 +3,7 @@
 //!
 //! For each benchmark datapath the experiment measures
 //!
-//! * the **scalar oracle** (`eval_f64` / `eval_bit_accurate`) walking the
+//! * the **scalar oracle** (`eval_bit_accurate`) walking the
 //!   graph per input vector with `HashMap` plumbing — the semantics
 //!   definition, and the baseline every speedup is quoted against;
 //! * the **compiled tape** ([`mod@csfma_hls::compile`]) at 1, 2 and 8 worker
@@ -20,9 +20,8 @@
 
 use csfma_hls::{
     compile_cached, compile_with, eval_many_profiled, fuse_critical_paths,
-    interp::{eval_bit_accurate, eval_f64},
-    parse_program, tape_cache_stats, Cdfg, CompileOptions, EvalManyRequest, FmaKind, FusionConfig,
-    Profiler, Tape, TapeBackend,
+    interp::eval_bit_accurate, parse_program, tape_cache_stats, Cdfg, CompileOptions,
+    EvalManyRequest, FmaKind, FusionConfig, Profiler, Tape, TapeBackend,
 };
 use csfma_obs::time_us;
 use csfma_solvers::{generate_ldlsolve, solver_suite, KktSystem, LdlFactors};
@@ -36,7 +35,7 @@ pub struct ThroughputRow {
     pub graph: String,
     /// Node count of the compiled graph.
     pub nodes: usize,
-    /// `"bit"` (soft-float + behavioral FMA) or `"f64"`.
+    /// `"bit"` (soft-float + behavioral FMA) or `"jit"` (native code).
     pub backend: &'static str,
     /// Batch size the tape evaluated.
     pub rows: usize,
@@ -100,21 +99,6 @@ pub fn bench_graphs() -> Vec<(String, Cdfg)> {
     ]
 }
 
-fn scalar_eval(
-    g: &Cdfg,
-    backend: TapeBackend,
-    inputs: &HashMap<String, f64>,
-) -> HashMap<String, f64> {
-    match backend {
-        TapeBackend::F64 => eval_f64(g, inputs),
-        // the oracle and jit backends are bit-identical to bit-accurate
-        // by construction, so the same reference applies
-        TapeBackend::BitAccurate | TapeBackend::Oracle | TapeBackend::Jit => {
-            eval_bit_accurate(g, inputs)
-        }
-    }
-}
-
 /// Run the experiment: `rows` input vectors per datapath, oracle audited
 /// on at most `scalar_cap` of them, stimulus from `seed`.
 pub fn throughput(rows: usize, scalar_cap: usize, seed: u64) -> Vec<ThroughputRow> {
@@ -144,7 +128,7 @@ pub fn throughput(rows: usize, scalar_cap: usize, seed: u64) -> Vec<ThroughputRo
         // describe the same workload; the jit backend only applies to
         // IEEE-node graphs (fused tapes refuse a module and would just
         // re-measure the interpreter under a different label)
-        let mut backends = vec![TapeBackend::BitAccurate, TapeBackend::F64];
+        let mut backends = vec![TapeBackend::BitAccurate];
         if tape.jit_module().is_some() {
             backends.push(TapeBackend::Jit);
         }
@@ -181,7 +165,9 @@ fn measure(
     let ni = tape.num_inputs();
     let audit_rows = rows.min(scalar_cap).max(1);
 
-    // scalar oracle over the audited subset, best of REPS
+    // scalar oracle over the audited subset, best of REPS; every backend
+    // is bit-identical to bit-accurate by construction, so one reference
+    // applies
     let mut oracle_out: Vec<HashMap<String, f64>> = Vec::new();
     let mut scalar_total_us = f64::INFINITY;
     for rep in 0..REPS {
@@ -194,7 +180,7 @@ fn measure(
                     .enumerate()
                     .map(|(k, n)| (n.clone(), stim[r * ni + k]))
                     .collect();
-                out.push(scalar_eval(g, backend, &m));
+                out.push(eval_bit_accurate(g, &m));
             }
             out
         });
@@ -249,7 +235,6 @@ fn measure(
         graph: name.to_string(),
         nodes: g.len(),
         backend: match backend {
-            TapeBackend::F64 => "f64",
             TapeBackend::BitAccurate => "bit",
             TapeBackend::Oracle => "oracle",
             TapeBackend::Jit => "jit",
@@ -276,7 +261,7 @@ fn measure(
 
 /// Measurement of the multi-graph [`csfma_hls::eval_many`] scenario: every
 /// benchmark datapath as one request (fused graphs on the bit-accurate
-/// backend, the rest on f64) behind a single 8-thread stealing deque,
+/// backend, the rest on the JIT) behind a single 8-thread stealing deque,
 /// against the sequential baseline of per-request `eval_batch` calls.
 #[derive(Clone, Debug)]
 pub struct EvalManyScenario {
@@ -301,7 +286,7 @@ pub struct EvalManyScenario {
 }
 
 /// Run the [`csfma_hls::eval_many`] scenario: `rows` rows for the heavy fused
-/// requests and `rows / 4` for the f64 ones (deliberate skew, so the
+/// requests and `rows / 4` for the JIT ones (deliberate skew, so the
 /// deque has something to rebalance), stimulus from `seed`.
 pub fn eval_many_scenario(rows: usize, seed: u64) -> EvalManyScenario {
     let graphs = bench_graphs();
@@ -311,7 +296,7 @@ pub fn eval_many_scenario(rows: usize, seed: u64) -> EvalManyScenario {
             if name.contains("pcs") || name.contains("fcs") {
                 TapeBackend::BitAccurate
             } else {
-                TapeBackend::F64
+                TapeBackend::Jit
             }
         })
         .collect();

@@ -19,10 +19,9 @@
 //!   encoding ([`compile_cached`]), so repeated evaluation requests for
 //!   the same datapath skip recompilation entirely.
 //!
-//! Four backends execute the tape ([`TapeBackend`]):
+//! Three backends execute the tape ([`TapeBackend`]), all with the same
+//! bit semantics and one canonical NaN:
 //!
-//! * [`TapeBackend::F64`] reproduces [`eval_f64`](crate::interp::eval_f64)
-//!   bit for bit (host doubles, fused nodes as `mul_add`);
 //! * [`TapeBackend::BitAccurate`] reproduces
 //!   [`eval_bit_accurate`](crate::interp::eval_bit_accurate) bit for bit.
 //!   IEEE nodes run on the **host FPU** through the guarded fast path of
@@ -123,12 +122,9 @@ impl Default for CompileOptions {
     }
 }
 
-/// Which evaluator semantics the tape executes with.
+/// Which engine executes the tape. All three compute the same bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TapeBackend {
-    /// Host-double semantics — bit-identical to
-    /// [`eval_f64`](crate::interp::eval_f64).
-    F64,
     /// Soft-float + behavioral carry-save units — bit-identical to
     /// [`eval_bit_accurate`](crate::interp::eval_bit_accurate).
     BitAccurate,
@@ -298,9 +294,6 @@ pub struct Tape {
 pub(crate) struct ChunkScratch {
     pub(crate) f: Vec<f64>,
     pub(crate) cs: Vec<CsOperand>,
-    // the f64 backend models CS-domain values as plain doubles
-    // (conversions are wiring there), so it shadows the CS bank here
-    pub(crate) cs_f: Vec<f64>,
     pub(crate) pcs: CsFmaUnit,
     pub(crate) fcs: CsFmaUnit,
     pub(crate) fma: FmaScratch,
@@ -429,14 +422,14 @@ impl Drop for PooledChunkScratch {
 }
 
 /// The seam through which the robust executor ([`crate::robust`])
-/// drives the f64 and bit chunk interpreters: checked-unit dispatch and
+/// drives the bit chunk interpreter: checked-unit dispatch and
 /// register-plane fault taps. Every other caller passes [`NoHook`],
 /// whose `CHECKED = false` removes each hook branch at compile time, so
 /// the fast paths' machine code does not change.
 pub(crate) trait ChunkHook {
     /// Checked evaluation: every FMA lane runs [`ChunkHook::fma`] (never
     /// the plane kernel), IEEE instructions take the guarded hosted path
-    /// even when promoted, and the `after_*` taps run after every
+    /// even when promoted, and [`ChunkHook::after_bit`] runs after every
     /// instruction.
     const CHECKED: bool;
 
@@ -454,10 +447,6 @@ pub(crate) trait ChunkHook {
     /// Instruction `i` of the bit interpreter has written its
     /// destination plane (`f` and `cs` are the whole register banks).
     fn after_bit(&mut self, _i: usize, _f: &mut [f64], _cs: &mut [CsOperand]) {}
-
-    /// Instruction `i` of the f64 interpreter has written its
-    /// destination plane (the CS bank is doubles there).
-    fn after_f64(&mut self, _i: usize, _f: &mut [f64], _cs_f: &mut [f64]) {}
 }
 
 /// The fast paths' [`ChunkHook`]: zero-sized and never consulted.
@@ -1090,7 +1079,6 @@ impl Tape {
         let mut s = recycled.unwrap_or_else(|| ChunkScratch {
             f: Vec::new(),
             cs: Vec::new(),
-            cs_f: Vec::new(),
             pcs: CsFmaUnit::new(self.pcs_format),
             fcs: CsFmaUnit::new(self.fcs_format),
             fma: FmaScratch::default(),
@@ -1103,7 +1091,6 @@ impl Tape {
             bail_out: Vec::new(),
         });
         s.f.resize(self.n_f64_regs * CHUNK_ROWS, 0.0);
-        s.cs_f.resize(self.n_cs_regs * CHUNK_ROWS, 0.0);
         s.cs.resize(
             self.n_cs_regs * CHUNK_ROWS,
             CsOperand::zero(self.pcs_format, false),
@@ -1192,10 +1179,6 @@ impl Tape {
         scratch: &mut ChunkScratch,
     ) -> EvalStats {
         match backend {
-            TapeBackend::F64 => {
-                self.eval_chunk_f64(rows, base, len, chunk, scratch, &mut NoHook);
-                EvalStats::default()
-            }
             TapeBackend::BitAccurate => {
                 self.eval_chunk_bit(rows, base, len, chunk, scratch, &mut NoHook)
             }
@@ -1355,105 +1338,6 @@ impl Tape {
             prof.set_counter("jit_compile_us", jit_compile_us);
         }
         out
-    }
-
-    /// Column-wise chunk evaluation, host-double semantics — the one
-    /// interpreter of [`TapeBackend::F64`]. One pass over the instruction
-    /// stream; each instruction runs a branch-free loop over the chunk's
-    /// `len` lanes of its operand planes, so the per-instruction dispatch
-    /// cost is paid once per chunk instead of once per row. Lanes are
-    /// independent: lane `k` computes row `base + k` in program order, so
-    /// any chunking (including [`Tape::eval_row`]'s one-row chunk) gives
-    /// the same bits. `hook` taps each instruction's result in checked
-    /// mode (see [`ChunkHook`]).
-    pub(crate) fn eval_chunk_f64<H: ChunkHook>(
-        &self,
-        rows: &[f64],
-        base: usize,
-        len: usize,
-        out: &mut [f64],
-        s: &mut ChunkScratch,
-        hook: &mut H,
-    ) {
-        let ni = self.inputs.len();
-        let no = self.outputs.len();
-        const W: usize = CHUNK_ROWS;
-        let p = |r: u32| r as usize * W;
-        for (i, ins) in self.instrs.iter().enumerate() {
-            match *ins {
-                Instr::LoadInput { dst, input } => {
-                    let d = p(dst);
-                    for k in 0..len {
-                        s.f[d + k] = rows[(base + k) * ni + input as usize];
-                    }
-                }
-                Instr::LoadConst { dst, idx } => {
-                    let v = self.consts[idx as usize];
-                    s.f[p(dst)..p(dst) + len].fill(v);
-                }
-                Instr::Add { dst, a, b } => {
-                    let (d, x, y) = (p(dst), p(a), p(b));
-                    for k in 0..len {
-                        s.f[d + k] = s.f[x + k] + s.f[y + k];
-                    }
-                }
-                Instr::Sub { dst, a, b } => {
-                    let (d, x, y) = (p(dst), p(a), p(b));
-                    for k in 0..len {
-                        s.f[d + k] = s.f[x + k] - s.f[y + k];
-                    }
-                }
-                Instr::Mul { dst, a, b } => {
-                    let (d, x, y) = (p(dst), p(a), p(b));
-                    for k in 0..len {
-                        s.f[d + k] = s.f[x + k] * s.f[y + k];
-                    }
-                }
-                Instr::Div { dst, a, b } => {
-                    let (d, x, y) = (p(dst), p(a), p(b));
-                    for k in 0..len {
-                        s.f[d + k] = s.f[x + k] / s.f[y + k];
-                    }
-                }
-                Instr::Neg { dst, a } => {
-                    let (d, x) = (p(dst), p(a));
-                    for k in 0..len {
-                        s.f[d + k] = -s.f[x + k];
-                    }
-                }
-                Instr::Fma {
-                    negate_b,
-                    dst,
-                    acc,
-                    b,
-                    mulc,
-                    ..
-                } => {
-                    let (d, pa, pb, pm) = (p(dst), p(acc), p(b), p(mulc));
-                    for k in 0..len {
-                        let bv = if negate_b { -s.f[pb + k] } else { s.f[pb + k] };
-                        s.cs_f[d + k] = bv.mul_add(s.cs_f[pm + k], s.cs_f[pa + k]);
-                    }
-                }
-                Instr::IeeeToCs { dst, src, .. } => {
-                    let (d, x) = (p(dst), p(src));
-                    s.cs_f[d..d + len].copy_from_slice(&s.f[x..x + len]);
-                }
-                Instr::CsToIeee { dst, src } => {
-                    let (d, x) = (p(dst), p(src));
-                    s.f[d..d + len].copy_from_slice(&s.cs_f[x..x + len]);
-                }
-                Instr::Store { output, src } => {
-                    let x = p(src);
-                    for k in 0..len {
-                        out[k * no + output as usize] = s.f[x + k];
-                    }
-                }
-            }
-            if H::CHECKED {
-                hook.after_f64(i, &mut s.f, &mut s.cs_f);
-            }
-        }
     }
 
     /// Column-wise chunk evaluation, bit-accurate semantics — the one
@@ -2034,7 +1918,7 @@ mod tests {
     use super::*;
     use crate::cdfg::NodeId;
     use crate::fuse::{fuse_critical_paths, FusionConfig};
-    use crate::interp::{eval_bit_accurate, eval_f64};
+    use crate::interp::eval_bit_accurate;
 
     /// Listing 1 of the paper: a three-link multiply-add chain.
     fn listing1() -> Cdfg {
@@ -2087,30 +1971,24 @@ mod tests {
     }
 
     #[test]
-    fn tape_matches_both_oracles_on_listing1() {
+    fn tape_matches_the_oracle_on_listing1() {
         let g = listing1();
         let tape = compile(&g).unwrap();
         let (row, vals) = listing1_row(&tape);
-        let got_f = run_one(&tape, TapeBackend::F64, &row);
-        let got_b = run_one(&tape, TapeBackend::BitAccurate, &row);
-        let want_f = eval_f64(&g, &vals);
-        let want_b = eval_bit_accurate(&g, &vals);
-        assert_eq!(got_f[0].to_bits(), want_f["x3"].to_bits());
-        assert_eq!(got_b[0].to_bits(), want_b["x3"].to_bits());
+        let got = run_one(&tape, TapeBackend::BitAccurate, &row);
+        let want = eval_bit_accurate(&g, &vals);
+        assert_eq!(got[0].to_bits(), want["x3"].to_bits());
     }
 
     #[test]
-    fn tape_matches_both_oracles_on_fused_graph() {
+    fn tape_matches_the_oracle_on_fused_graph() {
         for kind in [FmaKind::Pcs, FmaKind::Fcs] {
             let g = fuse_critical_paths(&listing1(), &FusionConfig::new(kind)).fused;
             let tape = compile(&g).unwrap();
             let (row, vals) = listing1_row(&tape);
-            let got_f = run_one(&tape, TapeBackend::F64, &row);
-            let got_b = run_one(&tape, TapeBackend::BitAccurate, &row);
-            let want_f = eval_f64(&g, &vals);
-            let want_b = eval_bit_accurate(&g, &vals);
-            assert_eq!(got_f[0].to_bits(), want_f["x3"].to_bits(), "{kind:?} f64");
-            assert_eq!(got_b[0].to_bits(), want_b["x3"].to_bits(), "{kind:?} bit");
+            let got = run_one(&tape, TapeBackend::BitAccurate, &row);
+            let want = eval_bit_accurate(&g, &vals);
+            assert_eq!(got[0].to_bits(), want["x3"].to_bits(), "{kind:?}");
         }
     }
 
@@ -2145,24 +2023,23 @@ mod tests {
         let rows: Vec<f64> = (0..n * ni)
             .map(|i| ((i * 2654435761) % 1000) as f64 * 0.17 - 85.0)
             .collect();
-        for backend in [TapeBackend::F64, TapeBackend::BitAccurate] {
-            let seq: Vec<f64> = {
-                let mut out = vec![0.0; n * tape.num_outputs()];
-                for r in 0..n {
-                    let (lo, hi) = (r * ni, (r + 1) * ni);
-                    tape.eval_row(backend, &rows[lo..hi], &mut out[r..r + 1]);
-                }
-                out
-            };
-            for threads in [1usize, 2, 8] {
-                let got = tape.eval_batch(backend, &rows, threads);
-                assert!(
-                    got.iter()
-                        .zip(seq.iter())
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{backend:?} diverged at {threads} threads"
-                );
+        let backend = TapeBackend::BitAccurate;
+        let seq: Vec<f64> = {
+            let mut out = vec![0.0; n * tape.num_outputs()];
+            for r in 0..n {
+                let (lo, hi) = (r * ni, (r + 1) * ni);
+                tape.eval_row(backend, &rows[lo..hi], &mut out[r..r + 1]);
             }
+            out
+        };
+        for threads in [1usize, 2, 8] {
+            let got = tape.eval_batch(backend, &rows, threads);
+            assert!(
+                got.iter()
+                    .zip(seq.iter())
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "diverged at {threads} threads"
+            );
         }
     }
 
@@ -2285,16 +2162,14 @@ mod tests {
         let rows: Vec<f64> = (0..n * ni)
             .map(|i| ((i * 48271) % 2000) as f64 * 0.37 - 370.0)
             .collect();
-        for backend in [TapeBackend::F64, TapeBackend::BitAccurate] {
-            let a = opt.eval_batch(backend, &rows, 2);
-            let b = plain.eval_batch(backend, &rows, 2);
-            assert!(
-                a.iter()
-                    .zip(b.iter())
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "{backend:?}: optimized tape diverged"
-            );
-        }
+        let a = opt.eval_batch(TapeBackend::BitAccurate, &rows, 2);
+        let b = plain.eval_batch(TapeBackend::BitAccurate, &rows, 2);
+        assert!(
+            a.iter()
+                .zip(b.iter())
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "optimized tape diverged"
+        );
     }
 
     #[test]

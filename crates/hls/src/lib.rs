@@ -18,7 +18,7 @@
 //!   semantics,
 //! * [`compile`](mod@compile) — the batch execution engine: a one-time lowering of a
 //!   validated graph to a flat register-slot instruction [`Tape`]
-//!   (cached by graph identity) with `f64`, bit-accurate, oracle and JIT
+//!   (cached by graph identity) with bit-accurate, oracle and JIT
 //!   backends and deterministic parallel [`Tape::eval_batch`],
 //! * [`sched`] — ASAP / resource-constrained list scheduling with the
 //!   200 MHz operator latency table,

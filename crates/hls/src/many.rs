@@ -228,7 +228,7 @@ mod tests {
         let rows2 = stimulus(2 * 130, 2);
         let rows3 = stimulus(4 * 65, 3);
         let reqs = [
-            EvalManyRequest::new(&g1, TapeBackend::F64, &rows1),
+            EvalManyRequest::new(&g1, TapeBackend::BitAccurate, &rows1),
             EvalManyRequest::new(&g2, TapeBackend::BitAccurate, &rows2),
             EvalManyRequest::new(&fused, TapeBackend::BitAccurate, &rows3),
         ];
@@ -260,8 +260,8 @@ mod tests {
         let rows = stimulus(2 * 10, 7);
         let bad_rows = stimulus(10, 8);
         let reqs = [
-            EvalManyRequest::new(&good, TapeBackend::F64, &rows),
-            EvalManyRequest::new(&bad, TapeBackend::F64, &bad_rows),
+            EvalManyRequest::new(&good, TapeBackend::BitAccurate, &rows),
+            EvalManyRequest::new(&bad, TapeBackend::BitAccurate, &bad_rows),
             EvalManyRequest::new(&good, TapeBackend::BitAccurate, &rows),
         ];
         let results = eval_many(&reqs, 4);
@@ -269,7 +269,7 @@ mod tests {
         assert!(results[1].is_err(), "gate failure must surface per-request");
         assert!(results[2].is_ok());
         let tape = results[0].as_ref().unwrap().tape.clone();
-        let want = tape.eval_batch(TapeBackend::F64, &rows, 1);
+        let want = tape.eval_batch(TapeBackend::BitAccurate, &rows, 1);
         assert_eq!(results[0].as_ref().unwrap().outputs, want);
     }
 

@@ -7,22 +7,24 @@
 //! from a graph the checker accepted, and the optimizer re-validates its
 //! own result — optimized tapes stay checker-clean by construction.
 //!
-//! Every rewrite must preserve **both** tape backends bit-for-bit
-//! simultaneously (`TapeBackend::F64` evaluates host doubles on the raw
-//! constant pool; `TapeBackend::BitAccurate` evaluates the guarded
-//! soft-float fast path on canonicalized values):
+//! Every rewrite must preserve the tape's bit semantics bit for bit.
+//! All three tape backends share them: loads are canonicalized (flush to
+//! zero), IEEE operators round as soft float does, fused nodes run the
+//! behavioral carry-save units, and every NaN is the one canonical NaN.
 //!
 //! * **Constant folding** only fires when the operand bit patterns are
-//!   canonical FTZ doubles (so both backends agree on the *inputs*) and
-//!   the host result is bit-identical to the hosted soft-float result
-//!   (so both backends agree on the *output*). NaN-producing folds
-//!   (`0 * inf`, `0/0`) and flush-to-zero boundary results fail that
-//!   comparison and stay in the tape. Algebraic identities (`x * 1.0`)
-//!   are never applied — they can change NaN payloads on the f64 backend.
+//!   canonical FTZ doubles (the values the backends load, so the fold
+//!   reads the same *inputs*) and the host result is bit-identical to the
+//!   hosted soft-float result (so the folded constant is the *output* the
+//!   backends compute). NaN-producing folds (`0 * inf`, `0/0`) and
+//!   flush-to-zero boundary results fail that comparison and stay in the
+//!   tape. Algebraic identities (`x * 1.0`, `x + 0.0`) are never applied:
+//!   they are not bitwise identities — `-0 + 0` is `+0`, for one.
 //! * **CSE** merges nodes whose canonical encodings (operation tag,
 //!   constant bits, input name, FMA kind/negation, remapped argument
-//!   ids) are byte-equal. Argument order is *not* commuted: `a + b` and
-//!   `b + a` differ bitwise when both operands are NaN payloads.
+//!   ids) are byte-equal. Argument order is *not* commuted. With one
+//!   canonical NaN, `a + b` and `b + a` give the same bits, so commuting
+//!   would be safe; it is not done.
 //! * **Dead-node elimination** drops nodes no output depends on but
 //!   keeps every `Input` node, so the positional input layout of the
 //!   optimized tape is byte-compatible with the unoptimized one.
@@ -129,8 +131,8 @@ pub(crate) fn optimize_graph(g: &Cdfg) -> (Cdfg, OptStats, Vec<u32>) {
     (cur, stats, origin)
 }
 
-/// True when `v`'s bit pattern is a canonical FTZ double — the domain on
-/// which the f64 and bit-accurate backends see the same value.
+/// True when `v`'s bit pattern is a canonical FTZ double — a constant the
+/// tape loads unchanged.
 fn is_canonical(v: f64) -> bool {
     v.to_bits() == sfb::canonicalize(v).to_bits()
 }
@@ -143,8 +145,8 @@ fn const_of(g: &Cdfg, id: NodeId) -> Option<f64> {
 }
 
 /// Try to fold an all-constant node. Returns the folded value only when
-/// replacing the computation with a `Const` preserves both backends
-/// bit-for-bit (see module docs for the argument).
+/// replacing the computation with a `Const` preserves the bit semantics
+/// bit for bit (see module docs for the argument).
 fn try_fold(out: &Cdfg, op: &Op, args: &[NodeId]) -> Option<f64> {
     let (plain, hosted) = match op {
         Op::Add | Op::Sub | Op::Mul | Op::Div => {
@@ -425,7 +427,7 @@ mod tests {
     #[test]
     fn never_folds_nan_producing_constants() {
         // 0 * inf: the host produces some NaN, the model the canonical
-        // one — folding would pin one backend's pattern into the other
+        // one — folding would pin the host's pattern into the tape
         let mut g = Cdfg::new();
         let z = g.constant(0.0);
         let i = g.constant(f64::INFINITY);
@@ -446,8 +448,8 @@ mod tests {
 
     #[test]
     fn never_folds_non_canonical_operands() {
-        // subnormal constant: the two backends disagree on the input
-        // value itself (FTZ), so folding must not touch it
+        // subnormal constant: the tape loads it flushed to zero (FTZ),
+        // so a host fold would read another value and must not happen
         let mut g = Cdfg::new();
         let s = g.constant(f64::MIN_POSITIVE / 2.0);
         let c = g.constant(1.0);

@@ -16,8 +16,8 @@
 //!    claimed, so the retry runs clean). On full bit-accurate chunks the
 //!    plane kernel then runs as a shadow differential (DESIGN.md §10.5).
 //! 2. **row** — the flagged row alone, a one-row chunk through the same
-//!    checked interpreter (`Recovered { backend: "row-bit" | "row-f64" |
-//!    "row-oracle" }`).
+//!    checked interpreter (`Recovered { backend: "row-bit" | "row-oracle"
+//!    | "row-jit" }`).
 //!    Transient faults cannot strike twice; only sticky faults re-arm.
 //! 3. **oracle** — the [`TapeBackend::Oracle`] chunk interpreter on the
 //!    one row: the pure soft-float operator stack plus the allocating
@@ -87,7 +87,7 @@ pub enum RowOutcome {
     /// fault-free evaluation.
     Recovered {
         /// Ladder rung that produced the value: `"row-bit"`,
-        /// `"row-f64"`, `"row-oracle"` or `"oracle"`.
+        /// `"row-oracle"`, `"row-jit"` or `"oracle"`.
         backend: &'static str,
     },
     /// Every rung failed; the row's outputs are NaN and the diagnostic
@@ -296,7 +296,6 @@ impl Tape {
             }
             let result = catch_unwind(AssertUnwindSafe(|| {
                 self.checked_chunk(
-                    backend,
                     rows,
                     base,
                     chunk_out,
@@ -421,7 +420,6 @@ impl Tape {
         // rung 2: the row alone, same backend. Only sticky faults re-arm
         // at this stage, so a transiently-hit row recovers here.
         let label = match backend {
-            TapeBackend::F64 => "row-f64",
             TapeBackend::BitAccurate => "row-bit",
             TapeBackend::Oracle => "row-oracle",
             TapeBackend::Jit => "row-jit",
@@ -429,7 +427,6 @@ impl Tape {
         let mut retry_findings = Vec::new();
         let retried = catch_unwind(AssertUnwindSafe(|| {
             self.checked_chunk(
-                backend,
                 rows,
                 row_idx,
                 out,
@@ -491,8 +488,10 @@ impl Tape {
     }
 
     /// Rungs 1 and 2: the rows from `base` that `out` and `findings`
-    /// cover, through the chunk interpreter with the [`Checked`] hook,
-    /// every row's faults armed for `stage`. Fault claims match a
+    /// cover, through the bit chunk interpreter with the [`Checked`]
+    /// hook, every row's faults armed for `stage`. A JIT or oracle row
+    /// runs it too: same bits by the bailout contract, and the tamper
+    /// points stay armed for the differential. Fault claims match a
     /// row-by-row evaluation exactly: every spec targets one row and each
     /// lane runs the tape in program order, so only an injected panic
     /// needs care — the rows before the first row that wants one run (as
@@ -502,7 +501,6 @@ impl Tape {
     #[allow(clippy::too_many_arguments)]
     fn checked_chunk(
         &self,
-        backend: TapeBackend,
         rows: &[f64],
         base: usize,
         out: &mut [f64],
@@ -537,15 +535,7 @@ impl Tape {
             findings,
         };
         if run > 0 {
-            match backend {
-                TapeBackend::F64 => self.eval_chunk_f64(rows, base, run, out, s, &mut hook),
-                // a JIT or oracle row reaching rungs 1-2 runs the checked
-                // bit interpreter: same bits by the bailout contract, and
-                // the tamper points stay armed for the differential
-                TapeBackend::BitAccurate | TapeBackend::Oracle | TapeBackend::Jit => {
-                    self.eval_chunk_bit(rows, base, run, out, s, &mut hook);
-                }
-            }
+            self.eval_chunk_bit(rows, base, run, out, s, &mut hook);
         }
         if let Some(row) = panic_row {
             panic!("injected executor panic at row {row}");
@@ -593,14 +583,6 @@ impl ChunkHook for Checked<'_, '_> {
         }
         #[cfg(not(feature = "fault-inject"))]
         let _ = cs;
-    }
-
-    fn after_f64(&mut self, i: usize, f: &mut [f64], cs_f: &mut [f64]) {
-        for &(at, in_cs, p, bit) in &self.strikes {
-            if at == i {
-                flip_f64(if in_cs { &mut cs_f[p] } else { &mut f[p] }, bit);
-            }
-        }
     }
 }
 
@@ -654,26 +636,24 @@ mod tests {
         let tape = fused_listing1();
         let n = 2 * CHUNK_ROWS + 11;
         let rows = stimulus(&tape, n);
-        for backend in [TapeBackend::F64, TapeBackend::BitAccurate] {
-            let want = tape.eval_batch(backend, &rows, 1);
-            let (got, report) = tape.eval_batch_robust(
-                backend,
-                &rows,
-                &RobustOptions {
-                    threads: 2,
-                    chunk_retries: 2,
-                    fault: None,
-                },
-            );
-            assert!(
-                want.iter()
-                    .zip(got.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "{backend:?} robust run diverged from eval_batch"
-            );
-            assert!(!report.has_faults(), "{report}");
-            assert_eq!(report.counts(), (n, 0, 0));
-        }
+        let want = tape.eval_batch(TapeBackend::BitAccurate, &rows, 1);
+        let (got, report) = tape.eval_batch_robust(
+            TapeBackend::BitAccurate,
+            &rows,
+            &RobustOptions {
+                threads: 2,
+                chunk_retries: 2,
+                fault: None,
+            },
+        );
+        assert!(
+            want.iter()
+                .zip(got.iter())
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "robust run diverged from eval_batch"
+        );
+        assert!(!report.has_faults(), "{report}");
+        assert_eq!(report.counts(), (n, 0, 0));
     }
 
     #[test]

@@ -48,7 +48,6 @@ pub fn digest(values: &[f64]) -> u64 {
 pub fn backend_from_tag(tag: u8) -> Option<TapeBackend> {
     match tag {
         backend::BIT => Some(TapeBackend::BitAccurate),
-        backend::F64 => Some(TapeBackend::F64),
         backend::ORACLE => Some(TapeBackend::Oracle),
         _ => None,
     }
@@ -292,6 +291,7 @@ mod tests {
             (backend::BIT, 1u32, "out y = ;", vec![1.0]),
             (backend::BIT, 2, GRAPH, vec![1.0]), // wrong data length
             (0x7F, 1, GRAPH, vec![1.0, 2.0, 3.0]),
+            (1, 1, GRAPH, vec![1.0, 2.0, 3.0]), // unassigned backend tag
         ] {
             match process_submit(&cfg, &stats, 0, tag, rows, graph, &data, far(), t0) {
                 Frame::Error { code: 3, message } => {

@@ -35,12 +35,11 @@ pub mod tag {
     pub const STATS: u8 = 0x08;
 }
 
-/// Backend tags inside a `SUBMIT` frame.
+/// Backend tags inside a `SUBMIT` frame. Any other tag, `1` included,
+/// is refused with `SV003`.
 pub mod backend {
     /// `TapeBackend::BitAccurate` (the default engine).
     pub const BIT: u8 = 0;
-    /// `TapeBackend::F64` (host-double semantics).
-    pub const F64: u8 = 1;
     /// `TapeBackend::Oracle` (trusted scalar soft-float stack).
     pub const ORACLE: u8 = 2;
 }

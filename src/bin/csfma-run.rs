@@ -16,7 +16,7 @@
 //!   --many         treat every positional FILE as an independent request
 //!                  and evaluate them all through one `eval_many` call
 //!                  (shared stealing deque; per-file digest lines)
-//!   --backend B    f64 | bit | oracle | jit   evaluator semantics
+//!   --backend B    bit | oracle | jit   evaluator semantics
 //!                  (default: bit); `jit` runs native code on the IEEE
 //!                  fast path and bails per-row to the bit-accurate
 //!                  interpreter, so its digests match `bit` exactly
@@ -90,7 +90,7 @@ struct Options {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: csfma-run [--backend f64|bit|oracle|jit] [--fuse pcs|fcs] [--batch N] \
+        "usage: csfma-run [--backend bit|oracle|jit] [--fuse pcs|fcs] [--batch N] \
          [--threads T] [--seed S] [--range LO HI] [--fault-seed N] [--no-opt] \
          [--verify-tape] [--promote-ranges] [--profile[=json]] [--dump-jit] \
          [--verbose] [--many] [FILE]..."
@@ -129,7 +129,6 @@ fn parse_args() -> Options {
         match arg.as_str() {
             "--backend" => {
                 opts.backend = match args.next().as_deref() {
-                    Some("f64") => TapeBackend::F64,
                     Some("bit") => TapeBackend::BitAccurate,
                     Some("oracle") => TapeBackend::Oracle,
                     Some("jit") => TapeBackend::Jit,

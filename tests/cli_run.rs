@@ -118,9 +118,11 @@ fn syntax_error_exits_two_with_position() {
 
 #[test]
 fn unknown_flag_is_a_usage_error() {
-    let out = run(&["--frobnicate"], "out y = a + b;\n");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("usage:"));
+    for args in [&["--frobnicate"][..], &["--backend", "f64"]] {
+        let out = run(args, "out y = a + b;\n");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&out).contains("usage:"), "{args:?}");
+    }
 }
 
 #[test]

@@ -1,14 +1,13 @@
 //! Differential testing of the batch execution engine: for randomly
 //! generated datapaths and adversarial stimulus (NaN, infinities, signed
 //! zeros, subnormals, arbitrary bit patterns), the compiled tape must
-//! reproduce the scalar reference interpreters **bit for bit** —
-//! `TapeBackend::BitAccurate` against `eval_bit_accurate` and
-//! `TapeBackend::F64` against `eval_f64`, on discrete graphs and on
-//! graphs rewritten by the Fig. 12 fusion pass. Full 64-row chunks with
+//! reproduce the scalar reference interpreter **bit for bit** —
+//! `TapeBackend::BitAccurate` against `eval_bit_accurate`, on discrete
+//! graphs and on graphs rewritten by the Fig. 12 fusion pass. Full 64-row chunks with
 //! one lane in the soft-float guard's window pin the bit backend's
 //! chunk-wide guard.
 
-use csfma::hls::interp::{eval_bit_accurate, eval_f64};
+use csfma::hls::interp::eval_bit_accurate;
 use csfma::hls::{
     compile, compile_with, fuse_critical_paths, Cdfg, CompileOptions, FmaKind, FusionConfig, Instr,
     Profiler, RobustOptions, Tape, TapeBackend,
@@ -69,24 +68,11 @@ fn assert_tape_matches(g: &Cdfg, vals: &[f64]) {
             want[name]
         );
     }
-
-    tape.eval_row(TapeBackend::F64, &row, &mut got);
-    let want = eval_f64(g, &map);
-    for (name, v) in tape.output_names().iter().zip(&got) {
-        prop_assert_eq!(
-            v.to_bits(),
-            want[name].to_bits(),
-            "f64 backend diverged on {} ({} vs {})",
-            name,
-            v,
-            want[name]
-        );
-    }
 }
 
 /// Compile `g` with and without the post-gate optimizer and require the
 /// two tapes to be **byte-identical observables**: same positional input
-/// and output layout, and bitwise-equal batch results on both backends.
+/// and output layout, and bitwise-equal batch results on the bit backend.
 /// This is the contract that lets `--no-opt` serve as a live oracle for
 /// the optimizer.
 fn assert_optimizer_equivalent(g: &Cdfg, vals: &[f64]) {
@@ -105,20 +91,19 @@ fn assert_optimizer_equivalent(g: &Cdfg, vals: &[f64]) {
     let ni = opt.num_inputs();
     let n_rows = 7usize;
     let rows: Vec<f64> = (0..n_rows * ni).map(|i| vals[i % vals.len()]).collect();
-    for backend in [TapeBackend::BitAccurate, TapeBackend::F64] {
-        let a = opt.eval_batch(backend, &rows, 2);
-        let b = plain.eval_batch(backend, &rows, 2);
-        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-            prop_assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{:?}: optimized tape diverged at flat output {} ({} vs {})",
-                backend,
-                i,
-                x,
-                y
-            );
-        }
+    let backend = TapeBackend::BitAccurate;
+    let a = opt.eval_batch(backend, &rows, 2);
+    let b = plain.eval_batch(backend, &rows, 2);
+    for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
+        prop_assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "{:?}: optimized tape diverged at flat output {} ({} vs {})",
+            backend,
+            i,
+            x,
+            y
+        );
     }
 }
 

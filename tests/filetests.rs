@@ -11,8 +11,8 @@
 //!                         since a clean compiler never produces them
 //! ; run: <backend> <in...> == <hex-bits...>
 //!                         execute one input row on a backend and pin the
-//!                         output bit patterns. Backends: f64, softfloat
-//!                         (the scalar graph interpreter), bit, oracle.
+//!                         output bit patterns. Backends: softfloat (the
+//!                         scalar graph interpreter), bit, oracle, jit.
 //!                         Inputs are decimal floats or nan/inf/-inf/-0.0;
 //!                         expectations are one 0x-prefixed binary64 bit
 //!                         pattern per program output, in output order.
@@ -24,10 +24,8 @@
 //!                         evaluate a deterministic 193-row adversarial
 //!                         batch (3 full chunks + a ragged tail) on both
 //!                         backends — A on 1 thread, B on 4 — and require
-//!                         bitwise-identical outputs. Meaningful for pairs
-//!                         with identical semantics: any two of softfloat,
-//!                         bit, oracle (f64 only against itself — its
-//!                         fused nodes use the ideal `mul_add`).
+//!                         bitwise-identical outputs. Any two of softfloat,
+//!                         bit, oracle and jit share one semantics.
 //! ; run-jit:              evaluate the 193-row adversarial batch on the
 //!                         `jit` backend at 1 and 4 threads and require
 //!                         bitwise identity with the 1-thread bit-accurate
@@ -40,7 +38,7 @@
 //!                         directive is valid everywhere.
 //! ; run-many: <backend...>
 //!                         build one `eval_many` request per backend token
-//!                         (f64 | bit | oracle): request i evaluates
+//!                         (bit | oracle): request i evaluates
 //!                         variant graph i — cycling the file's program
 //!                         unfused / pcs-fused / fcs-fused — over a
 //!                         ragged, per-request adversarial batch, all
@@ -209,7 +207,6 @@ fn adversarial_value(r: u64) -> f64 {
 /// the tape backends are differentials against.
 fn eval_backend(backend: &str, g: &Cdfg, tape: &Tape, rows: &[f64], threads: usize) -> Vec<f64> {
     match backend {
-        "f64" => tape.eval_batch(TapeBackend::F64, rows, threads),
         "bit" => tape.eval_batch(TapeBackend::BitAccurate, rows, threads),
         "oracle" => tape.eval_batch(TapeBackend::Oracle, rows, threads),
         "jit" => tape.eval_batch(TapeBackend::Jit, rows, threads),
@@ -230,7 +227,7 @@ fn eval_backend(backend: &str, g: &Cdfg, tape: &Tape, rows: &[f64], threads: usi
             }
             out
         }
-        other => panic!("unknown run backend {other:?} (f64|softfloat|bit|oracle|jit)"),
+        other => panic!("unknown run backend {other:?} (softfloat|bit|oracle|jit)"),
     }
 }
 
@@ -284,7 +281,6 @@ fn run_directives(path: &std::path::Path, d: &Directives, g: &Cdfg) {
         let backends: Vec<TapeBackend> = tokens
             .iter()
             .map(|t| match t.as_str() {
-                "f64" => TapeBackend::F64,
                 "bit" => TapeBackend::BitAccurate,
                 "oracle" => TapeBackend::Oracle,
                 other => panic!("{path:?} run-many #{di}: unknown backend {other:?}"),

@@ -64,7 +64,7 @@ fn stimulus() -> impl Strategy<Value = f64> {
 
 /// Compile + batch-evaluate `g` twice — once through the profiled entry
 /// points with a recording profiler, once through the plain ones — and
-/// require byte-identical tapes and outputs on both backends.
+/// require byte-identical tapes and outputs on the bit and JIT backends.
 fn assert_obs_invisible(g: &Cdfg, vals: &[f64]) -> PipelineReport {
     let mut prof = Profiler::new();
     let profiled =
@@ -83,7 +83,7 @@ fn assert_obs_invisible(g: &Cdfg, vals: &[f64]) -> PipelineReport {
     let n_rows = 9usize; // not a multiple of the chunk size on purpose
     let rows: Vec<f64> = (0..n_rows * ni).map(|i| vals[i % vals.len()]).collect();
 
-    for backend in [TapeBackend::BitAccurate, TapeBackend::F64] {
+    for backend in [TapeBackend::BitAccurate, TapeBackend::Jit] {
         let a = profiled.eval_batch_profiled(backend, &rows, 2, &mut prof);
         let b = plain.eval_batch(backend, &rows, 2);
         prop_assert_eq!(a.len(), b.len());
@@ -396,7 +396,7 @@ fn disabled_profiler_records_nothing() {
     let g = csfma::hls::parse_program("out y = a*b + c;").expect("parses");
     let mut prof = Profiler::disabled();
     let tape = compile_with(&g, CompileOptions::default(), &mut prof).expect("compiles");
-    let _ = tape.eval_batch_profiled(TapeBackend::F64, &[1.0, 2.0, 3.0], 1, &mut prof);
+    let _ = tape.eval_batch_profiled(TapeBackend::BitAccurate, &[1.0, 2.0, 3.0], 1, &mut prof);
     let report = prof.finish();
     assert!(!report.recorded);
     assert!(report.stages.is_empty());

@@ -95,7 +95,7 @@ proptest! {
         let tape = tape(graph_pick);
         let n = ROW_SET[rows_idx];
         let threads = THREAD_SET[threads_idx];
-        let backend = if bit_backend { TapeBackend::BitAccurate } else { TapeBackend::F64 };
+        let backend = if bit_backend { TapeBackend::BitAccurate } else { TapeBackend::Jit };
         let rows = stimulus(n * tape.num_inputs(), seed);
         let oracle = tape.eval_batch(backend, &rows, 1);
         let got = tape.eval_batch(backend, &rows, threads);
@@ -137,18 +137,20 @@ proptest! {
     }
 }
 
-/// Exhaustive cheap sweep: the full rows × threads grid on the f64
-/// backend for all three graphs (the bit-backend grid is sampled by the
-/// proptest above — this one is exact and fast).
+/// Exhaustive sweep: the full rows × threads grid on the JIT backend for
+/// all three graphs (the bit-backend grid is sampled by the proptest
+/// above). The discrete graph runs native code and bails its special
+/// rows; the fused graphs have no module and run every row on the bit
+/// interpreter, so both paths face every thread count.
 #[test]
-fn f64_grid_is_byte_identical_at_every_thread_count() {
+fn jit_grid_is_byte_identical_at_every_thread_count() {
     for pick in 0..3 {
         let tape = tape(pick);
         for &n in &ROW_SET {
             let rows = stimulus(n * tape.num_inputs(), 0xA5A5 + n as u64);
-            let oracle = tape.eval_batch(TapeBackend::F64, &rows, 1);
+            let oracle = tape.eval_batch(TapeBackend::Jit, &rows, 1);
             for &threads in &THREAD_SET {
-                let got = tape.eval_batch(TapeBackend::F64, &rows, threads);
+                let got = tape.eval_batch(TapeBackend::Jit, &rows, threads);
                 assert!(
                     bits_equal(&oracle, &got),
                     "graph {pick} rows {n} threads {threads}"
@@ -159,7 +161,7 @@ fn f64_grid_is_byte_identical_at_every_thread_count() {
 }
 
 /// Pathological skew through `eval_many`: one heavy PCS bit-backend
-/// request next to a crowd of tiny f64 requests. The call must complete
+/// request next to a crowd of tiny JIT requests. The call must complete
 /// (no starvation, no deadlock) and every request's digest must equal
 /// its standalone 1-thread `eval_batch` digest.
 #[test]
@@ -178,7 +180,7 @@ fn pathological_skew_eval_many_matches_standalone_digests() {
         &heavy_rows,
     )];
     for rows in &tiny_rows {
-        reqs.push(EvalManyRequest::new(&tiny_graph, TapeBackend::F64, rows));
+        reqs.push(EvalManyRequest::new(&tiny_graph, TapeBackend::Jit, rows));
     }
 
     let results = eval_many(&reqs, 8);

@@ -153,6 +153,22 @@ fn malformed_and_hostile_frames_never_take_the_server_down() {
     );
 }
 
+/// A 500-link chain `s_i = s_(i-1) + a * k_i` that is slow by
+/// construction: fed `a = 1e-160`, every product is subnormal, so the
+/// soft-float guard recomputes every multiply, and the distinct `k_i` keep
+/// CSE from merging links. One 64-row robust slab takes about 15 ms in a
+/// release build and about 140 ms in a debug one; a debug parse alone
+/// takes about 3 ms. Its inputs are `a` and `s0`; feed both `1e-160`.
+fn slow_chain() -> String {
+    let mut src = String::from("in a, s0;\n");
+    for i in 1..=500 {
+        let k = 1e-160 * (1.0 + i as f64 / 1024.0);
+        src.push_str(&format!("s{i} = s{} + a * {k:e};\n", i - 1));
+    }
+    src.push_str("out y = s500;\n");
+    src
+}
+
 #[test]
 fn overload_sheds_with_retry_hint_and_deadline_cuts_off_at_chunk_boundary() {
     let cfg = ServeConfig {
@@ -164,14 +180,17 @@ fn overload_sheds_with_retry_hint_and_deadline_cuts_off_at_chunk_boundary() {
     };
     let (addr, handle, runner) = spawn(cfg);
 
-    // client A occupies the only evaluation slot with a request big
-    // enough that the robust executor chews on it for a good fraction
-    // of a second
-    let rows_a = 64 * 1024usize;
-    let data_a = stimulus(2, rows_a);
+    // client A occupies the only evaluation slot with eight slabs of the
+    // slow chain: about 120 ms in a release build, a second in a debug
+    // one, while B's probes below need a few ms. It also warms the tape
+    // cache for the deadline leg.
+    let chain = slow_chain();
+    let rows_a = 8 * 64usize;
+    let data_a = vec![1e-160; rows_a * 2];
+    let chain_a = chain.clone();
     let a = std::thread::spawn(move || {
         let mut c = Client::connect(addr).unwrap();
-        c.submit(backend::BIT, 0, rows_a as u32, GRAPH, &data_a)
+        c.submit(backend::BIT, 0, rows_a as u32, &chain_a, &data_a)
             .unwrap()
     });
 
@@ -209,12 +228,15 @@ fn overload_sheds_with_retry_hint_and_deadline_cuts_off_at_chunk_boundary() {
 
     assert!(matches!(a.join().unwrap(), Frame::Result { .. }));
 
-    // a 1 ms deadline on a batch that needs several ms of evaluation
-    // cannot finish: DEADLINE, and the response carries no partial rows
+    // a 1 ms deadline on four slabs of the slow chain cannot finish: in
+    // a release build the first slab alone takes about 15x the deadline,
+    // in a debug one the parse alone passes it. Either way the deadline
+    // fires at a slab boundary: DEADLINE, and no partial rows.
     let mut c = Client::connect(addr).unwrap();
-    let rows = 8192usize;
+    let rows = 4 * 64usize;
+    let data = vec![1e-160; rows * 2];
     match c
-        .submit(backend::BIT, 1, rows as u32, GRAPH, &stimulus(4, rows))
+        .submit(backend::BIT, 1, rows as u32, &chain, &data)
         .unwrap()
     {
         Frame::Deadline { .. } => {}
