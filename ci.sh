@@ -21,8 +21,11 @@ cargo bench --no-run
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 # the observability layer must build and pass its unit tests with the
-# instrumentation compiled out (the zero-overhead configuration)
+# instrumentation compiled out (the zero-overhead configuration), and the
+# crates above it must build warning-free without their default features
 cargo test -q -p csfma-obs --no-default-features
+cargo clippy -q -p csfma-hls --no-default-features -- -D warnings
+RUSTFLAGS="-D warnings" cargo test -q -p csfma-core --no-default-features --no-run
 
 # per-call evaluation counts (DESIGN.md §11.1): the exact-count
 # assertions of the observability suite run again with 8 harness
@@ -119,6 +122,12 @@ CSFMA_JIT=off cargo test -q --test jit_differential
 # (DESIGN.md §13.3)
 cargo test -q --test plane_equivalence
 cargo test -q --test determinism
+
+# exhaustive plane == scalar on toy formats (DESIGN.md §13.3): every
+# (A, B, C) triple of the 7-bit minifloat through a toy PCS and a toy FCS
+# unit, about 1.6M triples each, which tier-1 skips (it runs the 6-bit
+# format)
+cargo test --release -q --test toy_exhaustive -- --include-ignored
 
 # scheduler torture suite (DESIGN.md §14): rows x threads grid vs the
 # 1-thread oracle, robust fault plans under stealing, pathological-skew

@@ -9,11 +9,22 @@
 //! the paper's units are *fixed wiring*: every lane takes the same tree,
 //! so the tree can be evaluated once over lane-mask words.
 //!
+//! Data stays in plane form between stages. The Wallace reduction
+//! ([`plane_reduce_to_cs`]) runs depth first over at most three pending
+//! rows per tree level and reads its input rows straight from the
+//! caller's planes under a lane mask. The window aligner
+//! ([`align_planes`]) copies its source planes once and moves lanes with
+//! different shifts by lane-masked stages, so a chunk whose lanes share
+//! one shift costs one copy. Transposes ([`transpose64`]) are needed only
+//! where values enter or leave lane-major form.
+//!
 //! The contract of every routine here is bit-exactness versus its scalar
-//! counterpart in this crate ([`csa3_2`](crate::csa3_2),
+//! counterpart ([`csa3_2`](crate::csa3_2),
 //! [`reduce_to_cs_with`](crate::reduce_to_cs_with),
-//! [`CsNumber::carry_reduce`](crate::CsNumber::carry_reduce)) — enforced
-//! lane-by-lane by the tests at the bottom of this module.
+//! [`CsNumber::carry_reduce`](crate::CsNumber::carry_reduce) in this
+//! crate, `align_addend` in `csfma-units`) — enforced lane-by-lane by the
+//! tests at the bottom of this module and, for the aligner, in
+//! `csfma-units`.
 
 /// Lanes carried by one plane word (bits of a `u64`).
 pub const PLANE_LANES: usize = 64;
@@ -22,20 +33,30 @@ pub const PLANE_LANES: usize = 64;
 /// Hacker's Delight 7-3 with the quadrant exchange mirrored for the
 /// bit-`0`-is-column-`0` convention): afterwards, bit `l` of `a[j]` is
 /// what bit `j` of `a[l]` was.
+///
+/// Six rounds, one per block size `2^r` (32 down to 1). Round `r`
+/// exchanges the off-diagonal `2^r`-bit quadrants of every aligned
+/// `2^(r+1)`-word block, pairing word `k` with word `k + 2^r`; within a
+/// block those pairs form two contiguous runs, so each round is a plain
+/// loop the compiler can keep in vector registers.
 pub fn transpose64(a: &mut [u64; 64]) {
-    let mut j = 32;
-    let mut m: u64 = 0x0000_0000_FFFF_FFFF;
-    while j != 0 {
-        let mut k = 0;
-        while k < 64 {
-            let t = ((a[k] >> j) ^ a[k | j]) & m;
-            a[k] ^= t << j;
-            a[k | j] ^= t;
-            k = ((k | j) + 1) & !j;
+    #[inline(always)]
+    fn round<const J: usize>(a: &mut [u64; 64], m: u64) {
+        for block in a.chunks_exact_mut(2 * J) {
+            let (lo, hi) = block.split_at_mut(J);
+            for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
+                let t = ((*x >> J) ^ *y) & m;
+                *x ^= t << J;
+                *y ^= t;
+            }
         }
-        j >>= 1;
-        m ^= m << j;
     }
+    round::<32>(a, 0x0000_0000_FFFF_FFFF);
+    round::<16>(a, 0x0000_FFFF_0000_FFFF);
+    round::<8>(a, 0x00FF_00FF_00FF_00FF);
+    round::<4>(a, 0x0F0F_0F0F_0F0F_0F0F);
+    round::<2>(a, 0x3333_3333_3333_3333);
+    round::<1>(a, 0x5555_5555_5555_5555);
 }
 
 /// Transpose plane-major words into a flat lane-major limb matrix:
@@ -62,91 +83,143 @@ pub fn planes_to_lane_limbs(planes: &[u64], width: usize, out: &mut Vec<u64>) {
     }
 }
 
-/// Per-lane window alignment straight to plane-major form, bit-exact
-/// with [`align_addend`](../../csfma_units/align/fn.align_addend.html)'s
+/// Per-lane window alignment in plane form, bit-exact with
+/// [`align_addend`](../../csfma_units/align/fn.align_addend.html)'s
 /// frame placement per lane: output plane `j` of lane `l` reads
 /// `src_ext(j - shifts[l])`, where `src_ext` is zero below bit 0, the
-/// lane's limb bits on `[0, src_w)` and the lane's sign bit (`src_w-1`)
-/// above — i.e. each lane is sign-extended and placed at its own signed
-/// offset, bits falling outside the `w`-bit frame wired away. Lanes not
-/// set in `active` produce all-zero columns.
+/// lane's source bits on `[0, src.len())` and the lane's sign bit (the
+/// top source plane) above — i.e. each lane is sign-extended and placed
+/// at its own signed offset, bits falling outside the `w`-bit frame
+/// wired away. Lanes not set in `active` produce all-zero columns.
 ///
-/// `lane_limbs` is the flat lane-major matrix of [`planes_to_lane_limbs`]
-/// (`PLANE_LANES * src_w.div_ceil(64)` words); `scratch` is reusable
-/// working storage; `out` is resized to `w` plane words.
+/// The source planes are copied once at the largest active shift, with
+/// zero planes below and the sign plane above. Each lane `l` then still
+/// has to move down by its distance `d_l` from that shift, which one
+/// lane-masked stage per bit of the spread does: stage `s` sets
+/// `x[j] = x[j + 2^s]` in the lanes whose `d_l` has bit `s`. When every
+/// active lane shares one shift there are no stages; shifts are clamped
+/// to `[1 - src.len(), w]` first, which changes no output bit (a lane at
+/// or above `w` places nothing in the frame, one at or below
+/// `1 - src.len()` only its sign) and bounds the spread.
 ///
 /// # Panics
-/// If `lane_limbs` is too small, `shifts` covers more than
-/// [`PLANE_LANES`] lanes, or `src_w == 0`.
-pub fn align_lanes_to_planes(
-    lane_limbs: &[u64],
-    src_w: usize,
-    shifts: &[i64],
-    active: u64,
-    w: usize,
-    scratch: &mut Vec<u64>,
-    out: &mut Vec<u64>,
-) {
+/// If `src` is empty or `shifts` covers more than [`PLANE_LANES`] lanes.
+pub fn align_planes(src: &[u64], shifts: &[i64], active: u64, w: usize, out: &mut Vec<u64>) {
+    let src_w = src.len();
     assert!(src_w > 0, "empty alignment source");
     assert!(shifts.len() <= PLANE_LANES, "too many lanes");
-    let sg = src_w.div_ceil(64);
-    let wg = w.div_ceil(64);
-    assert!(
-        lane_limbs.len() >= PLANE_LANES * sg,
-        "lane matrix too small"
-    );
-    scratch.clear();
-    scratch.resize(PLANE_LANES * wg, 0);
-    let top_bit = (src_w - 1) % 64;
-    let top_g = (src_w - 1) / 64;
-    let used_top = src_w - (sg - 1) * 64; // bits of the top source limb in use
-    for (l, &sh) in shifts.iter().enumerate() {
-        if active & (1 << l) == 0 {
-            continue;
-        }
-        let lane = &lane_limbs[l * sg..(l + 1) * sg];
-        let fill = if (lane[top_g] >> top_bit) & 1 != 0 {
-            !0u64
-        } else {
-            0
-        };
-        // sign-extended source limb, limb indices beyond either end
-        // clamped to zero (below) or the sign fill (above)
-        let ext = |k: i64| -> u64 {
-            if k < 0 {
-                0
-            } else if (k as usize) < sg {
-                let mut v = lane[k as usize];
-                if k as usize == sg - 1 && used_top < 64 {
-                    v &= (1u64 << used_top) - 1;
-                    v |= fill << used_top;
-                }
-                v
-            } else {
-                fill
-            }
-        };
-        for g in 0..wg {
-            // funnel-gather the 64 source bits starting at j0 = 64g - sh
-            let j0 = (64 * g) as i64 - sh;
-            let (q, r) = (j0.div_euclid(64), j0.rem_euclid(64) as u32);
-            scratch[l * wg + g] = if r == 0 {
-                ext(q)
-            } else {
-                (ext(q) >> r) | (ext(q + 1) << (64 - r))
-            };
+    let active = active
+        & (!0u64)
+            .checked_shl(shifts.len() as u32)
+            .map_or(!0, |hi| !hi);
+    let clamp = |sh: i64| sh.clamp(1 - src_w as i64, w as i64);
+    let lanes = || {
+        shifts
+            .iter()
+            .enumerate()
+            .filter(move |&(l, _)| active >> l & 1 != 0)
+            .map(|(l, &sh)| (l, clamp(sh)))
+    };
+    let top = lanes().map(|(_, sh)| sh).max().unwrap_or(0);
+    let mut masks = [0u64; 64]; // masks[s]: lanes moved down by 2^s
+    let mut spread = 0u64;
+    for (l, sh) in lanes() {
+        let mut d = (top - sh) as u64;
+        spread |= d;
+        while d != 0 {
+            masks[d.trailing_zeros() as usize] |= 1 << l;
+            d &= d - 1;
         }
     }
+    let stages = (64 - spread.leading_zeros()) as usize;
+    let mut len = w + (1 << stages) - 1;
+    // the copy at `top`: zeros, the source planes, then the sign plane
+    let lo = top.clamp(0, len as i64) as usize;
+    let hi = (top + src_w as i64).clamp(0, len as i64) as usize;
+    let first = (lo as i64 - top) as usize;
     out.clear();
-    out.resize(w, 0);
-    let mut m = [0u64; PLANE_LANES];
-    for g in 0..wg {
-        for (l, mw) in m.iter_mut().enumerate() {
-            *mw = scratch[l * wg + g];
+    out.resize(len, 0);
+    for (x, &v) in out[lo..hi].iter_mut().zip(&src[first..]) {
+        *x = v & active;
+    }
+    out[hi..].fill(src[src_w - 1] & active);
+    // planes below `band` are zero and planes from `hi` up are the sign
+    // fill in every lane, before and after each stage: only the band moves
+    let mut band = lo;
+    let mut ahead = [0u64; 32];
+    for (s, &m) in masks[..stages].iter().enumerate() {
+        let d = 1 << s;
+        len -= d;
+        if m == 0 {
+            continue;
         }
-        transpose64(&mut m);
-        let hi = (w - g * 64).min(64);
-        out[g * 64..g * 64 + hi].copy_from_slice(&m[..hi]);
+        band = band.saturating_sub(d);
+        // `x[j + d]` is read before `x[j]` is written, a block at a time
+        let end = hi.min(len);
+        for j in (band..end).step_by(ahead.len()) {
+            let n = (end - j).min(ahead.len());
+            ahead[..n].copy_from_slice(&out[j + d..j + d + n]);
+            for (x, &y) in out[j..j + n].iter_mut().zip(&ahead[..n]) {
+                *x = (*x & !m) | (y & m);
+            }
+        }
+    }
+    out.truncate(w);
+}
+
+/// One row of a plane reduction: `width` plane words read from the
+/// slice, each ANDed with the lane mask.
+type PlaneRow<'a> = (&'a [u64], u64);
+
+/// Row `r` of `rows` at plane `j`, under the row's lane mask.
+#[inline(always)]
+fn at(rows: &[PlaneRow; 3], r: usize, j: usize) -> u64 {
+    let (x, m) = rows[r];
+    x[j] & m
+}
+
+/// One 3:2 compression of three masked rows into a `sum` and a `carry`
+/// row of the same width: `sum = a ^ b ^ c`, and the majority of plane `j`
+/// lands in carry plane `j + 1`, written as an offset slice so no plane
+/// waits on the one below it (the scalar `majority << 1`).
+#[inline]
+fn csa(rows: [PlaneRow; 3], sum: &mut [u64], carry: &mut [u64]) {
+    let n = sum.len();
+    let Some((k0, up)) = carry[..n].split_first_mut() else {
+        return;
+    };
+    *k0 = 0;
+    let rows = rows.map(|(x, m)| (&x[..n], m));
+    for (j, k) in up.iter_mut().enumerate() {
+        let (x, y, z) = (at(&rows, 0, j), at(&rows, 1, j), at(&rows, 2, j));
+        let t = x ^ y;
+        sum[j] = t ^ z;
+        *k = (x & y) | (z & t);
+    }
+    sum[n - 1] = at(&rows, 0, n - 1) ^ at(&rows, 1, n - 1) ^ at(&rows, 2, n - 1);
+}
+
+/// The `sum` half of [`csa`].
+#[inline]
+fn csa_sum(rows: [PlaneRow; 3], sum: &mut [u64]) {
+    let n = sum.len();
+    let rows = rows.map(|(x, m)| (&x[..n], m));
+    for (j, s) in sum.iter_mut().enumerate() {
+        *s = at(&rows, 0, j) ^ at(&rows, 1, j) ^ at(&rows, 2, j);
+    }
+}
+
+/// The `carry` half of [`csa`].
+#[inline]
+fn csa_carry(rows: [PlaneRow; 3], carry: &mut [u64]) {
+    let Some((k0, up)) = carry.split_first_mut() else {
+        return;
+    };
+    *k0 = 0;
+    let rows = rows.map(|(x, m)| (&x[..up.len()], m));
+    for (j, k) in up.iter_mut().enumerate() {
+        let (x, y, z) = (at(&rows, 0, j), at(&rows, 1, j), at(&rows, 2, j));
+        *k = (x & y) | (z & (x ^ y));
     }
 }
 
@@ -164,70 +237,143 @@ pub fn plane_csa3_2(a: &[u64], b: &[u64], c: &[u64], sum: &mut [u64], carry: &mu
         b.len() == w && c.len() == w && sum.len() == w && carry.len() == w,
         "plane width mismatch"
     );
-    if w == 0 {
-        return;
-    }
-    sum[0] = a[0] ^ b[0] ^ c[0];
-    carry[0] = 0;
-    for j in 1..w {
-        sum[j] = a[j] ^ b[j] ^ c[j];
-        let (x, y, z) = (a[j - 1], b[j - 1], c[j - 1]);
-        carry[j] = (x & y) | (y & z) | (x & z);
-    }
+    csa([(a, !0), (b, !0), (c, !0)], sum, carry);
 }
 
 /// Plane-parallel Wallace reduction with exactly the tree shape of
 /// [`reduce_to_cs_with`](crate::reduce_to_cs_with) for the same row
-/// count: rows are consumed three at a time in order, each chunk's
-/// sum/carry pair is emitted in order, the `< 3` remainder rides along
-/// to the next level. Bit-exactness per lane follows because the shape
-/// depends only on `n_rows` — which is why the scalar multiplier feeds a
-/// *fixed* number of rows regardless of operand values.
+/// count: at every level, rows are consumed three at a time in order,
+/// each chunk's sum/carry pair goes to the next level in order, and the
+/// `< 3` remainder follows the level's chunk outputs. Bit-exactness per
+/// lane follows because the shape depends only on `n_rows` — which is
+/// why the scalar multiplier feeds a *fixed* number of rows regardless
+/// of operand values.
 ///
-/// `layer` holds `n_rows` rows of `width` plane words each, row-major;
-/// it is consumed as working storage. `spare` is the ping-pong buffer.
-/// The reduced pair lands in `sum`/`carry` (resized to `width`).
+/// The tree is evaluated depth first: a level compresses as soon as
+/// three rows are pending, and the remainder of a level moves up once
+/// every row below has arrived — the same chunks, met in a different
+/// order. Each level above the inputs holds at most three rows of
+/// `width` plane words in `pending`, so the working set stays small
+/// whatever `n_rows` is.
+///
+/// Input row `r` is `row(r)`: the first `width` words of its slice,
+/// ANDed with its lane mask (the multiplier's AND gates). The reduced
+/// pair lands in `sum`/`carry` (resized to `width`).
 ///
 /// # Panics
-/// If `layer` is shorter than `n_rows * width` or `n_rows == 0`.
-pub fn plane_reduce_to_cs(
-    layer: &mut Vec<u64>,
+/// If `n_rows == 0` or a row slice is shorter than `width`.
+pub fn plane_reduce_to_cs<'a>(
     n_rows: usize,
     width: usize,
-    spare: &mut Vec<u64>,
+    row: impl Fn(usize) -> PlaneRow<'a>,
+    pending: &mut Vec<u64>,
     sum: &mut Vec<u64>,
     carry: &mut Vec<u64>,
 ) {
     assert!(n_rows > 0, "reduction of zero rows");
-    assert!(layer.len() >= n_rows * width, "layer arena too small");
-    layer.truncate(n_rows * width);
+    let row = |r: usize| {
+        let (x, m) = row(r);
+        (&x[..width], m)
+    };
+    let masked = |(x, m): PlaneRow<'a>| x.iter().map(move |&v| v & m);
+    // the levels above the inputs: the last one holds the final <= 2 rows
+    let mut levels = 0;
     let mut n = n_rows;
     while n > 2 {
-        let chunks = n / 3;
-        let rem = n % 3;
-        // every word of the spare level is written below (compressor
-        // outputs plus the copied remainder), so no zero-fill is needed;
-        // resize only adjusts the length
-        spare.resize((2 * chunks + rem) * width, 0);
-        for t in 0..chunks {
-            let base = 3 * t * width;
-            let (a, rest) = layer[base..].split_at(width);
-            let (b, rest) = rest.split_at(width);
-            let c = &rest[..width];
-            let (s, k) = spare[2 * t * width..(2 * t + 2) * width].split_at_mut(width);
-            plane_csa3_2(a, b, c, s, k);
-        }
-        spare[2 * chunks * width..].copy_from_slice(&layer[3 * chunks * width..n * width]);
-        std::mem::swap(layer, spare);
-        n = 2 * chunks + rem;
+        n = 2 * (n / 3) + n % 3;
+        levels += 1;
     }
     sum.clear();
     carry.clear();
-    sum.extend_from_slice(&layer[..width]);
-    if n == 2 {
-        carry.extend_from_slice(&layer[width..2 * width]);
-    } else {
-        carry.resize(width, 0);
+    if levels == 0 {
+        sum.extend(masked(row(0)));
+        match n_rows {
+            2 => carry.extend(masked(row(1))),
+            _ => carry.resize(width, 0),
+        }
+        return;
+    }
+    let mut tree = Tree {
+        width,
+        count: vec![0; levels],
+    };
+    pending.clear();
+    pending.resize(levels * 3 * width, 0);
+    let chunks = n_rows / 3;
+    for t in 0..chunks {
+        tree.feed(0, [row(3 * t), row(3 * t + 1), row(3 * t + 2)], pending);
+    }
+    for r in 3 * chunks..n_rows {
+        tree.push(0, row(r), pending);
+    }
+    // each level's remainder follows its chunk outputs up
+    for lv in 0..levels - 1 {
+        let (below, above) = pending.split_at_mut((lv + 1) * 3 * width);
+        for q in 0..std::mem::take(&mut tree.count[lv]) as usize {
+            let r = &below[(lv * 3 + q) * width..][..width];
+            tree.push(lv + 1, (r, !0), above);
+        }
+    }
+    let last = &pending[(levels - 1) * 3 * width..];
+    sum.extend_from_slice(&last[..width]);
+    match tree.count[levels - 1] {
+        2 => carry.extend_from_slice(&last[width..2 * width]),
+        _ => carry.resize(width, 0),
+    }
+}
+
+/// Pending-row counts of a depth-first plane reduction. Level `lv`'s
+/// three row slots are the first `3 * width` words of the arena slice
+/// its methods receive, the levels above it follow.
+struct Tree {
+    width: usize,
+    count: Vec<u8>,
+}
+
+impl Tree {
+    /// Append one row to level `lv`.
+    fn push(&mut self, lv: usize, (x, m): PlaneRow, level: &mut [u64]) {
+        let w = self.width;
+        let p = self.count[lv] as usize;
+        for (d, &v) in level[p * w..(p + 1) * w].iter_mut().zip(x) {
+            *d = v & m;
+        }
+        self.count[lv] += 1;
+        if self.count[lv] == 3 {
+            self.compress(lv, level);
+        }
+    }
+
+    /// Compress `rows` from the level below into level `lv`. With two
+    /// rows already pending, the sum completes this level's chunk before
+    /// the carry becomes the first row of its next one.
+    fn feed(&mut self, lv: usize, rows: [PlaneRow; 3], level: &mut [u64]) {
+        let w = self.width;
+        let p = self.count[lv] as usize;
+        if p < 2 {
+            let (s, k) = level[p * w..(p + 2) * w].split_at_mut(w);
+            csa(rows, s, k);
+            self.count[lv] += 2;
+            if self.count[lv] == 3 {
+                self.compress(lv, level);
+            }
+        } else {
+            csa_sum(rows, &mut level[2 * w..3 * w]);
+            self.compress(lv, level);
+            csa_carry(rows, &mut level[..w]);
+            self.count[lv] = 1;
+        }
+    }
+
+    /// Level `lv` holds three rows: compress them into level `lv + 1`.
+    fn compress(&mut self, lv: usize, level: &mut [u64]) {
+        let w = self.width;
+        assert!(lv + 1 < self.count.len(), "the top level never compresses");
+        self.count[lv] = 0;
+        let (this, above) = level.split_at_mut(3 * w);
+        let (a, rest) = this.split_at(w);
+        let (b, c) = rest.split_at(w);
+        self.feed(lv + 1, [(a, !0), (b, !0), (c, !0)], above);
     }
 }
 
@@ -366,11 +512,18 @@ mod tests {
         }
     }
 
+    /// The depth-first reduction against the scalar level-by-level tree
+    /// at every row count from 1 to 107 (the PCS/FCS multipliers feed
+    /// 107), with a random lane mask on every input row: a lane whose
+    /// mask bit is clear sees that row as zero.
     #[test]
     fn plane_reduce_matches_scalar_tree_shape() {
         let width = 70;
-        for n_rows in [1usize, 2, 3, 4, 5, 7, 12, 49, 107] {
+        let (mut pending, mut sum, mut carry) = (Vec::new(), Vec::new(), Vec::new());
+        let mut scratch = ReduceScratch::default();
+        for n_rows in 1usize..=107 {
             let mut state = n_rows as u64;
+            let masks: Vec<u64> = (0..n_rows).map(|_| splitmix(&mut state)).collect();
             // per-lane row sets share the row count, not the values
             let rows: Vec<Vec<Bits>> = (0..64)
                 .map(|_| {
@@ -386,14 +539,23 @@ mod tests {
                 lanes_to_planes(&lane_row, width, &mut planes);
                 layer[r * width..(r + 1) * width].copy_from_slice(&planes);
             }
-            let (mut spare, mut sum, mut carry) = (Vec::new(), Vec::new(), Vec::new());
-            plane_reduce_to_cs(&mut layer, n_rows, width, &mut spare, &mut sum, &mut carry);
+            let row = |r: usize| (&layer[r * width..(r + 1) * width], masks[r]);
+            plane_reduce_to_cs(n_rows, width, row, &mut pending, &mut sum, &mut carry);
             let (mut ls, mut lk) = (Vec::new(), Vec::new());
             planes_to_lanes(&sum, width, 64, &mut ls);
             planes_to_lanes(&carry, width, 64, &mut lk);
-            let mut scratch = ReduceScratch::default();
             for (l, lane_rows) in rows.iter().enumerate() {
-                let rs = lane_rows.clone();
+                let rs: Vec<Bits> = lane_rows
+                    .iter()
+                    .zip(&masks)
+                    .map(|(v, m)| {
+                        if m >> l & 1 != 0 {
+                            v.clone()
+                        } else {
+                            Bits::zero(width)
+                        }
+                    })
+                    .collect();
                 let scalar = reduce_to_cs_with(&rs, width, &mut scratch);
                 assert_eq!(&ls[l], scalar.cs.sum(), "rows {n_rows} lane {l} sum");
                 assert_eq!(&lk[l], scalar.cs.carry(), "rows {n_rows} lane {l} carry");

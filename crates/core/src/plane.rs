@@ -20,18 +20,23 @@
 //! * **Plane multiplier** — the scalar multiplier feeds a *fixed*
 //!   `2·b_sig + 1` rows to its tree regardless of `B`'s bit pattern
 //!   (zero rows for clear bits), so all lanes share one tree shape and
-//!   level-0 rows become `ext_plane[j−i] & b_bit_mask[i]`.
+//!   the input rows are `ext_plane[j−i] & b_bit_mask[i]`, read in place.
+//!   The same tree is evaluated depth first, with at most three pending
+//!   rows per level (`plane_reduce_to_cs`).
 //! * **Per-lane selects replace per-lane branches** — the sign stage
 //!   and the conditional fifth window row (the `A` rounding one-hot)
 //!   have data-dependent *outcomes* but fixed gate shapes, so the plane
 //!   kernel computes both arms and muxes per lane with a lane-mask word,
 //!   keeping the CS pairs bitwise identical to the scalar branches.
 //! * **Per-lane alignment** — the aligner is a per-lane variable shift
-//!   (the one stage whose wiring depends on lane data); each lane's
-//!   window placement is a sign-extending funnel shift over its
-//!   lane-major limbs (`align_lanes_to_planes`), bit-exact with the
-//!   scalar `align_addend`'s sign-extend-and-place frame semantics,
-//!   landing straight back in plane-major form.
+//!   (the one stage whose wiring depends on lane data), done in plane
+//!   form (`align_planes`): the source planes are placed once at the
+//!   largest shift with the scalar `align_addend`'s sign-extend-and-place
+//!   frame semantics, then one lane-masked stage per bit of the shift
+//!   spread moves the other lanes down. The product never leaves plane
+//!   form; the addend is transposed once, from the bank's limbs. Lanes
+//!   that share a shift — all of them, for the product of an ordinary
+//!   chunk — need no stage.
 //! * **Plane normalization** — block classes (Fig. 10) come from
 //!   sequential per-block mask scans, the skip chain is resolved per
 //!   lane over those masks, and the result/rounding blocks are selected
@@ -51,8 +56,8 @@ use crate::operand::CsOperand;
 use crate::unit::{CsFmaUnit, FmaScratch};
 use csfma_bits::Bits;
 use csfma_carrysave::plane::{
-    align_lanes_to_planes, plane_carry_reduce, plane_csa3_2, plane_reduce_to_cs,
-    planes_to_lane_limbs, transpose64, PLANE_LANES,
+    align_planes, plane_carry_reduce, plane_csa3_2, plane_reduce_to_cs, planes_to_lane_limbs,
+    transpose64, PLANE_LANES,
 };
 use csfma_carrysave::CsNumber;
 use csfma_softfloat::{FpClass, SoftFloat};
@@ -116,9 +121,10 @@ impl Default for LanePrep {
     }
 }
 
-/// Reusable working storage for [`plane_fma_chunk`] — plane arenas,
-/// lane-major limb matrices and the scalar-fallback scratch. One per
-/// batch-engine worker, like [`FmaScratch`].
+/// Reusable working storage for [`plane_fma_chunk`] — plane arenas, the
+/// multiplier tree's pending rows, the writeback's lane-major limb
+/// matrices and the scalar-fallback scratch. One per batch-engine
+/// worker, like [`FmaScratch`].
 #[derive(Clone, Debug, Default)]
 pub struct PlaneScratch {
     /// Plane-kernel strikes armed for the next [`plane_fma_chunk`] call
@@ -140,16 +146,14 @@ pub struct PlaneScratch {
     prep: Vec<LanePrep>,
     early: Vec<Option<CsOperand>>,
     skips: Vec<usize>,
-    lane_limbs: Vec<u64>,
-    lane_limbs2: Vec<u64>,
-    align_scratch: Vec<u64>,
     ext_s: Vec<u64>,
     ext_c: Vec<u64>,
     corr: Vec<u64>,
-    layer: Vec<u64>,
-    spare: Vec<u64>,
+    tree: Vec<u64>,
     prod_s: Vec<u64>,
     prod_c: Vec<u64>,
+    add_s: Vec<u64>,
+    add_c: Vec<u64>,
     win: [Vec<u64>; 5],
     red_a: Vec<u64>,
     red_b: Vec<u64>,
@@ -224,15 +228,18 @@ fn timed<R>(ns: &mut u64, f: impl FnOnce() -> R) -> R {
     }
 }
 
-/// Transpose `n` lane-major values of `width` bits into `out`'s
-/// `width` plane words (`out[j]` bit `l` = bit `j` of lane `l`), reading
-/// lane `l`'s little-endian limbs from `limbs(l)`. Lanes `n..` read as
-/// zero.
-fn gather_planes<'a>(limbs: impl Fn(usize) -> &'a [u64], n: usize, width: usize, out: &mut [u64]) {
+/// Transpose the mantissa sum words (`carry`: the carry words) of `ops`
+/// into `out`'s plane words (`out[j]` bit `l` = bit `j` of lane `l`'s
+/// word), reading the bank's limbs. Lanes `ops.len()..` read as zero.
+fn gather_planes(ops: &[CsOperand], carry: bool, out: &mut [u64]) {
+    let width = out.len();
     let mut m = [0u64; PLANE_LANES];
     for g in 0..width.div_ceil(64) {
         for (l, w) in m.iter_mut().enumerate() {
-            *w = if l < n { limbs(l)[g] } else { 0 };
+            *w = ops.get(l).map_or(0, |op| {
+                let mant = op.mant();
+                if carry { mant.carry() } else { mant.sum() }.limbs()[g]
+            });
         }
         transpose64(&mut m);
         let hi = (width - g * 64).min(64);
@@ -385,11 +392,7 @@ pub fn plane_fma_chunk(
             for (ext, carry) in [(&mut s.ext_s, false), (&mut s.ext_c, true)] {
                 ext.clear();
                 ext.resize(pad + out_w, 0);
-                let word = |l: usize| {
-                    let mant = c_ops[l].mant();
-                    if carry { mant.carry() } else { mant.sum() }.limbs()
-                };
-                gather_planes(word, len, m, &mut ext[pad..pad + m]);
+                gather_planes(c_ops, carry, &mut ext[pad..pad + m]);
                 // sign extension is plane replication: bit j >= m reads
                 // the sign plane
                 let sign = ext[pad + m - 1];
@@ -420,26 +423,16 @@ pub fn plane_fma_chunk(
                 bm[j] ^= 1u64 << (st.lane % PLANE_LANES);
             }
         }
-        // Level 0 of the Wallace tree is evaluated straight off the two
-        // padded `ext` arenas instead of materializing all `2·b_sig+1`
-        // rows: chunk `t` compresses rows `3t, 3t+1, 3t+2`, where row `r`
-        // reads `ext_{s,c}[j - r/2] & bm[r/2]` and the final row is the
-        // +B rounding correction (`bm[j] & up_c_mask` below bit `bw`).
-        // The grouping is exactly the first level `plane_reduce_to_cs`
-        // would perform, so the tree shape — and therefore the CS pair —
-        // is unchanged; only the row arena traffic is saved. Every word
-        // of the level-1 arena is written below.
+        // The tree's input rows are read straight off the two padded
+        // `ext` arenas instead of being materialized: row `r` is
+        // `ext_{s,c}[j - r/2] & bm[r/2]`, and the final row is the +B
+        // rounding correction (`bm[j] & up_c_mask` below bit `bw`).
         let n_rows = 2 * bw + 1;
-        let chunks0 = n_rows / 3;
-        let rem0 = n_rows % 3;
-        let n1 = 2 * chunks0 + rem0;
         let corr_row = 2 * bw;
         s.corr.clear();
         s.corr.extend(bm[..bw].iter().map(|&x| x & up_c_mask));
         s.corr.resize(out_w, 0);
-        s.layer.resize(n1 * out_w, 0);
         let (ext_s, ext_c, corr) = (&s.ext_s, &s.ext_c, &s.corr);
-        // row `r` as a plain slice of `out_w` plane words and its lane mask
         let row = |r: usize| -> (&[u64], u64) {
             if r == corr_row {
                 return (corr, !0);
@@ -448,32 +441,11 @@ pub fn plane_fma_chunk(
             let ext = if r & 1 == 0 { ext_s } else { ext_c };
             (&ext[pad - i..pad - i + out_w], bm[i])
         };
-        for t in 0..chunks0 {
-            let out = &mut s.layer[2 * t * out_w..(2 * t + 2) * out_w];
-            let (out_s, out_c) = out.split_at_mut(out_w);
-            let ((e0, m0), (e1, m1), (e2, m2)) = (row(3 * t), row(3 * t + 1), row(3 * t + 2));
-            let mut prev_maj = 0u64;
-            let rows = e0.iter().zip(e1).zip(e2);
-            for ((os, oc), ((&x0, &x1), &x2)) in out_s.iter_mut().zip(out_c.iter_mut()).zip(rows) {
-                let (a, b, c) = (x0 & m0, x1 & m1, x2 & m2);
-                *os = a ^ b ^ c;
-                *oc = prev_maj;
-                prev_maj = (a & b) | (b & c) | (a & c);
-            }
-        }
-        // remainder rows ride along to the next level verbatim
-        for (q, r) in (3 * chunks0..n_rows).enumerate() {
-            let out = &mut s.layer[(2 * chunks0 + q) * out_w..][..out_w];
-            let (e, mask) = row(r);
-            for (o, &x) in out.iter_mut().zip(e) {
-                *o = x & mask;
-            }
-        }
         plane_reduce_to_cs(
-            &mut s.layer,
-            n1,
+            n_rows,
             out_w,
-            &mut s.spare,
+            row,
+            &mut s.tree,
             &mut s.prod_s,
             &mut s.prod_c,
         );
@@ -508,10 +480,9 @@ pub fn plane_fma_chunk(
     });
 
     // ---- per-lane alignment (the one variable-shift stage) ----
-    // done without leaving word arithmetic: each lane's window placement
-    // is a sign-extending funnel shift over its lane-major limbs
-    // (`align_lanes_to_planes`), bit-exact with `align_addend`'s
-    // sign-extend-and-place frame semantics
+    // in plane form: the product is placed straight from its planes, the
+    // addend after one transpose from the bank's limbs; lanes that share
+    // a shift cost one copy, a spread adds one lane-masked stage per bit
     timed(&mut ns[ALIGNMENT], || {
         let mut p_shifts = [0i64; PLANE_LANES];
         let mut a_shifts = [0i64; PLANE_LANES];
@@ -528,47 +499,17 @@ pub fn plane_fma_chunk(
                 a_shifts[k] = p.a_shift;
             }
         }
+        align_planes(&s.prod_s, &p_shifts[..len], act_p, w, &mut s.win[0]);
+        align_planes(&s.prod_c, &p_shifts[..len], act_p, w, &mut s.win[1]);
         timed(&mut transpose_ns, || {
-            for (prod, win) in [(&s.prod_s, 0), (&s.prod_c, 1)] {
-                planes_to_lane_limbs(prod, out_w, &mut s.lane_limbs);
-                align_lanes_to_planes(
-                    &s.lane_limbs,
-                    out_w,
-                    &p_shifts[..len],
-                    act_p,
-                    w,
-                    &mut s.align_scratch,
-                    &mut s.win[win],
-                );
+            for (planes, carry) in [(&mut s.add_s, false), (&mut s.add_c, true)] {
+                planes.clear();
+                planes.resize(m, 0);
+                gather_planes(a_ops, carry, planes);
             }
         });
-        // the addend's lane-major limbs come straight from the bank
-        let mg = m.div_ceil(64);
-        s.lane_limbs.clear();
-        s.lane_limbs.resize(PLANE_LANES * mg, 0);
-        s.lane_limbs2.clear();
-        s.lane_limbs2.resize(PLANE_LANES * mg, 0);
-        for (k, a) in a_ops.iter().enumerate() {
-            if act_a & (1 << k) == 0 {
-                continue;
-            }
-            let (sl, cl) = (a.mant().sum().limbs(), a.mant().carry().limbs());
-            s.lane_limbs[k * mg..k * mg + sl.len()].copy_from_slice(sl);
-            s.lane_limbs2[k * mg..k * mg + cl.len()].copy_from_slice(cl);
-        }
-        timed(&mut transpose_ns, || {
-            for (limbs, win) in [(&s.lane_limbs, 2), (&s.lane_limbs2, 3)] {
-                align_lanes_to_planes(
-                    limbs,
-                    m,
-                    &a_shifts[..len],
-                    act_a,
-                    w,
-                    &mut s.align_scratch,
-                    &mut s.win[win],
-                );
-            }
-        });
+        align_planes(&s.add_s, &a_shifts[..len], act_a, w, &mut s.win[2]);
+        align_planes(&s.add_c, &a_shifts[..len], act_a, w, &mut s.win[3]);
     });
 
     // ---- window compression with the A-rounding one-hot select ----

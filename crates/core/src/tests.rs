@@ -776,9 +776,9 @@ mod special_value_fma_matrix {
 /// cancellation).
 mod self_checking {
     use super::{sf, ALL_FORMATS, B64};
-    use crate::fault::{
-        CheckKind, FaultDetected, FaultHook, FaultPlan, FaultSite, FaultStage, FmaCtl,
-    };
+    #[cfg(feature = "fault-inject")]
+    use crate::fault::{CheckKind, FaultPlan, FaultSite, FaultStage};
+    use crate::fault::{FaultDetected, FaultHook, FmaCtl};
     use crate::{CsFmaFormat, CsFmaUnit, CsOperand, FmaScratch};
     use csfma_softfloat::Round;
 

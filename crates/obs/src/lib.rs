@@ -234,9 +234,9 @@ impl Profiler {
 
     /// Close any spans still open and produce the report. A profiler
     /// that never recorded returns [`PipelineReport::empty`].
-    pub fn finish(mut self) -> PipelineReport {
+    pub fn finish(self) -> PipelineReport {
         #[cfg(feature = "enabled")]
-        if let Some(mut inner) = self.inner.take() {
+        if let Some(mut inner) = self.inner {
             while let Some(open) = inner.stack.pop() {
                 if let Some(start) = inner.starts[open].take() {
                     inner.records[open].wall_us = start.elapsed().as_secs_f64() * 1e6;

@@ -125,12 +125,15 @@ mod tests {
         assert!(al.dropped_high);
     }
 
-    /// The plane-space aligner (`align_lanes_to_planes`) must place each
-    /// lane exactly like `align_addend` places a scalar word: same sign
+    /// The plane-form aligner (`align_planes`) must place each lane
+    /// exactly like `align_addend` places a scalar word: same sign
     /// extension, same frame truncation, for any per-lane signed shift.
+    /// The shift sets cover a shared shift (no lane-masked stage), small
+    /// spreads (a few stages) and shifts anywhere in and around the
+    /// frame (every stage).
     #[test]
     fn plane_alignment_matches_align_addend_per_lane() {
-        use csfma_carrysave::plane::{align_lanes_to_planes, planes_to_lane_limbs, PLANE_LANES};
+        use csfma_carrysave::plane::{align_planes, planes_to_lane_limbs, PLANE_LANES};
 
         let mut state = 0x51ab_17e5u64;
         let mut next = move || {
@@ -140,49 +143,60 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
         };
-        for &(src_w, w) in &[(112usize, 385usize), (70, 90), (64, 128), (33, 61), (1, 7)] {
+        for &(src_w, w) in &[
+            (110usize, 385usize),
+            (165, 385),
+            (70, 90),
+            (64, 128),
+            (33, 61),
+            (1, 7),
+        ] {
             let sg = src_w.div_ceil(64);
-            let mut lane_limbs = vec![0u64; PLANE_LANES * sg];
-            let mut shifts = vec![0i64; PLANE_LANES];
-            let mut active = 0u64;
-            let mut lanes: Vec<Bits> = Vec::new();
-            for l in 0..PLANE_LANES {
-                let limbs: Vec<u64> = (0..sg).map(|_| next()).collect();
-                lane_limbs[l * sg..(l + 1) * sg].copy_from_slice(&limbs);
-                lanes.push(Bits::from_limbs(src_w, &limbs));
-                // exercise both frame directions and out-of-frame shifts
-                shifts[l] = (next() % (2 * (w as u64 + 8))) as i64 - (w as i64 + 8);
-                if next() % 8 != 0 {
-                    active |= 1 << l;
+            // `Some(0)`: one shared shift; `Some(s)`: within `s` below a
+            // shared base; `None`: anywhere in and around the frame
+            for spread in [Some(0u64), Some(1), Some(2), Some(8), Some(128), None] {
+                let mut src = vec![0u64; src_w];
+                let mut shifts = vec![0i64; PLANE_LANES];
+                let mut active = 0u64;
+                let mut lanes: Vec<Bits> = Vec::new();
+                let base = (next() % (w as u64 + 16)) as i64 - 8;
+                for (l, shift) in shifts.iter_mut().enumerate() {
+                    let limbs: Vec<u64> = (0..sg).map(|_| next()).collect();
+                    let lane = Bits::from_limbs(src_w, &limbs);
+                    for (j, p) in src.iter_mut().enumerate() {
+                        *p |= (lane.bit(j) as u64) << l;
+                    }
+                    lanes.push(lane);
+                    *shift = match spread {
+                        None => (next() % (2 * (w as u64 + 8))) as i64 - (w as i64 + 8),
+                        Some(0) => base,
+                        Some(s) => base - (next() % s) as i64,
+                    };
+                    if next() % 8 != 0 {
+                        active |= 1 << l;
+                    }
                 }
-            }
-            let (mut scratch, mut planes, mut got) = (Vec::new(), Vec::new(), Vec::new());
-            align_lanes_to_planes(
-                &lane_limbs,
-                src_w,
-                &shifts,
-                active,
-                w,
-                &mut scratch,
-                &mut planes,
-            );
-            planes_to_lane_limbs(&planes, w, &mut got);
-            let wg = w.div_ceil(64);
-            for l in 0..PLANE_LANES {
-                let want = if active & (1 << l) == 0 {
-                    Bits::zero(w)
-                } else {
-                    // the frame placement applies per CS word; use the
-                    // lane value as the sum word of a zero-carry pair
-                    let cs = CsNumber::new(lanes[l].clone(), Bits::zero(src_w));
-                    align_addend(&cs, w, shifts[l]).value.into_words().0
-                };
-                assert_eq!(
-                    &got[l * wg..(l + 1) * wg],
-                    want.limbs(),
-                    "src_w {src_w} w {w} lane {l} shift {}",
-                    shifts[l]
-                );
+                let (mut planes, mut got) = (Vec::new(), Vec::new());
+                align_planes(&src, &shifts, active, w, &mut planes);
+                assert_eq!(planes.len(), w);
+                planes_to_lane_limbs(&planes, w, &mut got);
+                let wg = w.div_ceil(64);
+                for l in 0..PLANE_LANES {
+                    let want = if active & (1 << l) == 0 {
+                        Bits::zero(w)
+                    } else {
+                        // the frame placement applies per CS word; use the
+                        // lane value as the sum word of a zero-carry pair
+                        let cs = CsNumber::new(lanes[l].clone(), Bits::zero(src_w));
+                        align_addend(&cs, w, shifts[l]).value.into_words().0
+                    };
+                    assert_eq!(
+                        &got[l * wg..(l + 1) * wg],
+                        want.limbs(),
+                        "src_w {src_w} w {w} spread {spread:?} lane {l} shift {}",
+                        shifts[l]
+                    );
+                }
             }
         }
     }

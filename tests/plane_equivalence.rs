@@ -149,6 +149,75 @@ fn segment_carry_boundaries_match_scalar() {
     }
 }
 
+/// Run one chunk of per-lane `(a, b, c)` triples through the kernel and
+/// the scalar unit, for two links: the second feeds every result back
+/// as its lane's addend.
+fn compare_lanes(fmt: CsFmaFormat, triples: &[(f64, f64, f64)]) {
+    let unit = CsFmaUnit::new(fmt);
+    let bfmt = b_format(&fmt);
+    let sf = |v: f64| SoftFloat::from_f64(bfmt, v);
+    let len = triples.len();
+    let mut bank = vec![CsOperand::zero(fmt, false); 3 * 64];
+    for (k, &(a, _, c)) in triples.iter().enumerate() {
+        bank[k] = CsOperand::from_ieee(&sf(a), fmt);
+        bank[64 + k] = CsOperand::from_ieee(&sf(c), fmt);
+    }
+    let b: Vec<SoftFloat> = triples.iter().map(|t| sf(t.1)).collect();
+    let (mut ps, mut fs) = (PlaneScratch::default(), FmaScratch::default());
+    for _ in 0..2 {
+        let want: Vec<CsOperand> = (0..len)
+            .map(|k| unit.fma_with(&bank[k], &b[k], &bank[64 + k], &mut fs))
+            .collect();
+        plane_fma_chunk(&unit, &mut bank, 0, 64, 128, &b, len, &mut ps);
+        for (k, w) in want.iter().enumerate() {
+            assert_lane(&fmt, k, w, &bank[128 + k]);
+            bank[k] = bank[128 + k].clone();
+        }
+    }
+}
+
+/// Lanes whose addend dominates the product (|A| far above |B·C|, so
+/// the window plan pulls the product down by `extra > 0`, by a
+/// different amount per lane) mixed with ordinary lanes: only then do
+/// the product planes need the aligner's lane-masked stages, which a
+/// chunk with one shared product shift never runs. Also a chunk with a
+/// single datapath lane and one where every lane takes the exception
+/// path.
+#[test]
+fn mixed_product_shifts_match_scalar() {
+    // 2^(160 + k) against |B·C| < 2: past every binary64 format's
+    // window headroom, so `extra` grows with `k`
+    let dominant = |k: usize| (-(2f64.powi(160 + k as i32)), 1.5, 1.25 + k as f64 / 64.0);
+    let ordinary = |k: usize| (0.75 + k as f64, -1.5, 2.0 - k as f64 / 32.0);
+    let exception = |k: usize| match k % 3 {
+        0 => (f64::NAN, 1.0, 2.0),
+        1 => (1.0, 0.0, 2.0),
+        _ => (1.0, 3.0, f64::INFINITY),
+    };
+    let mixed: Vec<_> = (0..64)
+        .map(|k| match k % 5 {
+            0 | 3 => dominant(k),
+            1 => ordinary(k),
+            2 => (0.0, 1.5, 2.5 + k as f64), // zero addend
+            _ => exception(k),
+        })
+        .collect();
+    let single: Vec<_> = (0..64)
+        .map(|k| if k == 37 { dominant(k) } else { exception(k) })
+        .collect();
+    let all_exceptions: Vec<_> = (0..64).map(exception).collect();
+    for fmt in [
+        CsFmaFormat::PCS_55_ZD,
+        CsFmaFormat::PCS_58_LZA,
+        CsFmaFormat::FCS_29_LZA,
+    ] {
+        compare_lanes(fmt, &mixed);
+        compare_lanes(fmt, &mixed[..23]);
+        compare_lanes(fmt, &single);
+        compare_lanes(fmt, &all_exceptions);
+    }
+}
+
 fn stimulus() -> impl Strategy<Value = f64> {
     (0usize..10, any::<u64>(), -1.0e6f64..1.0e6).prop_map(|(class, bits, x)| match class {
         0 => f64::NAN,
