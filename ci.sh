@@ -72,10 +72,20 @@ cargo test -q --test cli_run
 # 20,000-case random-graph run that tier-1 skips
 cargo test --release -q --test fusion_oracle -- --include-ignored
 
-# reorder oracle (DESIGN.md §9): the optimizer's wake-up/select pressure
-# reorder must emit the full-rescan reference's order, tape for tape,
-# again including the ldlsolve-s2 and -s3 kernels that tier-1 skips
+# optimizer oracle (DESIGN.md §9): the whole tape optimizer (fold/CSE/DCE
+# fixpoint, wake-up/select pressure reorder, dead-slot sweep) must emit
+# the tapes of a reference that rebuilds the graph every pass, keys CSE
+# by encoding bytes and reorders by full rescan, tape for tape, again
+# including the ldlsolve-s2 and -s3 kernels that tier-1 skips
 cargo test --release -q --test reorder_oracle -- --include-ignored
+
+# compile-gate oracle (DESIGN.md §9): the one-pass structural gate must
+# give the two-pass reference's verdict and diagnostics on the 100,000
+# random graphs that tier-1 skips; and every tape must still match the
+# recorded table (instructions, provenance, constants, names, slot
+# counts, fingerprint, optimizer counts), ldlsolve-s2 and -s3 included
+cargo test --release -q --test gate_oracle -- --include-ignored
+cargo test --release -q --test tape_pin -- --include-ignored
 
 # parser oracle: the borrowed-token parser must build the String-token
 # reference's graphs, ranges and positioned errors, including on the 10^6

@@ -105,6 +105,13 @@ impl Cdfg {
         Cdfg { nodes: Vec::new() }
     }
 
+    /// Empty graph with room for `n` nodes.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Cdfg {
+            nodes: Vec::with_capacity(n),
+        }
+    }
+
     /// Append a node; returns its id.
     ///
     /// # Panics

@@ -50,10 +50,8 @@
 use crate::cdfg::{Cdfg, FmaKind, NodeId, Op};
 use crate::interp::format_of;
 use crate::jit;
-use crate::lint::lint_dataflow;
 use crate::opt::{optimize_graph, OptStats};
 use crate::profile::{EvalStats, PLANE_STAGE_COUNTERS};
-use crate::sched::OpTiming;
 use csfma_core::batch::{par_chunks_indexed, CHUNK_ROWS};
 use csfma_core::fault::FmaCtl;
 use csfma_core::{CsFmaFormat, CsFmaUnit, CsOperand, FmaScratch, PlaneScratch};
@@ -498,12 +496,18 @@ fn hosted_chunk(
 
 /// FNV-1a over the canonical graph encoding — the identity the tape
 /// cache is keyed by (the full encoding, not just this digest, to make
-/// collisions impossible; the digest is for reporting).
+/// collisions impossible; the digest is for reporting). Hashes the
+/// encoding node by node without building all of it.
 pub fn graph_fingerprint(g: &Cdfg) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for byte in canonical_encoding(g) {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
+    let mut buf = Vec::new();
+    for n in g.nodes() {
+        buf.clear();
+        encode_node(&mut buf, &n.op, &n.args);
+        for &byte in &buf {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
     }
     h
 }
@@ -521,8 +525,9 @@ fn canonical_encoding(g: &Cdfg) -> Vec<u8> {
 
 /// Append one node's bytes to a canonical encoding: its operation tag,
 /// constant bit pattern, input/output name or FMA kind, then its argument
-/// ids. The tape-cache key and the optimizer's CSE identity both use it.
-pub(crate) fn encode_node(buf: &mut Vec<u8>, op: &Op, args: &[NodeId]) {
+/// ids. The optimizer's CSE identity (`opt::Key`) holds the same fields
+/// in a fixed-width record.
+fn encode_node(buf: &mut Vec<u8>, op: &Op, args: &[NodeId]) {
     let push_str = |buf: &mut Vec<u8>, s: &str| {
         buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
         buf.extend_from_slice(s.as_bytes());
@@ -607,9 +612,10 @@ pub fn compile_with(
         Err(d) => d,
     });
     if diags.is_empty() {
-        // the dataflow pass needs well-formed edges; only run it (and
-        // everything below) once the structural rules hold
-        diags.extend(errors_only(lint_dataflow(g, &OpTiming::default())));
+        // the format rules run once the structural rules hold. The
+        // dataflow pass's error rules (D001-D003) are the ones
+        // `validate_diagnostics` just checked, and its other findings are
+        // warnings, so `lint_dataflow` is not run here
         let mut kinds: Vec<FmaKind> = Vec::new();
         for n in g.nodes() {
             if let Op::Fma { kind, .. } | Op::IeeeToCs(kind) | Op::CsToIeee(kind) = &n.op {
@@ -688,8 +694,7 @@ fn build_tape(g: &Cdfg, opts: CompileOptions, prof: &mut Profiler) -> Tape {
         for n in &mut tape.instr_nodes {
             *n = origin[*n as usize];
         }
-        let (removed, us) =
-            csfma_obs::time_us(|| eliminate_dead_slots(&mut tape.instrs, &mut tape.instr_nodes));
+        let (removed, us) = csfma_obs::time_us(|| eliminate_dead_slots(&mut tape));
         stats.dead_slots_removed = removed;
         stats.optimize_us += us;
     }
@@ -733,20 +738,27 @@ fn build_tape(g: &Cdfg, opts: CompileOptions, prof: &mut Profiler) -> Tape {
 /// dead-node elimination — it catches the `LoadInput`s the graph pass
 /// deliberately keeps (unused `Input` nodes survive so the positional
 /// row layout is stable, but nothing forces the tape to *execute* them).
-fn eliminate_dead_slots(instrs: &mut Vec<Instr>, nodes: &mut Vec<u32>) -> usize {
-    use std::collections::HashSet;
-    let mut live_f: HashSet<u32> = HashSet::new();
-    let mut live_cs: HashSet<u32> = HashSet::new();
+fn eliminate_dead_slots(tape: &mut Tape) -> usize {
+    // one live flag per slot of each bank
+    let mut live_f = vec![false; tape.n_f64_regs];
+    let mut live_cs = vec![false; tape.n_cs_regs];
+    let instrs = &mut tape.instrs;
     let before = instrs.len();
-    debug_assert_eq!(nodes.len(), before, "provenance table out of sync");
-    let mut kept: Vec<(Instr, u32)> = Vec::with_capacity(before);
-    for (ins, node) in instrs.drain(..).zip(nodes.drain(..)).rev() {
+    debug_assert_eq!(
+        tape.instr_nodes.len(),
+        before,
+        "provenance table out of sync"
+    );
+    let mut keep = vec![false; before];
+    for (i, ins) in instrs.iter().enumerate().rev() {
         // a definition kills its slot's liveness; if the slot was not
         // live, nothing downstream reads this value and the instruction
         // (side-effect free by construction) can go
-        let live = match ins {
+        keep[i] = match *ins {
             Instr::Store { .. } => true,
-            Instr::Fma { dst, .. } | Instr::IeeeToCs { dst, .. } => live_cs.remove(&dst),
+            Instr::Fma { dst, .. } | Instr::IeeeToCs { dst, .. } => {
+                std::mem::take(&mut live_cs[dst as usize])
+            }
             Instr::LoadInput { dst, .. }
             | Instr::LoadConst { dst, .. }
             | Instr::Add { dst, .. }
@@ -754,41 +766,34 @@ fn eliminate_dead_slots(instrs: &mut Vec<Instr>, nodes: &mut Vec<u32>) -> usize 
             | Instr::Mul { dst, .. }
             | Instr::Div { dst, .. }
             | Instr::Neg { dst, .. }
-            | Instr::CsToIeee { dst, .. } => live_f.remove(&dst),
+            | Instr::CsToIeee { dst, .. } => std::mem::take(&mut live_f[dst as usize]),
         };
-        if !live {
+        if !keep[i] {
             continue;
         }
-        match ins {
+        match *ins {
             Instr::LoadInput { .. } | Instr::LoadConst { .. } => {}
             Instr::Add { a, b, .. }
             | Instr::Sub { a, b, .. }
             | Instr::Mul { a, b, .. }
             | Instr::Div { a, b, .. } => {
-                live_f.insert(a);
-                live_f.insert(b);
+                live_f[a as usize] = true;
+                live_f[b as usize] = true;
             }
-            Instr::Neg { a, .. } => {
-                live_f.insert(a);
-            }
+            Instr::Neg { a, .. } => live_f[a as usize] = true,
             Instr::Fma { acc, b, mulc, .. } => {
-                live_cs.insert(acc);
-                live_cs.insert(mulc);
-                live_f.insert(b);
+                live_cs[acc as usize] = true;
+                live_cs[mulc as usize] = true;
+                live_f[b as usize] = true;
             }
-            Instr::IeeeToCs { src, .. } | Instr::Store { src, .. } => {
-                live_f.insert(src);
-            }
-            Instr::CsToIeee { src, .. } => {
-                live_cs.insert(src);
-            }
+            Instr::IeeeToCs { src, .. } | Instr::Store { src, .. } => live_f[src as usize] = true,
+            Instr::CsToIeee { src, .. } => live_cs[src as usize] = true,
         }
-        kept.push((ins, node));
     }
-    kept.reverse();
-    let (kept_instrs, kept_nodes): (Vec<_>, Vec<_>) = kept.into_iter().unzip();
-    *instrs = kept_instrs;
-    *nodes = kept_nodes;
+    let mut kept = keep.iter();
+    instrs.retain(|_| kept.next() == Some(&true));
+    let mut kept = keep.iter();
+    tape.instr_nodes.retain(|_| kept.next() == Some(&true));
     before - instrs.len()
 }
 
@@ -841,7 +846,10 @@ fn lower(g: &Cdfg, pcs_format: CsFmaFormat, fcs_format: CsFmaFormat) -> Tape {
             instr_nodes.push(id as u32);
             continue;
         }
-        let args_regs: Vec<u32> = (0..n.args.len()).map(arg_reg).collect();
+        let mut args_regs = [0u32; 3];
+        for (k, r) in args_regs.iter_mut().enumerate().take(n.args.len()) {
+            *r = arg_reg(k);
+        }
         // free dead argument slots before allocating the destination —
         // an op may legally write the slot one of its sources held
         for &a in &n.args {
@@ -944,8 +952,9 @@ fn lower(g: &Cdfg, pcs_format: CsFmaFormat, fcs_format: CsFmaFormat) -> Tape {
         n_cs_regs,
         pcs_format,
         fcs_format,
-        fingerprint: graph_fingerprint(g),
-        source_nodes: g.len(),
+        // `build_tape` pins both to the caller's graph
+        fingerprint: 0,
+        source_nodes: 0,
         opt: OptStats {
             slots_reclaimed,
             ..OptStats::default()

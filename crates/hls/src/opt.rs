@@ -1,11 +1,16 @@
 //! Post-gate tape optimizer: constant folding, common-subexpression
-//! elimination over the canonical node encoding, dead-node elimination
-//! and slot-pressure-aware reordering.
+//! elimination over the canonical node encoding's fields, dead-node
+//! elimination and slot-pressure-aware reordering.
 //!
 //! [`compile`](crate::compile::compile) runs this pipeline **after** the
 //! `D*`/`S*`/`W*` checker gate, so an optimized tape is always derived
 //! from a graph the checker accepted, and the optimizer re-validates its
 //! own result — optimized tapes stay checker-clean by construction.
+//!
+//! The passes work on a flat copy of the graph (per node, the operation
+//! borrowed from the caller's graph and up to three argument ids).
+//! A pass that rewrites nothing returns `None` and the pipeline keeps its
+//! input; the optimized [`Cdfg`] is built once, in the reorder's order.
 //!
 //! Every rewrite must preserve the tape's bit semantics bit for bit.
 //! All three tape backends share them: loads are canonicalized (flush to
@@ -20,11 +25,13 @@
 //!   flush-to-zero boundary results fail that comparison and stay in the
 //!   tape. Algebraic identities (`x * 1.0`, `x + 0.0`) are never applied:
 //!   they are not bitwise identities — `-0 + 0` is `+0`, for one.
-//! * **CSE** merges nodes whose canonical encodings (operation tag,
-//!   constant bits, input name, FMA kind/negation, remapped argument
-//!   ids) are byte-equal. Argument order is *not* commuted. With one
-//!   canonical NaN, `a + b` and `b + a` give the same bits, so commuting
-//!   would be safe; it is not done.
+//! * **CSE** merges a node into an earlier one with the same identity: an
+//!   `Input` by its name, any other node by a fixed-width record holding
+//!   the fields of its canonical encoding (operation tag, FMA kind and
+//!   negation or constant bits, remapped argument ids), so two nodes merge
+//!   exactly when their canonical encodings are byte-equal. Argument order
+//!   is *not* commuted. With one canonical NaN, `a + b` and `b + a` give
+//!   the same bits, so commuting would be safe; it is not done.
 //! * **Dead-node elimination** drops nodes no output depends on but
 //!   keeps every `Input` node, so the positional input layout of the
 //!   optimized tape is byte-compatible with the unoptimized one.
@@ -35,12 +42,12 @@
 //!   nodes keep their relative order (positional input layout) and so do
 //!   `Output` nodes (positional output layout).
 
-use crate::cdfg::{Cdfg, Node, NodeId, Op};
-use crate::compile::encode_node;
+use crate::cdfg::{Cdfg, FmaKind, Node, Op};
 use csfma_softfloat::batch as sfb;
-use std::borrow::Cow;
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{Hash, Hasher};
 
 /// What the optimizer did to a graph, recorded on the compiled tape for
 /// benchmark attribution (`bench::throughput` emits these).
@@ -73,6 +80,133 @@ pub struct OptStats {
     pub cache_evictions: u64,
 }
 
+/// One node of the optimizer's working graph.
+#[derive(Clone, Copy)]
+struct WorkNode<'g> {
+    op: WorkOp<'g>,
+    /// Argument ids; slots past `arity` are 0.
+    args: [u32; 3],
+    arity: u8,
+}
+
+#[derive(Clone, Copy)]
+enum WorkOp<'g> {
+    /// An operation of the caller's graph.
+    Src(&'g Op),
+    /// A folded constant.
+    Const(f64),
+}
+
+impl<'g> WorkNode<'g> {
+    fn of(n: &'g Node) -> Self {
+        let mut args = [0; 3];
+        for (slot, &a) in args.iter_mut().zip(&n.args) {
+            *slot = a as u32;
+        }
+        WorkNode {
+            op: WorkOp::Src(&n.op),
+            args,
+            arity: n.args.len() as u8,
+        }
+    }
+
+    fn constant(v: f64) -> Self {
+        WorkNode {
+            op: WorkOp::Const(v),
+            args: [0; 3],
+            arity: 0,
+        }
+    }
+
+    fn args(&self) -> &[u32] {
+        &self.args[..self.arity as usize]
+    }
+
+    fn src(&self) -> Option<&'g Op> {
+        match self.op {
+            WorkOp::Src(op) => Some(op),
+            WorkOp::Const(_) => None,
+        }
+    }
+
+    fn is_input(&self) -> bool {
+        matches!(self.src(), Some(Op::Input(_)))
+    }
+
+    fn is_output(&self) -> bool {
+        matches!(self.src(), Some(Op::Output(_)))
+    }
+
+    fn const_value(&self) -> Option<f64> {
+        match self.op {
+            WorkOp::Src(Op::Const(v)) => Some(*v),
+            WorkOp::Const(v) => Some(v),
+            WorkOp::Src(_) => None,
+        }
+    }
+
+    /// The node's operation as a [`Cdfg`] holds it.
+    fn to_op(self) -> Op {
+        match self.op {
+            WorkOp::Src(op) => op.clone(),
+            WorkOp::Const(v) => Op::Const(v),
+        }
+    }
+}
+
+/// The CSE identity of a node other than an `Input` or `Output`: the
+/// fields of its canonical encoding (`compile::encode_node`) in a fixed
+/// width. `tag` is the encoding's operation tag, `aux` the constant's bits
+/// or the FMA kind and negation, `args` the remapped argument ids (slots
+/// past the operation's arity are 0). Two nodes have equal keys exactly
+/// when their encodings are byte-equal.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Key {
+    tag: u8,
+    aux: u64,
+    args: [u32; 3],
+}
+
+impl Key {
+    fn of(node: &WorkNode) -> Self {
+        let kind = |k: &FmaKind| match k {
+            FmaKind::Pcs => 0,
+            FmaKind::Fcs => 1,
+        };
+        let (tag, aux) = match node.op {
+            WorkOp::Const(v) | WorkOp::Src(&Op::Const(v)) => (1, v.to_bits()),
+            WorkOp::Src(op) => match op {
+                Op::Add => (2, 0),
+                Op::Sub => (3, 0),
+                Op::Mul => (4, 0),
+                Op::Div => (5, 0),
+                Op::Neg => (6, 0),
+                Op::Fma { kind: k, negate_b } => (7, kind(k) | u64::from(*negate_b) << 8),
+                Op::IeeeToCs(k) => (8, kind(k)),
+                Op::CsToIeee(k) => (9, kind(k)),
+                Op::Input(_) | Op::Output(_) | Op::Const(_) => {
+                    unreachable!("inputs are keyed by name, outputs never merge")
+                }
+            },
+        };
+        Key {
+            tag,
+            aux,
+            args: node.args,
+        }
+    }
+}
+
+impl Hash for Key {
+    /// Three words, fewer than the derived hash feeds (it adds the
+    /// array's length): SipHash's cost grows with the bytes it is fed.
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        h.write_u64(self.aux);
+        h.write_u64(u64::from(self.tag) << 32 | u64::from(self.args[0]));
+        h.write_u64(u64::from(self.args[1]) << 32 | u64::from(self.args[2]));
+    }
+}
+
 /// Run the full post-gate pipeline: fold + CSE + DCE to a bounded
 /// fixpoint, then one pressure-aware reorder. The input graph must be
 /// checker-clean; the output graph is re-validated.
@@ -88,26 +222,28 @@ pub(crate) fn optimize_graph(g: &Cdfg) -> (Cdfg, OptStats, Vec<u32>) {
         nodes_before: g.len(),
         ..Default::default()
     };
-    let mut cur = Cow::Borrowed(g);
+    let mut cur: Vec<WorkNode> = g.nodes().iter().map(WorkNode::of).collect();
     // origin[new_id] = source-graph id, composed across every pass
     let mut origin: Vec<u32> = (0..g.len() as u32).collect();
-    let compose = |origin: &[u32], map: &[NodeId], new_len: usize| -> Vec<u32> {
+    let compose = |origin: &[u32], map: &[u32], new_len: usize| -> Vec<u32> {
         let mut next = vec![u32::MAX; new_len];
         for (old, &new) in map.iter().enumerate() {
-            if new != usize::MAX && next[new] == u32::MAX {
-                next[new] = origin[old];
+            if new != u32::MAX && next[new as usize] == u32::MAX {
+                next[new as usize] = origin[old];
             }
         }
         next
     };
     for _ in 0..8 {
-        let (next, folded, merged, map) = fold_and_cse(&cur);
-        origin = compose(&origin, &map, next.len());
-        cur = Cow::Owned(next);
-        let mut removed = 0;
+        let (mut folded, mut merged, mut removed) = (0, 0, 0);
+        if let Some((next, f, m, map)) = fold_and_cse(&cur) {
+            origin = compose(&origin, &map, next.len());
+            cur = next;
+            (folded, merged) = (f, m);
+        }
         if let Some((next, n, map)) = eliminate_dead_keep_inputs(&cur) {
             origin = compose(&origin, &map, next.len());
-            cur = Cow::Owned(next);
+            cur = next;
             removed = n;
         }
         stats.consts_folded += folded;
@@ -137,21 +273,16 @@ fn is_canonical(v: f64) -> bool {
     v.to_bits() == sfb::canonicalize(v).to_bits()
 }
 
-fn const_of(g: &Cdfg, id: NodeId) -> Option<f64> {
-    match g.nodes()[id].op {
-        Op::Const(v) => Some(v),
-        _ => None,
-    }
-}
-
-/// Try to fold an all-constant node. Returns the folded value only when
-/// replacing the computation with a `Const` preserves the bit semantics
-/// bit for bit (see module docs for the argument).
-fn try_fold(out: &Cdfg, op: &Op, args: &[NodeId]) -> Option<f64> {
-    let (plain, hosted) = match op {
-        Op::Add | Op::Sub | Op::Mul | Op::Div => {
-            let a = const_of(out, args[0])?;
-            let b = const_of(out, args[1])?;
+/// Try to fold an all-constant node whose arguments index `built`.
+/// Returns the folded value only when replacing the computation with a
+/// `Const` preserves the bit semantics bit for bit (see module docs for
+/// the argument).
+fn try_fold(built: &[WorkNode], node: &WorkNode) -> Option<f64> {
+    let arg = |k: usize| built[node.args[k] as usize].const_value();
+    let (plain, hosted) = match node.src()? {
+        op @ (Op::Add | Op::Sub | Op::Mul | Op::Div) => {
+            let a = arg(0)?;
+            let b = arg(1)?;
             if !is_canonical(a) || !is_canonical(b) {
                 return None;
             }
@@ -165,7 +296,7 @@ fn try_fold(out: &Cdfg, op: &Op, args: &[NodeId]) -> Option<f64> {
             }
         }
         Op::Neg => {
-            let a = const_of(out, args[0])?;
+            let a = arg(0)?;
             if !is_canonical(a) {
                 return None;
             }
@@ -176,74 +307,109 @@ fn try_fold(out: &Cdfg, op: &Op, args: &[NodeId]) -> Option<f64> {
     (plain.to_bits() == hosted.to_bits()).then_some(plain)
 }
 
-/// One forward rewrite pass: fold all-constant nodes, then merge nodes
-/// with byte-equal canonical encodings. Returns the rewritten graph, the
-/// (folded, merged) counts, and the old→new node map.
-fn fold_and_cse(g: &Cdfg) -> (Cdfg, usize, usize, Vec<NodeId>) {
-    let mut out = Cdfg::new();
-    let mut map: Vec<NodeId> = Vec::with_capacity(g.len());
-    let mut seen: HashMap<Vec<u8>, NodeId> = HashMap::new();
-    let (mut folded, mut merged) = (0usize, 0usize);
-    for n in g.nodes() {
-        let mut args: Vec<NodeId> = n.args.iter().map(|&a| map[a]).collect();
-        if let Op::Output(_) = n.op {
-            map.push(out.push(n.op.clone(), args));
+/// One forward rewrite pass: fold all-constant nodes, then merge each
+/// node into an earlier one with the same CSE identity. Returns the
+/// rewritten graph, the (folded, merged) counts and the old→new node
+/// map, or `None` when nothing folds or merges. Up to the first rewrite
+/// the output is the input's prefix and the map the identity, so a pass
+/// that rewrites nothing copies nothing.
+fn fold_and_cse<'g>(nodes: &[WorkNode<'g>]) -> Option<(Vec<WorkNode<'g>>, usize, usize, Vec<u32>)> {
+    // std's keyed SipHash: a served graph comes from the network, and an
+    // unkeyed hash would let a crafted one collide every lookup
+    let mut seen: HashMap<Key, u32> = HashMap::with_capacity(nodes.len());
+    let mut inputs: HashMap<&'g str, u32> = HashMap::new();
+    // filled from the first rewrite on
+    let mut out: Vec<WorkNode<'g>> = Vec::new();
+    let mut map: Vec<u32> = Vec::new();
+    let mut rewriting = false;
+    let (mut folded, mut merged) = (0, 0);
+    for (id, n) in nodes.iter().enumerate() {
+        let mut node = *n;
+        if rewriting {
+            for a in &mut node.args[..node.arity as usize] {
+                *a = map[*a as usize];
+            }
+        }
+        if node.is_output() {
+            if rewriting {
+                map.push(out.len() as u32);
+                out.push(node);
+            }
             continue;
         }
-        let op = match try_fold(&out, &n.op, &args) {
-            Some(v) => {
-                folded += 1;
-                args.clear();
-                Op::Const(v)
-            }
-            None => n.op.clone(),
+        let fold = try_fold(if rewriting { &out } else { &nodes[..id] }, &node);
+        if let Some(v) = fold {
+            folded += 1;
+            node = WorkNode::constant(v);
+        }
+        // the id this node gets if it is kept (before the first rewrite,
+        // out's length would equal `id`)
+        let new_id = if rewriting { out.len() } else { id } as u32;
+        let slot = match node.op {
+            WorkOp::Src(Op::Input(name)) => match inputs.entry(name) {
+                Entry::Occupied(e) => Some(*e.get()),
+                Entry::Vacant(e) => {
+                    e.insert(new_id);
+                    None
+                }
+            },
+            _ => match seen.entry(Key::of(&node)) {
+                Entry::Occupied(e) => Some(*e.get()),
+                Entry::Vacant(e) => {
+                    e.insert(new_id);
+                    None
+                }
+            },
         };
-        // the CSE identity: the tape-cache key's bytes for this node, with
-        // argument ids already remapped into the output graph
-        let mut key = Vec::with_capacity(8 + 4 * args.len());
-        encode_node(&mut key, &op, &args);
-        if let Some(&prev) = seen.get(&key) {
+        if !rewriting && (fold.is_some() || slot.is_some()) {
+            rewriting = true;
+            out = nodes[..id].to_vec();
+            map = (0..id as u32).collect();
+        }
+        if let Some(prev) = slot {
             merged += 1;
             map.push(prev);
-            continue;
+        } else if rewriting {
+            map.push(new_id);
+            out.push(node);
         }
-        let id = out.push(op, args);
-        seen.insert(key, id);
-        map.push(id);
     }
-    (out, folded, merged, map)
+    rewriting.then_some((out, folded, merged, map))
 }
 
 /// Dead-node elimination rooted at the outputs **and every input**:
 /// removing an unused `Input` would change the tape's positional row
 /// layout, which must stay byte-compatible with the unoptimized tape.
-/// Returns the pruned graph, the removed count and the old→new node map,
-/// or `None` when every node is live.
-fn eliminate_dead_keep_inputs(g: &Cdfg) -> Option<(Cdfg, usize, Vec<NodeId>)> {
-    let mut live = vec![false; g.len()];
-    let mut stack: Vec<NodeId> = g.outputs();
-    for (id, n) in g.nodes().iter().enumerate() {
-        if matches!(n.op, Op::Input(_)) {
-            stack.push(id);
+/// Returns the pruned graph, the removed count and the old→new node map
+/// (`u32::MAX` for a removed node), or `None` when every node is live.
+fn eliminate_dead_keep_inputs<'g>(
+    nodes: &[WorkNode<'g>],
+) -> Option<(Vec<WorkNode<'g>>, usize, Vec<u32>)> {
+    // arguments precede their users, so one backward sweep marks every
+    // node a root reaches
+    let mut live = vec![false; nodes.len()];
+    for (id, node) in nodes.iter().enumerate().rev() {
+        if live[id] || node.is_output() || node.is_input() {
+            live[id] = true;
+            for &a in node.args() {
+                live[a as usize] = true;
+            }
         }
-    }
-    while let Some(id) = stack.pop() {
-        if live[id] {
-            continue;
-        }
-        live[id] = true;
-        stack.extend(g.nodes()[id].args.iter().copied());
     }
     let removed = live.iter().filter(|&&l| !l).count();
     if removed == 0 {
         return None;
     }
-    let mut map = vec![usize::MAX; g.len()];
-    let mut out = Cdfg::new();
-    for (id, n) in g.nodes().iter().enumerate() {
+    let mut map = vec![u32::MAX; nodes.len()];
+    let mut out = Vec::with_capacity(nodes.len() - removed);
+    for (id, node) in nodes.iter().enumerate() {
         if live[id] {
-            let args = n.args.iter().map(|&a| map[a]).collect();
-            map[id] = out.push(n.op.clone(), args);
+            let mut node = *node;
+            for a in &mut node.args[..node.arity as usize] {
+                *a = map[*a as usize];
+            }
+            map[id] = out.len() as u32;
+            out.push(node);
         }
     }
     Some((out, removed, map))
@@ -255,7 +421,8 @@ fn eliminate_dead_keep_inputs(g: &Cdfg) -> Option<(Cdfg, usize, Vec<NodeId>)> {
 /// allocates one for its own result). Every step emits the ready node
 /// with the lowest pressure delta, ties on the lowest original id;
 /// `Input` nodes keep their relative order and so do `Output` nodes.
-/// Also returns the old→new node map.
+/// Builds the optimized [`Cdfg`] in that order and returns it with the
+/// old→new node map.
 ///
 /// Wake-up/select, O(n log n): emitting a node wakes only its own users,
 /// found in a CSR users list, and select pops the lowest `(delta, id)`
@@ -263,14 +430,13 @@ fn eliminate_dead_keep_inputs(g: &Cdfg) -> Option<(Cdfg, usize, Vec<NodeId>)> {
 /// argument's remaining reads reach its own reads of it (at most 3), so
 /// only the ready users of an argument whose remaining reads fall to
 /// ≤ 3 are re-keyed.
-fn reorder_for_pressure(g: &Cdfg) -> (Cdfg, Vec<NodeId>) {
-    let nodes = g.nodes();
+fn reorder_for_pressure(nodes: &[WorkNode]) -> (Cdfg, Vec<u32>) {
     let n = nodes.len();
     // users[first[a]..first[a + 1]] read `a`, one entry per read
     let mut first = vec![0usize; n + 1];
     for node in nodes {
-        for &a in &node.args {
-            first[a + 1] += 1;
+        for &a in node.args() {
+            first[a as usize + 1] += 1;
         }
     }
     for i in 0..n {
@@ -279,24 +445,26 @@ fn reorder_for_pressure(g: &Cdfg) -> (Cdfg, Vec<NodeId>) {
     let mut fill = first.clone();
     let mut users = vec![0; first[n]];
     for (id, node) in nodes.iter().enumerate() {
-        for &a in &node.args {
-            users[fill[a]] = id;
-            fill[a] += 1;
+        for &a in node.args() {
+            users[fill[a as usize]] = id;
+            fill[a as usize] += 1;
         }
     }
-    let users_of = |a: NodeId| &users[first[a]..first[a + 1]];
+    let users_of = |a: usize| &users[first[a]..first[a + 1]];
     // remaining reads of each node's value
     let mut uses: Vec<usize> = (0..n).map(|a| users_of(a).len()).collect();
-    let mut unmet: Vec<usize> = nodes.iter().map(|nd| nd.args.len()).collect();
+    let mut unmet: Vec<usize> = nodes.iter().map(|nd| nd.args().len()).collect();
     // positional layouts: each input also waits for the previous input,
     // and each output for the previous output
-    let mut after: Vec<Option<NodeId>> = vec![None; n];
+    let mut after: Vec<Option<usize>> = vec![None; n];
     let (mut last_in, mut last_out) = (None, None);
     for (id, node) in nodes.iter().enumerate() {
-        let last = match node.op {
-            Op::Input(_) => &mut last_in,
-            Op::Output(_) => &mut last_out,
-            _ => continue,
+        let last = if node.is_input() {
+            &mut last_in
+        } else if node.is_output() {
+            &mut last_out
+        } else {
+            continue;
         };
         if let Some(prev) = last.replace(id) {
             after[prev] = Some(id);
@@ -312,10 +480,13 @@ fn reorder_for_pressure(g: &Cdfg) -> (Cdfg, Vec<NodeId>) {
             ready.queue(id, pressure_delta(node, &uses));
         }
     }
-    let mut order: Vec<NodeId> = Vec::with_capacity(n);
+    let mut map = vec![u32::MAX; n];
+    let mut out = Cdfg::with_capacity(n);
     while let Some(id) = ready.pop() {
-        order.push(id);
-        for &a in &nodes[id].args {
+        let args = nodes[id].args().iter().map(|&a| map[a as usize] as usize);
+        map[id] = out.push(nodes[id].to_op(), args.collect()) as u32;
+        for &a in nodes[id].args() {
+            let a = a as usize;
             uses[a] -= 1;
             if uses[a] <= 3 {
                 for &u in users_of(a) {
@@ -332,17 +503,7 @@ fn reorder_for_pressure(g: &Cdfg) -> (Cdfg, Vec<NodeId>) {
             }
         }
     }
-    assert_eq!(
-        order.len(),
-        n,
-        "a checker-clean DAG always has a ready node"
-    );
-    let mut map = vec![usize::MAX; n];
-    let mut out = Cdfg::new();
-    for &id in &order {
-        let args = nodes[id].args.iter().map(|&a| map[a]).collect();
-        map[id] = out.push(nodes[id].op.clone(), args);
-    }
+    assert_eq!(out.len(), n, "a checker-clean DAG always has a ready node");
     (out, map)
 }
 
@@ -350,36 +511,36 @@ fn reorder_for_pressure(g: &Cdfg) -> (Cdfg, Vec<NodeId>) {
 /// its result (none for an `Output`), one freed per argument whose
 /// remaining reads are all this node's. A double read (`x * x`) frees its
 /// slot once.
-fn pressure_delta(node: &Node, uses: &[usize]) -> i64 {
-    let args = &node.args;
+fn pressure_delta(node: &WorkNode, uses: &[usize]) -> i64 {
+    let args = node.args();
     let mut frees = 0i64;
     for (k, &a) in args.iter().enumerate() {
         if args[..k].contains(&a) {
             continue; // counted at its first occurrence
         }
-        if uses[a] == args.iter().filter(|&&b| b == a).count() {
+        if uses[a as usize] == args.iter().filter(|&&b| b == a).count() {
             frees += 1;
         }
     }
-    i64::from(!matches!(node.op, Op::Output(_))) - frees
+    i64::from(!node.is_output()) - frees
 }
 
 /// The ready set of [`reorder_for_pressure`]: a min-heap on
 /// `(pressure delta, node id)` with lazy invalidation. Re-keying pushes a
 /// fresh entry; a popped entry whose key is no longer current is skipped.
 struct ReadySet {
-    heap: BinaryHeap<Reverse<(i64, NodeId)>>,
+    heap: BinaryHeap<Reverse<(i64, usize)>>,
     /// The delta each queued node is keyed by; `None` off the heap.
     key: Vec<Option<i64>>,
 }
 
 impl ReadySet {
-    fn is_queued(&self, id: NodeId) -> bool {
+    fn is_queued(&self, id: usize) -> bool {
         self.key[id].is_some()
     }
 
     /// Queue `id`, or re-key it if it is queued and its delta fell.
-    fn queue(&mut self, id: NodeId, delta: i64) {
+    fn queue(&mut self, id: usize, delta: i64) {
         if self.key[id].is_none_or(|d| delta < d) {
             self.key[id] = Some(delta);
             self.heap.push(Reverse((delta, id)));
@@ -387,7 +548,7 @@ impl ReadySet {
     }
 
     /// Dequeue the node with the lowest `(delta, id)`.
-    fn pop(&mut self) -> Option<NodeId> {
+    fn pop(&mut self) -> Option<usize> {
         while let Some(Reverse((delta, id))) = self.heap.pop() {
             if self.key[id] == Some(delta) {
                 self.key[id] = None;

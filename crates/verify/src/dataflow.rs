@@ -19,7 +19,8 @@
 //! * **D006 no-sink** — a non-empty graph with no output at all.
 
 use crate::diag::{Diagnostic, Rule, Span};
-use crate::graph::{Graph, Role};
+use crate::graph::{Domain, Graph, Role};
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Run the dataflow pass over `g`. Returns all findings; empty means
 /// the graph is domain-consistent, acyclic and fully live.
@@ -84,9 +85,10 @@ pub fn check_dataflow(g: &Graph) -> Vec<Diagnostic> {
 /// D004: conversions that cancel against their producer or duplicate a
 /// sibling. Only well-formed edges (in-range, single-argument
 /// conversions) are inspected; malformed ones are already reported
-/// above.
+/// above. A duplicate names the first earlier conversion of the same
+/// source, unit format and direction, found in one table lookup.
 fn check_conversions(g: &Graph, diags: &mut Vec<Diagnostic>) {
-    let mut seen: Vec<(usize, &crate::graph::Conversion)> = Vec::new();
+    let mut seen: HashMap<(usize, &str, Domain), usize> = HashMap::new();
     for (id, node) in g.nodes.iter().enumerate() {
         let Some(conv) = &node.conv else { continue };
         let Some(&src) = node.args.first() else {
@@ -108,21 +110,22 @@ fn check_conversions(g: &Graph, diags: &mut Vec<Diagnostic>) {
                 ));
             }
         }
-        if let Some(&(dup, _)) = seen
-            .iter()
-            .find(|(other, c)| g.nodes[*other].args.first() == Some(&src) && **c == *conv)
-        {
-            diags.push(Diagnostic::warning(
+        match seen.entry((src, conv.unit.as_str(), conv.to)) {
+            Entry::Occupied(first) => diags.push(Diagnostic::warning(
                 Rule::RedundantConversion,
                 Span::Node(id),
                 format!(
-                    "{} duplicates node {dup}: same source (node {src}) and \
+                    "{} duplicates node {}: same source (node {src}) and \
                      same conversion into {:?}",
-                    node.label, conv.unit
+                    node.label,
+                    first.get(),
+                    conv.unit
                 ),
-            ));
+            )),
+            Entry::Vacant(slot) => {
+                slot.insert(id);
+            }
         }
-        seen.push((id, conv));
     }
 }
 
@@ -284,6 +287,100 @@ mod tests {
                 .any(|d| d.rule == Rule::RedundantConversion && d.span == Span::Node(back)),
             "{diags:?}"
         );
+    }
+
+    /// A conversion of `src` into (`to = Cs`) or out of `unit`.
+    fn conversion(g: &mut Graph, src: usize, unit: &str, to: Domain) -> usize {
+        let (label, from) = match to {
+            Domain::Cs => ("IeeeToCs", Domain::Ieee),
+            Domain::Ieee => ("CsToIeee", Domain::Cs),
+        };
+        g.push(
+            Node::new(label, to)
+                .with_args(vec![src], vec![from])
+                .with_conversion(unit, to),
+        )
+    }
+
+    fn duplicate_spans(diags: &[Diagnostic]) -> Vec<(Span, String)> {
+        diags
+            .iter()
+            .filter(|d| d.rule == Rule::RedundantConversion && d.message.contains("duplicates"))
+            .map(|d| (d.span.clone(), d.message.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn duplicate_sibling_conversion_is_d004_and_names_the_first() {
+        let mut g = Graph::new();
+        let a = input(&mut g);
+        let first = conversion(&mut g, a, "pcs-55-zd", Domain::Cs);
+        // another unit format: not a duplicate
+        conversion(&mut g, a, "fcs-55-zd", Domain::Cs);
+        let second = conversion(&mut g, a, "pcs-55-zd", Domain::Cs);
+        let third = conversion(&mut g, a, "pcs-55-zd", Domain::Cs);
+        let dups = duplicate_spans(&check_dataflow(&g));
+        assert_eq!(
+            dups.iter().map(|(s, _)| s.clone()).collect::<Vec<_>>(),
+            [Span::Node(second), Span::Node(third)],
+            "{dups:?}"
+        );
+        for (_, message) in &dups {
+            assert!(
+                message.contains(&format!("duplicates node {first}:")),
+                "{message}"
+            );
+        }
+    }
+
+    /// The duplicate half of D004 against the quadratic scan it replaced:
+    /// every earlier conversion compared with each new one.
+    #[test]
+    fn many_conversions_match_a_brute_force_duplicate_scan() {
+        let mut g = Graph::new();
+        let ieee: Vec<usize> = (0..12).map(|_| input(&mut g)).collect();
+        let mut cs = Vec::new();
+        let units = ["pcs-55-zd", "fcs-55-zd", "pcs-58"];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for _ in 0..400 {
+            let unit = units[next(units.len())];
+            if cs.is_empty() || next(2) == 0 {
+                let src = ieee[next(ieee.len())];
+                cs.push(conversion(&mut g, src, unit, Domain::Cs));
+            } else {
+                let src = cs[next(cs.len())];
+                conversion(&mut g, src, unit, Domain::Ieee);
+            }
+        }
+        let mut want = Vec::new();
+        let mut seen: Vec<(usize, &crate::graph::Conversion)> = Vec::new();
+        for (id, node) in g.nodes.iter().enumerate() {
+            let Some(conv) = &node.conv else { continue };
+            let src = node.args[0];
+            if let Some(&(dup, _)) = seen
+                .iter()
+                .find(|(other, c)| g.nodes[*other].args[0] == src && **c == *conv)
+            {
+                want.push((Span::Node(id), dup));
+            }
+            seen.push((id, conv));
+        }
+        assert!(want.len() > 100, "only {} duplicates generated", want.len());
+        let got = duplicate_spans(&check_dataflow(&g));
+        assert_eq!(got.len(), want.len());
+        for ((span, message), (want_span, dup)) in got.iter().zip(&want) {
+            assert_eq!(span, want_span);
+            assert!(
+                message.contains(&format!("duplicates node {dup}:")),
+                "{message}"
+            );
+        }
     }
 
     #[test]
