@@ -56,6 +56,16 @@ for f in examples/datapaths/*.csfma; do
     d3=$(printf '%s\n' "$jit" | sed -n 's/.*digest //p')
     d4=$(printf '%s\n' "$bit" | sed -n 's/.*digest //p')
     [ -n "$d3" ] && [ "$d3" = "$d4" ] || { echo "ci: --backend jit digest differs from --backend bit on $f ($d3 vs $d4)" >&2; exit 1; }
+    # the bit-plane kernel through the CLI: --batch 16 above is a partial
+    # chunk, so only full 64-row chunks run the plane kernel and its
+    # in-place register writes; their digest must equal the oracle's
+    for fuse in pcs fcs; do
+        pb=$(cargo run -q --bin csfma-run -- --fuse $fuse --backend bit --batch 128 "$f")
+        po=$(cargo run -q --bin csfma-run -- --fuse $fuse --backend oracle --batch 128 "$f")
+        d5=$(printf '%s\n' "$pb" | sed -n 's/.*digest //p')
+        d6=$(printf '%s\n' "$po" | sed -n 's/.*digest //p')
+        [ -n "$d5" ] && [ "$d5" = "$d6" ] || { echo "ci: --fuse $fuse --backend bit digest differs from --backend oracle on $f ($d5 vs $d6)" >&2; exit 1; }
+    done
 done
 
 # golden-vector corpus: absolute output bits of the FMA units, the
@@ -97,6 +107,11 @@ cargo test --release -q --test parser_oracle -- --include-ignored
 # the cases tier-1 skips: every pair to 11 bits and 10^6 biased random
 # pairs at widths 1-200
 cargo test --release -q --test lza_oracle -- --include-ignored
+
+# rounding-decision oracle (DESIGN.md §13.3): the limb-wise block
+# rounding decision must match the resolve-and-read-two-bits route it
+# replaced, again including the 10^7 biased pairs that tier-1 skips
+cargo test --release -q --test rounding_oracle -- --include-ignored
 
 # conversion oracle (DESIGN.md §13.3): the word-level binary64 <-> carry-
 # save conversions must match the exact routes they replaced, in all five

@@ -208,10 +208,30 @@ impl Bits {
     /// Build from little-endian limbs, truncating/padding to `width`.
     pub fn from_limbs(width: usize, limbs: &[u64]) -> Self {
         let mut b = Bits::zero(width);
-        let n = b.limbs.len().min(limbs.len());
-        b.limbs[..n].copy_from_slice(&limbs[..n]);
-        b.mask_top();
+        b.assign_limbs(limbs);
         b
+    }
+
+    /// Overwrite the value in place from little-endian limbs, keeping
+    /// the width: limbs past it are ignored, missing ones read as zero,
+    /// and bits above the width are cleared.
+    #[inline]
+    pub fn assign_limbs(&mut self, limbs: &[u64]) {
+        let rem = self.width % 64;
+        let dst: &mut [u64] = &mut self.limbs;
+        // a plain loop: the words are a few limbs, too short to pay for
+        // a `memcpy` and a `memset` call
+        for (i, d) in dst.iter_mut().enumerate() {
+            *d = limbs.get(i).copied().unwrap_or(0);
+        }
+        // the top limb keeps only the bits below the width (a zero-width
+        // value keeps none)
+        let top = dst.len() - 1;
+        if self.width == 0 {
+            dst[top] = 0;
+        } else if rem != 0 {
+            dst[top] &= (1u64 << rem) - 1;
+        }
     }
 
     /// Parse from a binary string (MSB first); `_` separators are ignored.

@@ -32,6 +32,20 @@ fn from_i128_negative_wide() {
 }
 
 #[test]
+fn assign_limbs_keeps_width_and_masks_the_top() {
+    // a dirty 110-bit word takes a shorter and a longer limb slice in
+    // place, and ends up equal to the freshly built value each time
+    let mut b = Bits::ones(110);
+    b.assign_limbs(&[0x1234]);
+    assert_eq!(b, Bits::from_u64(110, 0x1234));
+    b.assign_limbs(&[!0, !0, !0]);
+    assert_eq!(b, Bits::ones(110));
+    let mut z = Bits::ones(0);
+    z.assign_limbs(&[7]);
+    assert_eq!(z, Bits::zero(0));
+}
+
+#[test]
 fn one_hot_positions() {
     let b = Bits::one_hot(130, 128);
     assert!(b.bit(128));

@@ -67,6 +67,14 @@ impl CsNumber {
         &self.carry
     }
 
+    /// Overwrite both words in place from little-endian limbs, keeping
+    /// the width (see [`Bits::assign_limbs`]).
+    #[inline]
+    pub fn assign_limbs(&mut self, sum: &[u64], carry: &[u64]) {
+        self.sum.assign_limbs(sum);
+        self.carry.assign_limbs(carry);
+    }
+
     /// Deconstruct into the `(sum, carry)` words without cloning.
     pub fn into_words(self) -> (Bits, Bits) {
         (self.sum, self.carry)

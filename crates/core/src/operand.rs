@@ -89,52 +89,94 @@ impl CsOperand {
     }
 
     /// Convert an IEEE-style [`SoftFloat`] into the transport format —
-    /// the `IEEE 754 → CS` conversion box the HLS pass inserts (Fig. 12).
-    ///
-    /// The significand (with its implied one) lands with its integer bit
-    /// at `frac_bits`; negative numbers are two's-complemented. This is
-    /// pure wiring plus one optional negation — the cheap direction.
+    /// the `IEEE 754 → CS` conversion box the HLS pass inserts (Fig. 12):
+    /// a zero operand followed by [`assign_ieee`](Self::assign_ieee).
     pub fn from_ieee(value: &SoftFloat, format: CsFmaFormat) -> Self {
-        match value.class() {
-            FpClass::Zero => CsOperand::zero(format, value.sign()),
-            FpClass::Inf => CsOperand::inf(format, value.sign()),
-            FpClass::Nan => CsOperand::nan(format),
-            FpClass::Normal => {
-                let m = format.mant_bits();
-                let shift = format.frac_bits() - value.format().frac_bits as usize;
-                let mant_bits = if m <= 128 {
-                    // the significand's integer bit lands at frac_bits < 128
-                    let sig = (value.significand() as u128) << shift;
-                    let sig = if value.sign() {
-                        sig.wrapping_neg()
-                    } else {
-                        sig
-                    };
-                    Bits::from_u128(m, sig)
-                } else {
-                    let sig = Bits::from_u64(m, value.significand()).shl(shift);
-                    if value.sign() {
-                        sig.wrapping_neg()
-                    } else {
-                        sig
-                    }
-                };
-                CsOperand {
-                    format,
-                    class: FpClass::Normal,
-                    sign_hint: value.sign(),
-                    mant: CsNumber::from_binary(mant_bits),
-                    round: CsNumber::zero(format.block_bits),
-                    exp: BiasedExp::from_unbiased(value.exp()),
-                }
-            }
-        }
+        let mut op = CsOperand::zero(format, false);
+        op.assign_ieee(value, &format);
+        op
     }
 
     /// Convenience: convert a host double straight into the transport
     /// format (binary64 on the `B`-side semantics).
     pub fn from_f64(value: f64, format: CsFmaFormat) -> Self {
         Self::from_ieee(&SoftFloat::from_f64(FpFormat::BINARY64, value), format)
+    }
+
+    /// Overwrite this operand in place with `value` converted into
+    /// `format` — the one implementation of the `IEEE 754 → CS` box.
+    /// Every field is written, so the result equals a freshly built
+    /// operand whatever the slot held before; a slot of another width
+    /// is rebuilt first.
+    ///
+    /// The significand (with its implied one) lands with its integer bit
+    /// at `frac_bits`; negative numbers are two's-complemented. This is
+    /// pure wiring plus one optional negation — the cheap direction.
+    pub fn assign_ieee(&mut self, value: &SoftFloat, format: &CsFmaFormat) {
+        self.fit(format);
+        let class = value.class();
+        self.class = class;
+        self.sign_hint = class != FpClass::Nan && value.sign();
+        self.round.assign_limbs(&[], &[]);
+        if class != FpClass::Normal {
+            self.mant.assign_limbs(&[], &[]);
+            self.exp = BiasedExp::from_unbiased(0);
+            return;
+        }
+        let m = format.mant_bits();
+        let shift = format.frac_bits() - value.format().frac_bits as usize;
+        if m <= 128 {
+            // the significand's integer bit lands at frac_bits < 128
+            let sig = (value.significand() as u128) << shift;
+            let sig = if value.sign() {
+                sig.wrapping_neg()
+            } else {
+                sig
+            };
+            self.mant
+                .assign_limbs(&[sig as u64, (sig >> 64) as u64], &[]);
+        } else {
+            let sig = Bits::from_u64(m, value.significand()).shl(shift);
+            let sig = if value.sign() {
+                sig.wrapping_neg()
+            } else {
+                sig
+            };
+            self.mant.assign_limbs(sig.limbs(), &[]);
+        }
+        self.exp = BiasedExp::from_unbiased(value.exp());
+    }
+
+    /// Overwrite this operand in place with a normal result of `format`:
+    /// the mantissa and rounding words as little-endian limbs, the sign
+    /// hint and the exponent — what the plane kernel's writeback would
+    /// otherwise assemble into a fresh operand. Every field is written;
+    /// a slot of another width is rebuilt first.
+    pub(crate) fn assign_normal(
+        &mut self,
+        format: &CsFmaFormat,
+        sign_hint: bool,
+        mant: [&[u64]; 2],
+        round: [&[u64]; 2],
+        exp: BiasedExp,
+    ) {
+        self.fit(format);
+        self.class = FpClass::Normal;
+        self.sign_hint = sign_hint;
+        self.mant.assign_limbs(mant[0], mant[1]);
+        self.round.assign_limbs(round[0], round[1]);
+        self.exp = exp;
+    }
+
+    /// Give this slot `format`, rebuilding its words when their widths
+    /// differ (a recycled slot of another format): two width compares,
+    /// and a plain copy of the format.
+    #[inline]
+    fn fit(&mut self, format: &CsFmaFormat) {
+        if self.mant.width() != format.mant_bits() || self.round.width() != format.block_bits {
+            *self = CsOperand::zero(*format, false);
+        }
+        self.format = *format;
     }
 
     /// Convert back to an IEEE-style format — the `CS → IEEE 754` box:

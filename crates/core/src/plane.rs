@@ -14,9 +14,15 @@
 //!
 //! * **Scalar preamble** — exception classes, rounding decisions and the
 //!   window placement arithmetic are per-lane control logic, evaluated
-//!   as such. Lanes that take an exception early-return (NaN/Inf/Zero
-//!   products) are resolved by the scalar engine — they never reach the
-//!   datapath in hardware either — and merged back at writeback.
+//!   as such, on machine words: the rounding decision is one
+//!   carry-propagating limb add (`round_up_from_block`), and the FCS
+//!   early-LZA cap reads each operand limb once. Lanes that take an
+//!   exception early-return (NaN/Inf/Zero products) are resolved by the
+//!   scalar engine — they never reach the datapath in hardware either —
+//!   kept in a sparse `(lane, result)` list and merged back at writeback.
+//! * **Writeback in place** — each datapath lane overwrites its
+//!   destination slot's class, sign hint, exponent and digit words from
+//!   the untransposed limbs; no operand is built per lane.
 //! * **Plane multiplier** — the scalar multiplier feeds a *fixed*
 //!   `2·b_sig + 1` rows to its tree regardless of `B`'s bit pattern
 //!   (zero rows for clear bits), so all lanes share one tree shape and
@@ -54,12 +60,10 @@
 use crate::format::Normalizer;
 use crate::operand::CsOperand;
 use crate::unit::{CsFmaUnit, FmaScratch};
-use csfma_bits::Bits;
 use csfma_carrysave::plane::{
     align_planes, plane_carry_reduce, plane_csa3_2, plane_reduce_to_cs, planes_to_lane_limbs,
     transpose64, PLANE_LANES,
 };
-use csfma_carrysave::CsNumber;
 use csfma_softfloat::{FpClass, SoftFloat};
 use csfma_units::exponent::BiasedExp;
 use csfma_units::rounding::round_up_from_block;
@@ -144,7 +148,8 @@ pub struct PlaneScratch {
     pub corrupt_next_plane_word: bool,
     fma: FmaScratch,
     prep: Vec<LanePrep>,
-    early: Vec<Option<CsOperand>>,
+    /// The exception lanes' results, `(lane, result)` in lane order.
+    early: Vec<(usize, CsOperand)>,
     skips: Vec<usize>,
     ext_s: Vec<u64>,
     ext_c: Vec<u64>,
@@ -319,7 +324,6 @@ pub fn plane_fma_chunk(
         s.prep.clear();
         s.prep.resize(len, LanePrep::default());
         s.early.clear();
-        s.early.resize(len, None);
         let mut n_plane = 0u64;
         #[allow(clippy::needless_range_loop)] // k indexes four parallel lane arrays
         for k in 0..len {
@@ -331,7 +335,7 @@ pub fn plane_fma_chunk(
             if !normal {
                 // exception lanes never reach the datapath; the scalar
                 // engine's early-return ladder resolves them bit-exactly
-                s.early[k] = Some(unit.fma_with(a, bv, c, &mut s.fma));
+                s.early.push((k, unit.fma_with(a, bv, c, &mut s.fma)));
                 continue;
             }
             n_plane += 1;
@@ -701,7 +705,7 @@ pub fn plane_fma_chunk(
         }
     });
 
-    // ---- untranspose + writeback: the bank's first write ----
+    // ---- untranspose + writeback in place: the bank's first write ----
     timed(&mut ns[WRITEBACK], || {
         timed(&mut transpose_ns, || {
             let words = [
@@ -716,19 +720,23 @@ pub fn plane_fma_chunk(
         });
         let (rg, bg) = (rw.div_ceil(64), bb.div_ceil(64));
         let [res_s, res_c, rnd_s, rnd_c] = &s.out;
-        for k in 0..len {
-            if let Some(r) = s.early[k].take() {
-                bank[dst + k] = r;
+        for (k, p) in s.prep.iter().enumerate() {
+            if !p.normal {
                 continue;
             }
             let (ms, mc) = (&res_s[k * rg..][..rg], &res_c[k * rg..][..rg]);
             let (rs, rc) = (&rnd_s[k * bg..][..bg], &rnd_c[k * bg..][..bg]);
-            let mant = CsNumber::new(Bits::from_limbs(rw, ms), Bits::from_limbs(rw, mc));
-            let round = CsNumber::new(Bits::from_limbs(bb, rs), Bits::from_limbs(bb, rc));
-            let sign_hint = two_word_sign(ms, mc, rw);
-            let e_r = (nb - s.skips[k] - keep) as i64 * bb as i64 + s.prep[k].wls + fc;
-            let exp = BiasedExp::from_unbiased_saturating(e_r);
-            bank[dst + k] = CsOperand::from_raw(f, FpClass::Normal, sign_hint, mant, round, exp);
+            let e_r = (nb - s.skips[k] - keep) as i64 * bb as i64 + p.wls + fc;
+            bank[dst + k].assign_normal(
+                &f,
+                two_word_sign(ms, mc, rw),
+                [ms, mc],
+                [rs, rc],
+                BiasedExp::from_unbiased_saturating(e_r),
+            );
+        }
+        for (k, r) in s.early.drain(..) {
+            bank[dst + k] = r;
         }
     });
     PlaneStats {

@@ -1341,6 +1341,8 @@ impl Tape {
         for (name, ns) in PLANE_STAGE_COUNTERS.into_iter().zip(st.plane_stage_ns) {
             prof.set_counter(name, c(ns) / 1000.0);
         }
+        prof.set_counter("cs_from_ieee_us", c(st.cs_from_ieee_ns) / 1000.0);
+        prof.set_counter("cs_to_ieee_us", c(st.cs_to_ieee_ns) / 1000.0);
         if backend == TapeBackend::Jit {
             prof.set_counter("jit_rows", c(st.jit_rows));
             prof.set_counter("jit_bailouts", c(st.jit_bailouts));
@@ -1387,6 +1389,11 @@ impl Tape {
         };
         let fb = &mut 0u64; // soft-float fallbacks, reported by the hosted ops
         let promoted = |i: usize| !H::CHECKED && self.promoted.get(i).copied().unwrap_or(false);
+        // the conversions of a full chunk are timed like the plane stages:
+        // once per instruction, only when the `obs` feature is on
+        let clock = || (cfg!(feature = "obs") && len == W).then(std::time::Instant::now);
+        let since =
+            |t0: Option<std::time::Instant>| t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
         for (i, ins) in self.instrs.iter().enumerate() {
             match *ins {
                 Instr::LoadInput { dst, input } => {
@@ -1488,15 +1495,19 @@ impl Tape {
                         FmaKind::Fcs => self.fcs_format,
                     };
                     let (d, x) = (p(dst), p(src));
+                    let t0 = clock();
                     for k in 0..len {
-                        s.cs[d + k] = CsOperand::from_f64(s.f[x + k], fmt);
+                        s.cs[d + k].assign_ieee(&SoftFloat::from_f64(F, s.f[x + k]), &fmt);
                     }
+                    st.cs_from_ieee_ns += since(t0);
                 }
                 Instr::CsToIeee { dst, src } => {
                     let (d, x) = (p(dst), p(src));
+                    let t0 = clock();
                     for k in 0..len {
                         s.f[d + k] = s.cs[x + k].to_ieee(F, Round::NearestEven).to_f64();
                     }
+                    st.cs_to_ieee_ns += since(t0);
                 }
                 Instr::Store { output, src } => {
                     let x = p(src);

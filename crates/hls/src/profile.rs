@@ -75,6 +75,13 @@ pub struct EvalStats {
     /// Nanoseconds the plane kernel spent per stage, indexed like
     /// [`PLANE_STAGES`] (`0` without the `obs` feature).
     pub plane_stage_ns: [u64; PLANE_STAGES.len()],
+    /// Nanoseconds the bit-accurate interpreter spent in `IeeeToCs`
+    /// instructions of full chunks, timed once per instruction per
+    /// chunk like the plane stages (`0` without the `obs` feature).
+    pub cs_from_ieee_ns: u64,
+    /// Nanoseconds spent in `CsToIeee` instructions of full chunks,
+    /// timed the same way (`0` without the `obs` feature).
+    pub cs_to_ieee_ns: u64,
     /// Rows dispatched to native code ([`TapeBackend::Jit`](crate::TapeBackend::Jit) only).
     pub jit_rows: u64,
     /// JIT rows the interpreter re-ran: a guard fired, or no module
@@ -110,6 +117,8 @@ impl EvalStats {
         for (t, o) in self.plane_stage_ns.iter_mut().zip(o.plane_stage_ns) {
             *t += o;
         }
+        self.cs_from_ieee_ns += o.cs_from_ieee_ns;
+        self.cs_to_ieee_ns += o.cs_to_ieee_ns;
         self.jit_rows += o.jit_rows;
         self.jit_bailouts += o.jit_bailouts;
     }

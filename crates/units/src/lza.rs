@@ -21,25 +21,27 @@ use csfma_carrysave::CsNumber;
 /// must detect separately — the paper's "reliably detect all-0 mantissas").
 pub const LZA_MAX_ERROR: usize = 1;
 
-/// Limb `j` of `x` sign-extended without bound: positions at and above
-/// the width replicate the sign bit.
+/// Limb reader of `x` sign-extended without bound: positions at and
+/// above the width replicate the sign bit. The width and the sign are
+/// read once, when the reader is made.
 #[inline]
-fn sext_limb(x: &Bits, j: usize) -> u64 {
+fn sext_limbs(x: &Bits) -> impl Fn(usize) -> u64 + '_ {
+    let (w, l) = (x.width(), x.limbs());
     let fill = if x.sign_bit() { !0u64 } else { 0 };
-    let lo = j * 64;
-    if lo >= x.width() {
-        return fill;
-    }
-    let rem = x.width() - lo;
-    let l = x.limbs()[j];
-    if rem < 64 {
-        l | (fill << rem)
-    } else {
-        l
+    move |j| {
+        let lo = j * 64;
+        if lo >= w {
+            fill
+        } else if w - lo < 64 {
+            l[j] | (fill << (w - lo))
+        } else {
+            l[j]
+        }
     }
 }
 
-/// Limb `j` (bits `64j .. 64j + 63`) of the indicator string of `a + b`.
+/// The indicator string of `a + b` a 64-bit limb at a time, from the top
+/// limb down: `(j, f)` with `f` holding bits `64j .. 64j + 63`.
 ///
 /// Per position `i`, with `t = a^b`, `g = a&b`, `z = !(a|b)` over the
 /// sign-extended operands:
@@ -47,21 +49,33 @@ fn sext_limb(x: &Bits, j: usize) -> u64 {
 ///       | !t(i+1) & (z(i) & !z(i-1) | g(i) & !g(i-1))`.
 /// The neighbour terms are whole-limb shifts: `t(i+1)` takes bit 63 from
 /// the limb above, `g(i-1)`/`z(i-1)` take bit 0 from the limb below.
+/// Each operand limb is sign-extended once: the limb below becomes the
+/// next step's own limb, and `t` is carried down from the limb above.
 /// Below position 0 neither `g` nor `z` holds (a carry-in of unknown
-/// value is conservatively assumed possible). Above the top the
-/// sign extension replicates `t`, so no position needs a special case.
+/// value is conservatively assumed possible), which the pair `(0, !0)`
+/// supplies. Above the top the sign extension replicates `t`, so no
+/// position needs a special case.
 #[inline]
-fn indicator_limb(a: &Bits, b: &Bits, j: usize) -> u64 {
-    let (x, y) = (sext_limb(a, j), sext_limb(b, j));
-    let (t, g, z) = (x ^ y, x & y, !(x | y));
-    let t_up = (t >> 1) | ((sext_limb(a, j + 1) ^ sext_limb(b, j + 1)) << 63);
-    let (mut g_dn, mut z_dn) = (g << 1, z << 1);
-    if j > 0 {
-        let (xl, yl) = (sext_limb(a, j - 1), sext_limb(b, j - 1));
-        g_dn |= (xl & yl) >> 63;
-        z_dn |= !(xl | yl) >> 63;
-    }
-    (t_up & ((g & !z_dn) | (z & !g_dn))) | (!t_up & ((z & !z_dn) | (g & !g_dn)))
+fn indicator_limbs<'a>(a: &'a Bits, b: &'a Bits) -> impl Iterator<Item = (usize, u64)> + 'a {
+    let (sa, sb) = (sext_limbs(a), sext_limbs(b));
+    let n = a.width().div_ceil(64);
+    let mut t_above = sa(n) ^ sb(n);
+    let top = n.saturating_sub(1);
+    let (mut x, mut y) = (sa(top), sb(top));
+    (0..n).rev().map(move |j| {
+        let (xl, yl) = if j > 0 {
+            (sa(j - 1), sb(j - 1))
+        } else {
+            (0, !0)
+        };
+        let (t, g, z) = (x ^ y, x & y, !(x | y));
+        let t_up = (t >> 1) | (t_above << 63);
+        let g_dn = (g << 1) | ((xl & yl) >> 63);
+        let z_dn = (z << 1) | (!(xl | yl) >> 63);
+        let f = (t_up & ((g & !z_dn) | (z & !g_dn))) | (!t_up & ((z & !z_dn) | (g & !g_dn)));
+        (t_above, x, y) = (t, xl, yl);
+        (j, f)
+    })
 }
 
 /// Raw Schmookler/Nowka general-case indicator string for `a + b` (two's
@@ -79,9 +93,10 @@ pub fn lza_indicator(a: &Bits, b: &Bits) -> Bits {
     if w == 0 {
         return Bits::zero(0);
     }
-    let f: Vec<u64> = (0..w.div_ceil(64))
-        .map(|j| indicator_limb(a, b, j))
-        .collect();
+    let mut f = vec![0u64; w.div_ceil(64)];
+    for (j, limb) in indicator_limbs(a, b) {
+        f[j] = limb;
+    }
     Bits::from_limbs(w + 2, &f)
 }
 
@@ -108,8 +123,7 @@ pub fn lza_indicator(a: &Bits, b: &Bits) -> Bits {
 pub fn anticipate_leading(a: &Bits, b: &Bits) -> usize {
     assert_eq!(a.width(), b.width(), "lza width mismatch");
     let w = a.width();
-    for j in (0..w.div_ceil(64)).rev() {
-        let f = indicator_limb(a, b, j);
+    for (j, f) in indicator_limbs(a, b) {
         if f != 0 {
             let pos_f = j * 64 + 63 - f.leading_zeros() as usize;
             // a (w+2)-bit word with first significant bit at `p` has

@@ -23,13 +23,26 @@ use csfma_carrysave::CsNumber;
 /// segment adders (constant time); the mantissa rounds up iff the resolved
 /// block value is at least half an ULP (`>= 2^(b-1)`), including the case
 /// where the CS digits overflow the block (value `>= 2^b`).
+///
+/// Evaluated as one carry-propagating add over the words' limbs: the
+/// limbs below the top one contribute only their carry, and bits `b - 1`
+/// and `b` of the `(b + 1)`-bit sum are read off the top limb's 65-bit
+/// sum.
 pub fn round_up_from_block(round_data: &CsNumber) -> bool {
     let b = round_data.width();
     if b == 0 {
         return false;
     }
-    let resolved = round_data.resolve_extended(); // b + 1 bits, no wrap
-    resolved.bit(b) || resolved.bit(b - 1)
+    let (s, c) = (round_data.sum().limbs(), round_data.carry().limbs());
+    let top = (b - 1) / 64;
+    let mut carry = false;
+    for i in 0..top {
+        let (v, c1) = s[i].overflowing_add(c[i]);
+        let (_, c2) = v.overflowing_add(carry as u64);
+        carry = c1 | c2;
+    }
+    let v = s[top] as u128 + c[top] as u128 + carry as u128;
+    (v >> ((b - 1) % 64)) & 0b11 != 0
 }
 
 #[cfg(test)]
