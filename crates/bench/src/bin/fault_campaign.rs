@@ -40,7 +40,7 @@ fn main() -> ExitCode {
             if s.checked {
                 ""
             } else {
-                "  (not gated: needs ECC)"
+                "  (not gated: partial chunks are unchecked)"
             },
         );
     }

@@ -23,8 +23,9 @@
 //! [`FaultSite::TapeReg`] is swept too but reported with
 //! `checked: false`: a register-plane upset between operations is
 //! invisible to datapath checks (it corrupts a value, not a
-//! computation) and needs ECC on the register file — the campaign
-//! reports its silent rate honestly instead of gating on it.
+//! computation). The plane shadow catches it on full 64-row chunks,
+//! but nothing does on a partial chunk, so the campaign reports its
+//! silent rate instead of gating on it (DESIGN.md §10.4).
 //!
 //! Every site is additionally re-run at 4 worker threads (after
 //! [`FaultPlan::reset`]) and the outputs and outcomes compared — the
@@ -68,8 +69,8 @@ pub struct SiteReport {
     pub thread_invariant: bool,
     /// Single-threaded robust-executor wall time per row, microseconds —
     /// read from the engine's `eval_robust` observability span, the same
-    /// instrumentation `bench::throughput` and `csfma-run --profile`
-    /// consume (a `time_us` stopwatch is the obs-disabled fallback).
+    /// instrumentation `csfma-run --profile` consumes (a `time_us`
+    /// stopwatch is the obs-disabled fallback).
     pub eval_us_per_row: f64,
 }
 
@@ -253,8 +254,9 @@ pub fn to_json(c: &FaultCampaign) -> String {
     let _ = writeln!(s, "  ],");
     let _ = writeln!(
         s,
-        "  \"note\": \"tape-reg is outside checker coverage (register-file \
-         upsets need ECC); it is swept and reported but not gated\","
+        "  \"note\": \"tape-reg is outside the datapath checkers: the plane \
+         shadow catches its strikes on full 64-row chunks, nothing does on a \
+         partial chunk; it is swept and reported but not gated\","
     );
     let _ = writeln!(s, "  \"silent_on_checked\": {},", c.silent_on_checked());
     let _ = writeln!(s, "  \"pass\": {}", c.passes());

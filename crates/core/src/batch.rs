@@ -25,9 +25,8 @@
 //! Workers come from a lazily-grown process-wide pool of parked threads
 //! (the old implementation spawned fresh OS threads per call through
 //! `std::thread::scope`; at ~10 k rows the spawn cost alone outweighed
-//! the per-chunk work and made 8 threads *slower* than 1 — the
-//! regression recorded in `results/BENCH_throughput.json` before this
-//! scheduler landed).
+//! the per-chunk work and made 8 threads *slower* than 1, a regression
+//! the old throughput benchmark recorded before this scheduler landed).
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};

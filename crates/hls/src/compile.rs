@@ -1175,9 +1175,9 @@ impl Tape {
     }
 
     /// Evaluate one scheduling chunk (`len` rows starting at row `base`)
-    /// into `chunk` — the shared per-chunk dispatch used by
-    /// [`Tape::eval_batch`] and [`crate::many::eval_many`]. Returns the
-    /// chunk's counts (see [`EvalStats`]); the scratch keeps none.
+    /// into `chunk` — the per-chunk dispatch of [`Tape::eval_batch`] and
+    /// the robust executor's plane shadow. Returns the chunk's counts
+    /// (see [`EvalStats`]); the scratch keeps none.
     pub(crate) fn eval_chunk(
         &self,
         backend: TapeBackend,

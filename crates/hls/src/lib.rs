@@ -35,7 +35,6 @@ pub mod fuse;
 pub mod interp;
 pub mod jit;
 pub mod lint;
-pub mod many;
 pub mod mutate;
 pub mod opt;
 pub mod parser;
@@ -60,7 +59,6 @@ pub use lint::{
     capacity_list, debug_assert_tape_clean, lint_dataflow, lint_ranges, lint_schedule,
     promotion_mask, schedule_view, to_check_graph, to_source_view, to_tape_view, verify_tape,
 };
-pub use many::{eval_many, eval_many_profiled, EvalManyOutput, EvalManyRequest};
 pub use mutate::{apply_mutation, ALL_MUTATIONS};
 pub use opt::OptStats;
 pub use parser::{parse_program, parse_program_with_ranges, ParseError};

@@ -50,7 +50,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::hash::{Hash, Hasher};
 
 /// What the optimizer did to a graph, recorded on the compiled tape for
-/// benchmark attribution (`bench::throughput` emits these).
+/// attribution (`csfma-run` and perfbench report these).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct OptStats {
     /// Node count before optimization.

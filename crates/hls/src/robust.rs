@@ -37,9 +37,9 @@
 //! Coverage boundary: the residue and duplicate-compute checks guard the
 //! *arithmetic datapath* (multiplier words, PCS carry lanes, block-mux
 //! selects, the exponent path). A [`FaultSite::TapeReg`](csfma_core::fault::FaultSite::TapeReg) upset corrupts a
-//! stored register plane *between* operations; that class needs ECC on
-//! the register file, which this model deliberately does not implement —
-//! campaigns report it as the undetected remainder (DESIGN.md §10).
+//! stored register plane *between* operations, which none of them sees;
+//! on a full bit-accurate chunk the plane shadow still catches it, on a
+//! partial chunk nothing does (DESIGN.md §10.4).
 
 use crate::compile::{ChunkHook, ChunkScratch, Instr, Tape, TapeBackend};
 use csfma_core::batch::{par_chunks_indexed, CHUNK_ROWS};

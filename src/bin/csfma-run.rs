@@ -10,12 +10,9 @@
 //! the bit on any machine with the same backend.
 //!
 //! ```text
-//! usage: csfma-run [options] [FILE]...
+//! usage: csfma-run [options] [FILE]
 //!
 //!   FILE           program file; '-' or none reads stdin
-//!   --many         treat every positional FILE as an independent request
-//!                  and evaluate them all through one `eval_many` call
-//!                  (shared stealing deque; per-file digest lines)
 //!   --backend B    bit | oracle | jit   evaluator semantics
 //!                  (default: bit); `jit` runs native code on the IEEE
 //!                  fast path and bails per-row to the bit-accurate
@@ -55,9 +52,9 @@ use std::process::ExitCode;
 
 use csfma_core::fault::{FaultPlan, FaultSite, FaultSpec};
 use csfma_hls::{
-    compile_cached_with, eval_many, fuse_critical_paths, lint_ranges, parse_program_with_ranges,
-    promotion_mask, verify_tape, CompileOptions, EvalManyRequest, FmaKind, FusionConfig, Instr, Op,
-    PipelineReport, Profiler, RobustOptions, RowOutcome, Tape, TapeBackend,
+    compile_cached_with, fuse_critical_paths, lint_ranges, parse_program_with_ranges,
+    promotion_mask, verify_tape, CompileOptions, FmaKind, FusionConfig, Instr, PipelineReport,
+    Profiler, RobustOptions, RowOutcome, Tape, TapeBackend,
 };
 use csfma_verify::{has_errors, render_report, Diagnostic, RangeDecl, Rule, Span};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -70,8 +67,6 @@ enum ProfileFormat {
 
 struct Options {
     file: Option<String>,
-    extra_files: Vec<String>,
-    many: bool,
     backend: TapeBackend,
     fuse: Option<FmaKind>,
     batch: usize,
@@ -93,7 +88,7 @@ fn usage() -> ! {
         "usage: csfma-run [--backend bit|oracle|jit] [--fuse pcs|fcs] [--batch N] \
          [--threads T] [--seed S] [--range LO HI] [--fault-seed N] [--no-opt] \
          [--verify-tape] [--promote-ranges] [--profile[=json]] [--dump-jit] \
-         [--verbose] [--many] [FILE]..."
+         [--verbose] [FILE]"
     );
     std::process::exit(2);
 }
@@ -101,8 +96,6 @@ fn usage() -> ! {
 fn parse_args() -> Options {
     let mut opts = Options {
         file: None,
-        extra_files: Vec::new(),
-        many: false,
         backend: TapeBackend::BitAccurate,
         fuse: None,
         batch: 1,
@@ -154,7 +147,6 @@ fn parse_args() -> Options {
             }
             "--fault-seed" => opts.fault_seed = Some(num(&mut args) as u64),
             "--no-opt" => opts.optimize = false,
-            "--many" => opts.many = true,
             "--verify-tape" => opts.verify = true,
             "--promote-ranges" => opts.promote = true,
             "--dump-jit" => opts.dump_jit = true,
@@ -164,10 +156,10 @@ fn parse_args() -> Options {
             "--help" | "-h" => usage(),
             _ if arg.starts_with("--") => usage(),
             _ if opts.file.is_none() => opts.file = Some(arg),
-            _ => opts.extra_files.push(arg),
+            _ => usage(),
         }
     }
-    if opts.batch == 0 || (!opts.many && !opts.extra_files.is_empty()) {
+    if opts.batch == 0 {
         usage();
     }
     opts
@@ -274,108 +266,8 @@ fn emit_profile(report: PipelineReport, format: Option<ProfileFormat>) {
     }
 }
 
-/// `--many`: parse every positional file, build one request per file
-/// (seeded stimulus, seed offset by file index) and push them all through
-/// a single [`eval_many`] call. Per-file digest lines make the output a
-/// reproducibility receipt per request; any compile failure is reported
-/// against its file and turns the exit status to 1 without disturbing
-/// the other requests.
-fn run_many(opts: &Options) -> ExitCode {
-    let mut files: Vec<String> = Vec::new();
-    files.extend(opts.file.iter().cloned());
-    files.extend(opts.extra_files.iter().cloned());
-    if files.is_empty() {
-        usage();
-    }
-    let mut graphs = Vec::with_capacity(files.len());
-    for f in &files {
-        let src = match std::fs::read_to_string(f) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("csfma-run: {f}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let (g, _) = match parse_program_with_ranges(&src) {
-            Ok(pair) => pair,
-            Err(e) => {
-                eprintln!("csfma-run: {f}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let g = match opts.fuse {
-            Some(kind) => fuse_critical_paths(&g, &FusionConfig::new(kind)).fused,
-            None => g,
-        };
-        graphs.push(g);
-    }
-    let mut rows_by_req = Vec::with_capacity(graphs.len());
-    for (i, (f, g)) in files.iter().zip(&graphs).enumerate() {
-        let ni = g
-            .nodes()
-            .iter()
-            .filter(|n| matches!(n.op, Op::Input(_)))
-            .count();
-        if ni == 0 {
-            eprintln!("csfma-run: {f}: constant graphs are not supported with --many");
-            return ExitCode::from(2);
-        }
-        let mut rng = StdRng::seed_from_u64(opts.seed.wrapping_add(i as u64));
-        let rows: Vec<f64> = (0..opts.batch * ni)
-            .map(|_| rng.gen_range(opts.lo..opts.hi))
-            .collect();
-        rows_by_req.push(rows);
-    }
-    let reqs: Vec<EvalManyRequest> = graphs
-        .iter()
-        .zip(&rows_by_req)
-        .map(|(g, rows)| EvalManyRequest {
-            graph: g,
-            backend: opts.backend,
-            rows,
-            options: CompileOptions {
-                optimize: opts.optimize,
-                ..CompileOptions::default()
-            },
-        })
-        .collect();
-    let t0 = std::time::Instant::now();
-    let results = eval_many(&reqs, opts.threads);
-    let dt = t0.elapsed();
-    let mut failed = false;
-    for (f, res) in files.iter().zip(&results) {
-        match res {
-            Ok(out) => println!(
-                "{f}: {} rows x {} output(s) | digest {:#018x}",
-                opts.batch,
-                out.tape.num_outputs(),
-                digest(&out.outputs),
-            ),
-            Err(e) => {
-                eprintln!("csfma-run: {f}: {e}");
-                failed = true;
-            }
-        }
-    }
-    println!(
-        "many: {} request(s) | backend {:?} | {} thread(s) | {:.3} ms total",
-        reqs.len(),
-        opts.backend,
-        opts.threads,
-        dt.as_secs_f64() * 1e3,
-    );
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
 fn main() -> ExitCode {
     let opts = parse_args();
-    if opts.many {
-        return run_many(&opts);
-    }
     // recording even without --profile: the J001 advisory reads this
     // run's own JIT counters from the report
     let mut prof = Profiler::new();

@@ -116,9 +116,16 @@ fn syntax_error_exits_two_with_position() {
     );
 }
 
+/// Unknown flags and values, the removed `--many`, and a second FILE
+/// are all refused at parse time.
 #[test]
 fn unknown_flag_is_a_usage_error() {
-    for args in [&["--frobnicate"][..], &["--backend", "f64"]] {
+    for args in [
+        &["--frobnicate"][..],
+        &["--backend", "f64"],
+        &["--many"],
+        &["a.csfma", "b.csfma"],
+    ] {
         let out = run(args, "out y = a + b;\n");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(stderr(&out).contains("usage:"), "{args:?}");

@@ -36,16 +36,6 @@
 //!                         CSFMA_JIT=off) the jit backend degrades to the
 //!                         interpreter and the identity is trivial — the
 //!                         directive is valid everywhere.
-//! ; run-many: <backend...>
-//!                         build one `eval_many` request per backend token
-//!                         (bit | oracle): request i evaluates
-//!                         variant graph i — cycling the file's program
-//!                         unfused / pcs-fused / fcs-fused — over a
-//!                         ragged, per-request adversarial batch, all
-//!                         behind one 8-thread stealing deque. Every
-//!                         request's outputs must be bitwise identical to
-//!                         a standalone 1-thread `eval_batch` of the same
-//!                         (variant, backend, rows) triple.
 //! ```
 //!
 //! Each new `T*`/`R*` rule keeps one minimal reproducer here, so a rule
@@ -54,9 +44,9 @@
 //! in any backend fails on pinned bits.
 
 use csfma::hls::{
-    apply_mutation, compile, compile_with, eval_many, fuse_critical_paths, interp, lint_ranges,
-    parse_program_with_ranges, verify_tape, Cdfg, CompileOptions, EvalManyRequest, FmaKind,
-    FusionConfig, OpTiming, Profiler, Tape, TapeBackend,
+    apply_mutation, compile, compile_with, fuse_critical_paths, interp, lint_ranges,
+    parse_program_with_ranges, verify_tape, Cdfg, CompileOptions, FmaKind, FusionConfig, OpTiming,
+    Profiler, Tape, TapeBackend,
 };
 use csfma::verify::Diagnostic;
 use std::collections::HashMap;
@@ -75,7 +65,6 @@ struct Directives {
     mutate: Option<String>,
     runs: Vec<RunCase>,
     run_differentials: Vec<(String, String)>,
-    run_manys: Vec<Vec<String>>,
     run_jit: bool,
 }
 
@@ -136,13 +125,6 @@ fn parse_directives(src: &str) -> Directives {
             d.mutate = Some(name.trim().to_string());
         } else if let Some(spec) = rest.strip_prefix("run:") {
             d.runs.push(parse_run(spec));
-        } else if let Some(list) = rest.strip_prefix("run-many:") {
-            let backends: Vec<String> = list.split_whitespace().map(str::to_string).collect();
-            assert!(
-                backends.len() >= 2,
-                "run-many needs at least two backend tokens"
-            );
-            d.run_manys.push(backends);
         } else if let Some(tail) = rest.strip_prefix("run-jit:") {
             assert!(tail.trim().is_empty(), "run-jit takes no arguments");
             d.run_jit = true;
@@ -157,10 +139,7 @@ fn parse_directives(src: &str) -> Directives {
         }
     }
     let has_lint = d.expect_clean || !d.expect_rules.is_empty();
-    let has_run = !d.runs.is_empty()
-        || !d.run_differentials.is_empty()
-        || !d.run_manys.is_empty()
-        || d.run_jit;
+    let has_run = !d.runs.is_empty() || !d.run_differentials.is_empty() || d.run_jit;
     assert!(
         has_lint || has_run,
         "a filetest needs `; lint: <RULE>` / `; lint-clean` or `; run:` directives"
@@ -266,58 +245,6 @@ fn run_directives(path: &std::path::Path, d: &Directives, g: &Cdfg) {
                     "{path:?} run #{ci} ({}): output {name} lane {lane}: got {bits:#018x}, \
                      directive pins {:#018x}",
                     case.backend, case.expect_bits[j]
-                );
-            }
-        }
-    }
-    for (di, tokens) in d.run_manys.iter().enumerate() {
-        // variant graphs cycle unfused / pcs-fused / fcs-fused, so one
-        // directive mixes discrete and carry-save tapes behind one deque
-        let variants = [
-            g.clone(),
-            fuse_critical_paths(g, &FusionConfig::new(FmaKind::Pcs)).fused,
-            fuse_critical_paths(g, &FusionConfig::new(FmaKind::Fcs)).fused,
-        ];
-        let backends: Vec<TapeBackend> = tokens
-            .iter()
-            .map(|t| match t.as_str() {
-                "bit" => TapeBackend::BitAccurate,
-                "oracle" => TapeBackend::Oracle,
-                other => panic!("{path:?} run-many #{di}: unknown backend {other:?}"),
-            })
-            .collect();
-        // ragged, skewed per-request batches: request i gets a different
-        // row count so the flattened item list has uneven chunk tails
-        let rows_by_req: Vec<Vec<f64>> = (0..backends.len())
-            .map(|i| {
-                let n = LANES + 37 * i + 1;
-                let mut seed = 0xC0FF_EE00_0000_0000 ^ ((di as u64) << 16) ^ i as u64;
-                (0..n * ni)
-                    .map(|_| adversarial_value(splitmix(&mut seed)))
-                    .collect()
-            })
-            .collect();
-        let reqs: Vec<EvalManyRequest> = backends
-            .iter()
-            .enumerate()
-            .map(|(i, &backend)| {
-                EvalManyRequest::new(&variants[i % variants.len()], backend, &rows_by_req[i])
-            })
-            .collect();
-        let results = eval_many(&reqs, 8);
-        for (i, res) in results.iter().enumerate() {
-            let out = res.as_ref().unwrap_or_else(|e| {
-                panic!("{path:?} run-many #{di}: request {i} refused to compile: {e:?}")
-            });
-            let want = out.tape.eval_batch(backends[i], &rows_by_req[i], 1);
-            assert_eq!(want.len(), out.outputs.len());
-            for (k, (x, y)) in want.iter().zip(&out.outputs).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "{path:?} run-many #{di} ({}): request {i} flat output {k} diverged \
-                     from standalone eval_batch ({x:e} vs {y:e})",
-                    tokens[i]
                 );
             }
         }

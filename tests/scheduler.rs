@@ -5,19 +5,19 @@
 //! exist** as far as output bytes are concerned. Every test here attacks
 //! that contract from a different angle — thread-count sweeps over the
 //! rows × threads grid, fault plans that make chunks panic mid-steal,
-//! a pathologically skewed `eval_many` mix, and direct claim/steal races
+//! a pathologically skewed mix of tapes, and direct claim/steal races
 //! on the [`IndexDeque`] itself — and accepts nothing short of
 //! byte-identical results against the 1-thread oracle.
 
 use csfma::hls::{
-    compile, eval_many, fuse_critical_paths, parse_program, Cdfg, EvalManyRequest, FmaKind,
-    FusionConfig, RobustOptions, RowOutcome, Tape, TapeBackend,
+    compile, fuse_critical_paths, parse_program, Cdfg, FmaKind, FusionConfig, RobustOptions,
+    RowOutcome, Tape, TapeBackend,
 };
 use csfma_core::batch::{adaptive_grain, steal_indexed, IndexDeque, CHUNK_ROWS};
 use csfma_core::fault::{FaultPlan, FaultSite, FaultSpec};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::{Barrier, OnceLock};
 
 /// The rows × threads grid the ISSUE pins: chunk-edge sizes (63/64/65),
 /// a single row, a multi-chunk ragged batch and a large batch.
@@ -61,18 +61,6 @@ fn stimulus(n_vals: usize, seed: u64) -> Vec<f64> {
             }
         })
         .collect()
-}
-
-/// FNV-1a over output bit patterns — the digest the CLI prints.
-fn digest(xs: &[f64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for x in xs {
-        for b in x.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-    h
 }
 
 fn bits_equal(a: &[f64], b: &[f64]) -> bool {
@@ -160,45 +148,47 @@ fn jit_grid_is_byte_identical_at_every_thread_count() {
     }
 }
 
-/// Pathological skew through `eval_many`: one heavy PCS bit-backend
-/// request next to a crowd of tiny JIT requests. The call must complete
-/// (no starvation, no deadlock) and every request's digest must equal
-/// its standalone 1-thread `eval_batch` digest.
+/// Pathological skew straight through `steal_indexed`: one heavy item
+/// (2,048 rows of PCS-fused listing1 on the bit backend) beside 16 tiny
+/// JIT items, each writing its own output slot. The call must complete
+/// (no starvation, no deadlock) at 8 workers and at 1, and every slot's
+/// bytes must equal its standalone `eval_batch`.
 #[test]
-fn pathological_skew_eval_many_matches_standalone_digests() {
-    let heavy_graph = graph(1); // pcs-fused listing1
-    let tiny_graph = graph(0); // discrete listing1
-    let ni = tape(0).num_inputs(); // fusion preserves the input set
-    let heavy_rows = stimulus(2048 * ni, 0xBEEF);
-    let tiny_rows: Vec<Vec<f64>> = (0..16)
-        .map(|i| stimulus(64 * ni, 0x1000 + i as u64))
-        .collect();
-
-    let mut reqs = vec![EvalManyRequest::new(
-        &heavy_graph,
+fn pathological_skew_through_steal_indexed_matches_standalone_bytes() {
+    let heavy = tape(1); // pcs-fused listing1
+    let tiny = tape(0); // discrete listing1
+    let ni = tiny.num_inputs(); // fusion preserves the input set
+    let mut items = vec![(
+        &heavy,
         TapeBackend::BitAccurate,
-        &heavy_rows,
+        stimulus(2048 * ni, 0xBEEF),
     )];
-    for rows in &tiny_rows {
-        reqs.push(EvalManyRequest::new(&tiny_graph, TapeBackend::Jit, rows));
+    for i in 0..16 {
+        items.push((&tiny, TapeBackend::Jit, stimulus(64 * ni, 0x1000 + i)));
     }
-
-    let results = eval_many(&reqs, 8);
-    assert_eq!(results.len(), reqs.len());
-    let mut digests = Vec::new();
-    for (req, res) in reqs.iter().zip(&results) {
-        let out = res.as_ref().expect("all torture requests compile");
-        let standalone = out.tape.eval_batch(req.backend, req.rows, 1);
-        assert!(
-            bits_equal(&standalone, &out.outputs),
-            "eval_many output diverged from standalone eval_batch"
+    let want: Vec<Vec<f64>> = items
+        .iter()
+        .map(|(t, backend, rows)| t.eval_batch(*backend, rows, 1))
+        .collect();
+    for threads in [8, 1] {
+        let slots: Vec<OnceLock<Vec<f64>>> = items.iter().map(|_| OnceLock::new()).collect();
+        steal_indexed(
+            items.len(),
+            threads,
+            || (),
+            |_, i| {
+                let (t, backend, rows) = &items[i];
+                let out = t.eval_batch(*backend, rows, 1);
+                assert!(slots[i].set(out).is_ok(), "item {i} claimed twice");
+            },
         );
-        digests.push(digest(&out.outputs));
-    }
-    // and the whole multi-graph call is itself thread-invariant
-    let again = eval_many(&reqs, 1);
-    for (res, want) in again.iter().zip(&digests) {
-        assert_eq!(digest(&res.as_ref().unwrap().outputs), *want);
+        for (i, (slot, want)) in slots.iter().zip(&want).enumerate() {
+            let got = slot.get().unwrap_or_else(|| panic!("item {i} never ran"));
+            assert!(
+                bits_equal(want, got),
+                "{threads} worker(s): item {i} diverged from its standalone eval_batch"
+            );
+        }
     }
 }
 

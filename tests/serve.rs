@@ -5,7 +5,9 @@
 //! and nothing a client does crashes the accept loop or another
 //! client's request*. Malformed bytes, oversized declarations,
 //! slowloris dribbles, double-closes, and saturating load all land on
-//! an in-process server bound to an ephemeral port; the last test
+//! an in-process server bound to an ephemeral port. The fault-fire
+//! audit and the kill-mid-flight drill hold the same contract while
+//! the server injects seeded transient faults, and one test
 //! cross-checks served digests against the `csfma-run` binary on the
 //! same seeded stimulus.
 
@@ -309,6 +311,197 @@ fn concurrent_clients_get_identical_digests_to_a_local_run() {
     let stats = runner.join().unwrap();
     assert_eq!(stats.results, 8);
     assert_eq!(stats.panics_contained, 0);
+}
+
+/// The fault-fire configuration: two workers, four requests in flight,
+/// a queue of eight with a 100 ms wait, and every request evaluated
+/// under the seed-7 transient-fault sprinkle (DESIGN.md §15.3).
+fn fire_config() -> ServeConfig {
+    ServeConfig {
+        workers: 2,
+        max_inflight: 4,
+        max_queue: 8,
+        queue_wait: Duration::from_millis(100),
+        fault_seed: Some(7),
+        drain_grace: Duration::from_secs(30),
+        ..ServeConfig::default()
+    }
+}
+
+/// Ordinary listing1 requests per client, and their rows.
+const FIRE_REQUESTS: usize = 5;
+const FIRE_ROWS: usize = 192;
+/// Rows of the 1 ms-deadline probe each client fires last: usually more
+/// evaluation than the deadline allows, though a fast host may answer
+/// with a RESULT, which the ledger counts like any other.
+const FIRE_PROBE_ROWS: usize = 8192;
+
+/// What the clients of one fire scenario saw.
+#[derive(Debug, Default)]
+struct FireTally {
+    results: u64,
+    shed: u64,
+    deadline: u64,
+    errors: u64,
+    unanswered: u64,
+    digest_mismatches: u64,
+}
+
+/// Submit one batch, retrying after every SHED (its hint, capped at
+/// 200 ms, for at most 32 attempts), and tally the terminal response.
+/// A RESULT with no quarantined row must carry `want` when given.
+fn submit_under_fire(
+    c: &mut Client,
+    deadline_ms: u32,
+    data: &[f64],
+    want: Option<u64>,
+    t: &mut FireTally,
+) {
+    let rows = (data.len() / NUM_INPUTS) as u32;
+    for attempt in 1.. {
+        match c.submit(backend::BIT, deadline_ms, rows, GRAPH, data) {
+            Ok(Frame::Result {
+                digest,
+                quarantined,
+                ..
+            }) => {
+                t.results += 1;
+                if quarantined == 0 && want.is_some_and(|w| w != digest) {
+                    t.digest_mismatches += 1;
+                }
+                return;
+            }
+            Ok(Frame::Shed { retry_after_ms }) => {
+                t.shed += 1;
+                if attempt >= 32 {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(retry_after_ms.min(200) as u64));
+            }
+            Ok(Frame::Deadline { .. }) => {
+                t.deadline += 1;
+                return;
+            }
+            Ok(Frame::Error { .. }) => {
+                t.errors += 1;
+                return;
+            }
+            Ok(_) | Err(_) => {
+                t.unanswered += 1;
+                return;
+            }
+        }
+    }
+}
+
+/// The fault-fire audit at 1, 4 and 16 concurrent clients, each
+/// scenario on its own server: every client sends five 192-row listing1
+/// SUBMITs and one 8192-row probe with a 1 ms deadline. Every frame gets
+/// exactly one terminal response, the counts each side kept agree, the
+/// server's ledger balances, every clean RESULT carries the digest of a
+/// local `eval_batch`, and no panic had to be contained.
+#[test]
+fn fault_fire_audit_reconciles_at_1_4_and_16_clients() {
+    let g = csfma_hls::parse_program(GRAPH).unwrap();
+    let tape = csfma_hls::compile_cached(&g).unwrap();
+    for clients in [1usize, 4, 16] {
+        let seed = |c: usize, r: usize| (clients as u64) << 32 | (c as u64) << 16 | r as u64;
+        let (addr, handle, runner) = spawn(fire_config());
+        let fleet: Vec<_> = (0..clients)
+            .map(|c| {
+                // each batch with the digest a local evaluation gives it
+                let batches: Vec<(Vec<f64>, u64)> = (0..FIRE_REQUESTS)
+                    .map(|r| {
+                        let data = stimulus(seed(c, r), FIRE_ROWS);
+                        let local = tape.eval_batch(csfma_hls::TapeBackend::BitAccurate, &data, 1);
+                        (data, csfma_serve::digest(&local))
+                    })
+                    .collect();
+                let probe = stimulus(seed(c, FIRE_REQUESTS), FIRE_PROBE_ROWS);
+                std::thread::spawn(move || {
+                    let mut t = FireTally::default();
+                    let Ok(mut cl) = Client::connect(addr) else {
+                        t.unanswered = FIRE_REQUESTS as u64 + 1;
+                        return t;
+                    };
+                    for (data, want) in &batches {
+                        submit_under_fire(&mut cl, 0, data, Some(*want), &mut t);
+                    }
+                    submit_under_fire(&mut cl, 1, &probe, None, &mut t);
+                    t
+                })
+            })
+            .collect();
+        let mut seen = FireTally::default();
+        for client in fleet {
+            let t = client.join().unwrap();
+            seen.results += t.results;
+            seen.shed += t.shed;
+            seen.deadline += t.deadline;
+            seen.errors += t.errors;
+            seen.unanswered += t.unanswered;
+            seen.digest_mismatches += t.digest_mismatches;
+        }
+        handle.drain();
+        let s = runner.join().unwrap();
+        let ctx = format!("{clients} client(s): clients saw {seen:?}, server counted {s:?}");
+        assert_eq!(
+            s.accepted,
+            s.results + s.deadline + s.errors,
+            "ledger: {ctx}"
+        );
+        assert_eq!(
+            (seen.results, seen.shed, seen.deadline, seen.errors),
+            (s.results, s.shed, s.deadline, s.errors),
+            "client and server counts: {ctx}"
+        );
+        assert_eq!(seen.unanswered, 0, "unanswered frames: {ctx}");
+        assert_eq!(seen.digest_mismatches, 0, "digest mismatches: {ctx}");
+        assert_eq!(s.panics_contained, 0, "contained panics: {ctx}");
+    }
+}
+
+/// The kill-mid-flight drill under the same fire: three connections
+/// torn mid-protocol (a frame whose body never arrives, a SUBMIT whose
+/// reply is never read, a bare length prefix), then a fresh client must
+/// still get a PING echo and a RESULT, with no panic contained.
+#[test]
+fn kill_mid_flight_drill_leaves_the_server_serving() {
+    let (addr, handle, runner) = spawn(fire_config());
+    // a declared frame whose body never arrives, then a hard drop
+    {
+        let mut s = TcpStream::connect(addr).unwrap();
+        let _ = s.write_all(&1024u32.to_le_bytes());
+        let _ = s.write_all(&[tag::SUBMIT, 0, 0, 0]);
+    }
+    // a full SUBMIT whose reply is never read: the client vanishes
+    // while the engine is mid-evaluation
+    {
+        let mut s = TcpStream::connect(addr).unwrap();
+        let f = Frame::Submit {
+            backend: backend::BIT,
+            deadline_ms: 0,
+            rows: FIRE_ROWS as u32,
+            graph: GRAPH.into(),
+            data: stimulus(0xDEAD, FIRE_ROWS),
+        };
+        let _ = s.write_all(&frame::encode(&f));
+    }
+    // a length prefix alone, then silence and a drop
+    {
+        let mut s = TcpStream::connect(addr).unwrap();
+        let _ = s.write_all(&512u32.to_le_bytes());
+    }
+
+    let mut c = Client::connect(addr).unwrap();
+    assert_eq!(c.ping(0xBEEF).unwrap(), 0xBEEF);
+    let reply = c
+        .submit(backend::BIT, 0, 4, GRAPH, &stimulus(0xF00D, 4))
+        .unwrap();
+    assert!(matches!(reply, Frame::Result { .. }), "{reply:?}");
+    handle.drain();
+    let stats = runner.join().unwrap();
+    assert_eq!(stats.panics_contained, 0, "{stats:?}");
 }
 
 /// The served digest equals what the `csfma-run` binary prints for the
