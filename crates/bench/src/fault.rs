@@ -36,7 +36,6 @@ use csfma_hls::{
     compile, fuse_critical_paths, parse_program, FmaKind, FusionConfig, Profiler, RobustOptions,
     RowOutcome, Tape, TapeBackend,
 };
-use csfma_obs::time_us;
 
 /// What one site's sweep did, row by row.
 #[derive(Clone, Debug)]
@@ -69,8 +68,7 @@ pub struct SiteReport {
     pub thread_invariant: bool,
     /// Single-threaded robust-executor wall time per row, microseconds —
     /// read from the engine's `eval_robust` observability span, the same
-    /// instrumentation `csfma-run --profile` consumes (a `time_us`
-    /// stopwatch is the obs-disabled fallback).
+    /// instrumentation `csfma-run --profile` consumes.
     pub eval_us_per_row: f64,
 }
 
@@ -157,22 +155,21 @@ pub fn run_campaign(rows: usize, seed: u64) -> FaultCampaign {
         let run = |threads: usize| {
             plan.reset();
             let mut prof = Profiler::new();
-            let ((out, report), wall_us) = time_us(|| {
-                tape.eval_batch_robust_profiled(
-                    TapeBackend::BitAccurate,
-                    &stim,
-                    &RobustOptions {
-                        threads,
-                        chunk_retries: 2,
-                        fault: Some(&plan),
-                    },
-                    &mut prof,
-                )
-            });
+            let (out, report) = tape.eval_batch_robust_profiled(
+                TapeBackend::BitAccurate,
+                &stim,
+                &RobustOptions {
+                    threads,
+                    chunk_retries: 2,
+                    fault: Some(&plan),
+                },
+                &mut prof,
+            );
             let eval_us = prof
                 .finish()
                 .stage("eval_robust")
-                .map_or(wall_us, |s| s.wall_us);
+                .expect("a recording profiler records the eval_robust span")
+                .wall_us;
             (out, report, eval_us)
         };
         let (out, report, eval_us) = run(1);

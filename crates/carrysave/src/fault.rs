@@ -7,9 +7,7 @@
 //!
 //! * [`FaultSite`] — the named places a single-event upset can strike;
 //! * [`FaultHook`] — the injection interface the datapath consults at
-//!   each site (a no-op outside fault campaigns; every tamper call site
-//!   is additionally gated behind the `fault-inject` cargo feature so a
-//!   `--no-default-features` build carries zero injection code);
+//!   each site (a no-op outside fault campaigns);
 //! * [`FaultDetected`] / [`CheckKind`] — the structured finding a
 //!   self-checking evaluation reports instead of a silently wrong bit
 //!   pattern.
@@ -207,7 +205,6 @@ impl crate::pcs::PcsNumber {
     /// a dense word, let `hook` tamper it, and scatter the result back.
     /// Going through the dense view keeps the type's carry-position
     /// invariant no matter what the hook flips.
-    #[cfg(feature = "fault-inject")]
     pub fn tamper_carry_lanes(&mut self, site: FaultSite, hook: &dyn FaultHook) {
         let n = self.carry_storage_bits();
         if n == 0 {
@@ -250,7 +247,6 @@ mod tests {
         assert_eq!(cn.len(), checks.len());
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn pcs_lane_tamper_keeps_the_carry_invariant() {
         use crate::{CsNumber, PcsNumber};

@@ -139,7 +139,6 @@ impl PcsNumber {
     /// Replace the carry word wholesale (fault-injection plumbing; the
     /// caller guarantees only legal lane positions are set — see
     /// `fault::tamper_carry_lanes`, which builds the word from lanes).
-    #[cfg(feature = "fault-inject")]
     pub(crate) fn set_carry_lanes(&mut self, carry: Bits) {
         debug_assert_eq!(carry.width(), self.width());
         self.carry = carry;

@@ -43,7 +43,6 @@ pub use dot::CsDotUnit;
 pub use format::{CsFmaFormat, Normalizer};
 pub use operand::CsOperand;
 pub use pipeline::PipelinedFma;
-#[cfg(feature = "fault-inject")]
 pub use plane::PlaneStrike;
 pub use plane::{plane_fma_chunk, PlaneScratch, PlaneStats, PLANE_STAGES};
 pub use reference::{exact_fma, ulp_error_vs_exact};

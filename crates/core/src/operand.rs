@@ -332,7 +332,6 @@ impl CsOperand {
     /// alone — a flip under a `Zero`/`Inf` class flag is architecturally
     /// masked, exactly as in a real register file with separate
     /// exception wires.
-    #[cfg(feature = "fault-inject")]
     pub fn fault_flip_mant_bit(&mut self, pos: usize) {
         let w = self.mant.width();
         if w == 0 {

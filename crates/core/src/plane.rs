@@ -79,7 +79,6 @@ use csfma_units::rounding::round_up_from_block;
 /// point, biased toward the value-significant planes of the stage (a
 /// flip that final rounding discards is architecturally masked; fault
 /// campaigns report those as benign strikes).
-#[cfg(feature = "fault-inject")]
 #[derive(Clone, Copy, Debug)]
 pub struct PlaneStrike {
     /// Which plane-path population to hit (one of
@@ -137,7 +136,6 @@ pub struct PlaneScratch {
     /// upset that hits while the first wave of the chunk is in flight).
     /// Clear it after a run that may not have taken the plane path, so
     /// no strike outlives the evaluation it was armed for.
-    #[cfg(feature = "fault-inject")]
     pub strikes: Vec<PlaneStrike>,
     /// Test-only sabotage switch: when armed, the next [`plane_fma_chunk`]
     /// call with this scratch flips one bit of one result bit-plane word
@@ -212,25 +210,21 @@ pub struct PlaneStats {
     /// products never reach the datapath).
     pub exception_lanes: u64,
     /// Nanoseconds spent transposing between lane-major and plane-major
-    /// form (`0` unless the `obs` feature is on). These transposes also
-    /// count toward their stages in `stage_ns`.
+    /// form. These transposes also count toward their stages in
+    /// `stage_ns`.
     pub transpose_ns: u64,
-    /// Nanoseconds per stage, indexed like [`PLANE_STAGES`] (`0` unless
-    /// the `obs` feature is on). Each stage is timed once per call.
+    /// Nanoseconds per stage, indexed like [`PLANE_STAGES`]. Each stage
+    /// is timed once per call.
     pub stage_ns: [u64; PLANE_STAGES.len()],
 }
 
-/// Run `f`, adding its wall time to `ns` when the `obs` feature is on.
+/// Run `f`, adding its wall time to `ns`.
 #[inline]
 fn timed<R>(ns: &mut u64, f: impl FnOnce() -> R) -> R {
-    if cfg!(feature = "obs") {
-        let t0 = std::time::Instant::now();
-        let r = f();
-        *ns += t0.elapsed().as_nanos() as u64;
-        r
-    } else {
-        f()
-    }
+    let t0 = std::time::Instant::now();
+    let r = f();
+    *ns += t0.elapsed().as_nanos() as u64;
+    r
 }
 
 /// Transpose the mantissa sum words (`carry`: the carry words) of `ops`
@@ -301,7 +295,6 @@ pub fn plane_fma_chunk(
     s: &mut PlaneScratch,
 ) -> PlaneStats {
     assert!(len <= PLANE_LANES, "chunk wider than a plane word");
-    #[cfg(feature = "fault-inject")]
     let strikes: Vec<PlaneStrike> = std::mem::take(&mut s.strikes);
     let f = *unit.format();
     let m = f.mant_bits();
@@ -414,9 +407,7 @@ pub fn plane_fma_chunk(
 
     // ---- plane multiplier (Fig. 6, fixed 2·b_sig+1-row tree) ----
     timed(&mut ns[MULTIPLIER], || {
-        #[cfg(feature = "fault-inject")]
         let mut bm = bm;
-        #[cfg(feature = "fault-inject")]
         for st in &strikes {
             if st.site == crate::fault::FaultSite::TransposeOut {
                 // strike one of the top 16 B-significand planes: the
@@ -453,7 +444,6 @@ pub fn plane_fma_chunk(
             &mut s.prod_s,
             &mut s.prod_c,
         );
-        #[cfg(feature = "fault-inject")]
         for st in &strikes {
             if st.site == crate::fault::FaultSite::PlaneCsaWord {
                 // strike one of the top 32 product-sum planes — within the
@@ -593,7 +583,6 @@ pub fn plane_fma_chunk(
             top0[k] = is0(win_s, win_c, top);
             top1[k] = is1(win_s, win_c, top);
         }
-        #[cfg(feature = "fault-inject")]
         for st in &strikes {
             if st.site == crate::fault::FaultSite::PlaneClassifyMask {
                 // strike an all-zero mask the struck lane's skip chain will

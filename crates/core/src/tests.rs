@@ -776,9 +776,9 @@ mod special_value_fma_matrix {
 /// cancellation).
 mod self_checking {
     use super::{sf, ALL_FORMATS, B64};
-    #[cfg(feature = "fault-inject")]
-    use crate::fault::{CheckKind, FaultPlan, FaultSite, FaultStage};
-    use crate::fault::{FaultDetected, FaultHook, FmaCtl};
+    use crate::fault::{
+        CheckKind, FaultDetected, FaultHook, FaultPlan, FaultSite, FaultStage, FmaCtl,
+    };
     use crate::{CsFmaFormat, CsFmaUnit, CsOperand, FmaScratch};
     use csfma_softfloat::Round;
 
@@ -834,13 +834,11 @@ mod self_checking {
 
     /// A hook that flips one fixed bit at one site — the exhaustive
     /// mutation-by-position driver.
-    #[cfg(feature = "fault-inject")]
     struct FlipBit {
         site: FaultSite,
         pos: usize,
     }
 
-    #[cfg(feature = "fault-inject")]
     impl FaultHook for FlipBit {
         fn tamper_bits(&self, site: FaultSite, word: &mut csfma_bits::Bits) {
             if site == self.site {
@@ -854,7 +852,6 @@ mod self_checking {
     /// Every single-bit flip in the multiplier CS output and the PCS
     /// carry lanes is detected, at every position, in every regime —
     /// including flips landing in all-0 / all-1 skippable blocks.
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn single_bit_flips_are_always_detected() {
         for fmt in ALL_FORMATS {
@@ -881,7 +878,6 @@ mod self_checking {
 
     /// Plan-driven strikes on the select and exponent paths are detected
     /// for any seed (the tamper guarantees a changed legal value).
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn select_and_exponent_strikes_are_detected() {
         for fmt in ALL_FORMATS {

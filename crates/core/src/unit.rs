@@ -18,9 +18,7 @@
 //!    which `mant_blocks` blocks of the window survive, and the block
 //!    below them becomes the rounding data of the result.
 
-#[cfg(feature = "fault-inject")]
-use crate::fault::FaultSite;
-use crate::fault::{CheckKind, FmaCtl};
+use crate::fault::{CheckKind, FaultSite, FmaCtl};
 use crate::format::{CsFmaFormat, Normalizer};
 use crate::operand::CsOperand;
 use crate::trace::{NopSink, TraceSink};
@@ -146,9 +144,9 @@ impl CsFmaUnit {
 
     /// Self-checking / fault-injecting evaluation (DESIGN.md §10): the
     /// same datapath with the mod-3 residue and recompute self-checks
-    /// armed through `ctl.detections`, and — under the `fault-inject`
-    /// feature — the tamper hooks driven by `ctl.hook`. With a default
-    /// `ctl` this is exactly [`CsFmaUnit::fma_with`], bit for bit.
+    /// armed through `ctl.detections`, and the tamper hooks driven by
+    /// `ctl.hook`. With a default `ctl` this is exactly
+    /// [`CsFmaUnit::fma_with`], bit for bit.
     pub fn fma_checked_with(
         &self,
         a: &CsOperand,
@@ -254,9 +252,7 @@ impl CsFmaUnit {
         } else {
             None
         };
-        #[allow(unused_mut)]
         let mut product = apply_sign(mul.product, b.sign());
-        #[cfg(feature = "fault-inject")]
         if let Some(hook) = ctl.hook {
             product = csfma_units::multiplier::tamper_product(product, hook);
         }
@@ -339,7 +335,6 @@ impl CsFmaUnit {
         // ---- Carry Reduce (PCS only) ----
         let window = match f.carry_spacing {
             Some(k) => {
-                #[allow(unused_mut)]
                 let mut pcs = window.carry_reduce(k);
                 // Carry Reduce check: recompute-and-compare against the
                 // pre-reduce window value. A residue would be unsound
@@ -352,7 +347,6 @@ impl CsFmaUnit {
                 } else {
                     None
                 };
-                #[cfg(feature = "fault-inject")]
                 if let Some(hook) = ctl.hook {
                     pcs.tamper_carry_lanes(FaultSite::PcsCarry, hook);
                 }
@@ -390,9 +384,7 @@ impl CsFmaUnit {
                 anticipated.min(leading_skippable_blocks(&blocks, f.mant_blocks))
             }
         };
-        #[allow(unused_mut)]
         let mut skip = clean_skip;
-        #[cfg(feature = "fault-inject")]
         if let Some(hook) = ctl.hook {
             let mut sel_idx = skip as u64;
             let legal = (nb - f.mant_blocks) as u64 + 1;
@@ -413,9 +405,7 @@ impl CsFmaUnit {
 
         // ---- result exponent ----
         let e_r = (nb - sel.skip - f.mant_blocks) as i64 * bb as i64 + wls + fc;
-        #[allow(unused_mut)]
         let mut exp = BiasedExp::from_unbiased_saturating(e_r);
-        #[cfg(feature = "fault-inject")]
         if let Some(hook) = ctl.hook {
             let mut field = exp.field() as u64;
             hook.tamper_index(FaultSite::ExpField, &mut field, 1 << 12);

@@ -1390,8 +1390,8 @@ impl Tape {
         let fb = &mut 0u64; // soft-float fallbacks, reported by the hosted ops
         let promoted = |i: usize| !H::CHECKED && self.promoted.get(i).copied().unwrap_or(false);
         // the conversions of a full chunk are timed like the plane stages:
-        // once per instruction, only when the `obs` feature is on
-        let clock = || (cfg!(feature = "obs") && len == W).then(std::time::Instant::now);
+        // once per instruction
+        let clock = || (len == W).then(std::time::Instant::now);
         let since =
             |t0: Option<std::time::Instant>| t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
         for (i, ins) in self.instrs.iter().enumerate() {

@@ -69,18 +69,17 @@ pub struct EvalStats {
     /// FMA lanes the bit-accurate interpreter ran scalar: ragged-tail
     /// chunks, JIT bailout rows, and instructions not plane-eligible.
     pub plane_fallback_lanes: u64,
-    /// Nanoseconds the plane kernel spent transposing (`0` without the
-    /// `obs` feature).
+    /// Nanoseconds the plane kernel spent transposing.
     pub plane_transpose_ns: u64,
     /// Nanoseconds the plane kernel spent per stage, indexed like
-    /// [`PLANE_STAGES`] (`0` without the `obs` feature).
+    /// [`PLANE_STAGES`].
     pub plane_stage_ns: [u64; PLANE_STAGES.len()],
     /// Nanoseconds the bit-accurate interpreter spent in `IeeeToCs`
     /// instructions of full chunks, timed once per instruction per
-    /// chunk like the plane stages (`0` without the `obs` feature).
+    /// chunk like the plane stages.
     pub cs_from_ieee_ns: u64,
     /// Nanoseconds spent in `CsToIeee` instructions of full chunks,
-    /// timed the same way (`0` without the `obs` feature).
+    /// timed the same way.
     pub cs_to_ieee_ns: u64,
     /// Rows dispatched to native code ([`TapeBackend::Jit`](crate::TapeBackend::Jit) only).
     pub jit_rows: u64,

@@ -330,7 +330,6 @@ impl Tape {
             && len == CHUNK_ROWS
             && self.plane_eligible_count() > 0
         {
-            #[cfg(feature = "fault-inject")]
             if let Some(plan) = opts.fault {
                 for k in 0..len {
                     if let Some(rf) = plan.for_row((base + k) as u64, FaultStage::Primary) {
@@ -346,7 +345,6 @@ impl Tape {
                 self.eval_chunk(backend, rows, base, len, &mut shadow, s);
             }));
             // the scratch outlives this chunk: no strike may leak past it
-            #[cfg(feature = "fault-inject")]
             s.plane.strikes.clear();
             match ran {
                 Ok(()) => {
@@ -576,13 +574,10 @@ impl ChunkHook for Checked<'_, '_> {
             if at == i && !in_cs {
                 flip_f64(&mut f[p], bit);
             }
-            #[cfg(feature = "fault-inject")]
             if at == i && in_cs {
                 cs[p].fault_flip_mant_bit(bit as usize);
             }
         }
-        #[cfg(not(feature = "fault-inject"))]
-        let _ = cs;
     }
 }
 

@@ -1,4 +1,4 @@
-//! # csfma-obs — zero-overhead-when-disabled observability
+//! # csfma-obs — stage spans and report counters
 //!
 //! The batch engine's pipeline (parse → gate → optimize → lower → eval)
 //! is a black box at runtime without instrumentation, and the paper's own
@@ -18,34 +18,25 @@
 //!
 //! Instrumentation observes; it never participates. Nothing in this
 //! crate feeds back into compiled tapes or evaluated values, so output
-//! bytes are identical with observability enabled, disabled, or absent —
+//! bytes are identical with a recording profiler or a disabled one —
 //! `tests/observability.rs` in the workspace root enforces this with
 //! byte-identity proptests.
 //!
-//! ## The feature cascade
+//! ## Disabled profilers
 //!
-//! With the `enabled` feature off (the same cascade pattern as the
-//! workspace's `fault-inject` feature: each consumer crate forwards its
-//! own default-on `obs` feature down to `csfma-obs/enabled`), every
-//! entry point here is an inlined empty function over zero-sized state:
-//! the disabled path compiles to no-ops, not to branches over a runtime
-//! flag. [`time_us`] is the one deliberate exception — it is an explicit
-//! stopwatch for benchmark harnesses, not engine instrumentation, and
-//! keeps real timing in every configuration.
+//! A [`Profiler::disabled`] instance is the runtime no-op: every entry
+//! point is one branch on an empty `Option`, and its report says it
+//! recorded nothing ([`PipelineReport::recorded`]).
 
 #![warn(missing_docs)]
 
 use std::fmt;
-
-#[cfg(feature = "enabled")]
 use std::time::Instant;
 
 /// Measure the wall time of `f` in microseconds (monotonic clock). This
-/// is the shared stopwatch of the bench harnesses and the CLI; unlike
-/// the [`Profiler`] it is **not** compiled out when observability is
-/// disabled — a benchmark that cannot time itself is useless.
+/// is the shared stopwatch of the bench harnesses and the CLI.
 pub fn time_us<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let r = f();
     (r, t0.elapsed().as_secs_f64() * 1e6)
 }
@@ -73,11 +64,10 @@ pub struct StageRecord {
 /// as a panic.
 #[derive(Debug)]
 #[must_use = "pass the token back to Profiler::exit to close the span"]
-pub struct SpanToken(#[allow(dead_code)] usize);
+pub struct SpanToken(usize);
 
 const TOKEN_NONE: usize = usize::MAX;
 
-#[cfg(feature = "enabled")]
 #[derive(Debug)]
 struct ProfilerInner {
     records: Vec<StageRecord>,
@@ -94,21 +84,17 @@ struct ProfilerInner {
 /// deliberately not global, so concurrent compilations cannot bleed into
 /// each other's reports.
 ///
-/// A [`Profiler::disabled`] instance — and *every* instance when the
-/// `enabled` feature is off — records nothing and costs (at most) one
+/// A [`Profiler::disabled`] instance records nothing and costs one
 /// branch per call.
 #[derive(Debug, Default)]
 pub struct Profiler {
-    #[cfg(feature = "enabled")]
     inner: Option<ProfilerInner>,
 }
 
 impl Profiler {
-    /// A recording profiler (recording only if observability is
-    /// compiled in; otherwise identical to [`Profiler::disabled`]).
+    /// A recording profiler.
     pub fn new() -> Self {
         Profiler {
-            #[cfg(feature = "enabled")]
             inner: Some(ProfilerInner {
                 records: Vec::new(),
                 starts: Vec::new(),
@@ -128,16 +114,12 @@ impl Profiler {
     /// True when this instance is actually recording.
     #[inline]
     pub fn is_recording(&self) -> bool {
-        #[cfg(feature = "enabled")]
-        return self.inner.is_some();
-        #[cfg(not(feature = "enabled"))]
-        false
+        self.inner.is_some()
     }
 
     /// Open a span named `name`, nested inside the innermost open span.
     #[inline]
     pub fn enter(&mut self, name: &'static str) -> SpanToken {
-        #[cfg(feature = "enabled")]
         if let Some(inner) = &mut self.inner {
             let idx = inner.records.len();
             inner.records.push(StageRecord {
@@ -149,7 +131,6 @@ impl Profiler {
             inner.stack.push(idx);
             return SpanToken(idx);
         }
-        let _ = name;
         SpanToken(TOKEN_NONE)
     }
 
@@ -158,7 +139,6 @@ impl Profiler {
     /// time observed at this exit, plus a report warning).
     #[inline]
     pub fn exit(&mut self, token: SpanToken) {
-        #[cfg(feature = "enabled")]
         if let Some(inner) = &mut self.inner {
             if token.0 == TOKEN_NONE {
                 return;
@@ -179,8 +159,6 @@ impl Profiler {
                 .warnings
                 .push("span token exited twice (or out of order)".to_string());
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = token;
     }
 
     /// Run `f` inside a span named `name`.
@@ -195,47 +173,37 @@ impl Profiler {
     /// Record (or overwrite) a named report counter.
     #[inline]
     pub fn set_counter(&mut self, name: &'static str, value: f64) {
-        #[cfg(feature = "enabled")]
         if let Some(inner) = &mut self.inner {
             if let Some(slot) = inner.counters.iter_mut().find(|(n, _)| *n == name) {
                 slot.1 = value;
                 return;
             }
             inner.counters.push((name, value));
-            return;
         }
-        let _ = (name, value);
     }
 
     /// Add `value` to a named report counter (creating it at zero).
     #[inline]
     pub fn add_counter(&mut self, name: &'static str, value: f64) {
-        #[cfg(feature = "enabled")]
         if let Some(inner) = &mut self.inner {
             if let Some(slot) = inner.counters.iter_mut().find(|(n, _)| *n == name) {
                 slot.1 += value;
                 return;
             }
             inner.counters.push((name, value));
-            return;
         }
-        let _ = (name, value);
     }
 
     /// Attach a free-form warning to the report.
     pub fn warn(&mut self, message: impl Into<String>) {
-        #[cfg(feature = "enabled")]
         if let Some(inner) = &mut self.inner {
             inner.warnings.push(message.into());
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = message.into();
     }
 
     /// Close any spans still open and produce the report. A profiler
     /// that never recorded returns [`PipelineReport::empty`].
     pub fn finish(self) -> PipelineReport {
-        #[cfg(feature = "enabled")]
         if let Some(mut inner) = self.inner {
             while let Some(open) = inner.stack.pop() {
                 if let Some(start) = inner.starts[open].take() {
@@ -264,8 +232,8 @@ impl Profiler {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PipelineReport {
     /// Whether a recording profiler produced this report. `false` means
-    /// observability was disabled (or compiled out) — the report is
-    /// structurally valid but empty.
+    /// a [`Profiler::disabled`] ran — the report is structurally valid
+    /// but empty.
     pub recorded: bool,
     /// Completed spans in pre-order (parents before children).
     pub stages: Vec<StageRecord>,
@@ -406,9 +374,7 @@ mod tests {
         p.exit(inner2);
         p.exit(outer);
         let rep = p.finish();
-        if !rep.recorded {
-            return; // compiled out: nothing to assert
-        }
+        assert!(rep.recorded);
         let names: Vec<_> = rep.stages.iter().map(|s| (s.name, s.depth)).collect();
         assert_eq!(names, vec![("compile", 0), ("gate", 1), ("lower", 1)]);
         let parent = rep.stage("compile").unwrap().wall_us;
@@ -440,9 +406,7 @@ mod tests {
         let _leaked = p.enter("leaked");
         p.exit(outer); // force-closes "leaked"
         let rep = p.finish();
-        if !rep.recorded {
-            return;
-        }
+        assert!(rep.recorded);
         assert_eq!(rep.stages.len(), 2);
         assert!(rep.warnings.iter().any(|w| w.contains("leaked")), "{rep:?}");
     }
@@ -455,9 +419,7 @@ mod tests {
         p.set_counter("rate", 2.5);
         p.set_counter("rate", 3.5);
         let rep = p.finish();
-        if !rep.recorded {
-            return;
-        }
+        assert!(rep.recorded);
         assert_eq!(rep.counter("rows"), Some(15.0));
         assert_eq!(rep.counter("rate"), Some(3.5));
         let json = rep.to_json();
@@ -482,9 +444,7 @@ mod tests {
         let rb = b.finish();
 
         ra.absorb(rb);
-        if !ra.recorded {
-            return;
-        }
+        assert!(ra.recorded);
         assert!(ra.stage("compile").is_some() && ra.stage("eval").is_some());
         assert_eq!(ra.counter("x"), Some(9.0));
         assert_eq!(ra.counter("y"), Some(2.0));

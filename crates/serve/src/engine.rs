@@ -17,7 +17,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use csfma_core::batch::CHUNK_ROWS;
-#[cfg(feature = "fault-inject")]
 use csfma_core::fault::{FaultPlan, FaultSite, FaultSpec};
 use csfma_hls::{compile_cached, parse_program, RobustOptions, RowOutcome, TapeBackend};
 
@@ -76,7 +75,6 @@ impl Default for EngineConfig {
     }
 }
 
-#[cfg(feature = "fault-inject")]
 fn request_fault_plan(seed: u64, request_id: u64, rows: usize) -> FaultPlan {
     // a sparse transient sprinkle across sites and rows: enough to
     // exercise every rung under load without drowning the engine. Only
@@ -146,12 +144,9 @@ pub fn process_submit(
         ));
     }
 
-    #[cfg(feature = "fault-inject")]
     let plan = cfg
         .fault_seed
         .map(|seed| request_fault_plan(seed, request_id, rows));
-    #[cfg(not(feature = "fault-inject"))]
-    let _ = request_id;
 
     // slabs are whole chunks so the deadline lands exactly on the
     // scheduler's chunk boundaries
@@ -175,10 +170,7 @@ pub fn process_submit(
         let opts = RobustOptions {
             threads: cfg.workers,
             chunk_retries: cfg.chunk_retries,
-            #[cfg(feature = "fault-inject")]
             fault: plan.as_ref(),
-            #[cfg(not(feature = "fault-inject"))]
-            fault: None,
         };
         let mut backoff = RETRY_BACKOFF;
         let mut attempt = 0u32;
@@ -326,7 +318,6 @@ mod tests {
         assert_eq!(stats.snapshot().deadline, 1);
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn injected_faults_degrade_to_quarantine_or_recover_bit_identically() {
         let cfg = EngineConfig {

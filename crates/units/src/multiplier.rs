@@ -11,10 +11,9 @@
 
 use csfma_bits::Bits;
 use csfma_carrysave::{
-    reduce_to_cs, reduce_to_cs_with, CsNumber, ReduceScratch, COMPRESSOR_HEADROOM_BITS,
+    reduce_to_cs, reduce_to_cs_with, CsNumber, FaultHook, FaultSite, ReduceScratch,
+    COMPRESSOR_HEADROOM_BITS,
 };
-#[cfg(feature = "fault-inject")]
-use csfma_carrysave::{FaultHook, FaultSite};
 
 /// Output of the mantissa multiplier: the CS product plus the structural
 /// facts the fabric timing model charges for.
@@ -128,7 +127,6 @@ pub fn apply_sign(product: CsNumber, negate: bool) -> CsNumber {
 /// ([`FaultSite::MulCarry`]) words. The mod-3 residue check in the FMA
 /// engine (`csfma-core`) runs over the returned pair, so a strike here
 /// propagates into the datapath exactly like a CSA-tree upset would.
-#[cfg(feature = "fault-inject")]
 pub fn tamper_product(product: CsNumber, hook: &dyn FaultHook) -> CsNumber {
     let mut s = product.sum().clone();
     let mut c = product.carry().clone();

@@ -83,10 +83,6 @@ pub enum Rule {
     /// F001: a datapath self-check (mod-3 residue or recompute-compare,
     /// DESIGN.md §10) detected a hardware fault during execution.
     FaultDetected,
-    /// O001: profiling was requested but the observability layer is
-    /// compiled out (`obs` feature disabled) — the run proceeds, the
-    /// profile is empty.
-    ObsDisabled,
     /// O002: the profiler observed unbalanced stage spans (a span was
     /// force-closed or never exited) — the timings are suspect, the
     /// computed values are not.
@@ -150,7 +146,7 @@ impl Rule {
     /// Every rule the workspace can emit, in catalogue order. New rules
     /// must be added here — `docs/DIAGNOSTICS.md` is tested against this
     /// list, so forgetting one fails the build's registry-walk test.
-    pub const ALL: [Rule; 37] = [
+    pub const ALL: [Rule; 36] = [
         Rule::ArityMismatch,
         Rule::EdgeOrder,
         Rule::DomainMismatch,
@@ -170,7 +166,6 @@ impl Rule {
         Rule::ParseError,
         Rule::CompilerPanic,
         Rule::FaultDetected,
-        Rule::ObsDisabled,
         Rule::ObsSpanImbalance,
         Rule::TapeUninitializedSlot,
         Rule::TapeProvenanceBroken,
@@ -212,7 +207,6 @@ impl Rule {
             Rule::ParseError => "P001",
             Rule::CompilerPanic => "X001",
             Rule::FaultDetected => "F001",
-            Rule::ObsDisabled => "O001",
             Rule::ObsSpanImbalance => "O002",
             Rule::TapeUninitializedSlot => "T001",
             Rule::TapeProvenanceBroken => "T002",
@@ -255,7 +249,6 @@ impl Rule {
             Rule::ParseError => "parse-error",
             Rule::CompilerPanic => "compiler-panic",
             Rule::FaultDetected => "fault-detected",
-            Rule::ObsDisabled => "obs-disabled",
             Rule::ObsSpanImbalance => "obs-span-imbalance",
             Rule::TapeUninitializedSlot => "tape-uninitialized-slot",
             Rule::TapeProvenanceBroken => "tape-provenance-broken",
@@ -497,15 +490,19 @@ mod tests {
         assert_eq!(names.len(), Rule::ALL.len());
     }
 
-    /// The registry walk of ISSUE 5: every rule the workspace can emit
-    /// must be documented in `docs/DIAGNOSTICS.md` — by stable id as a
-    /// section heading and by kebab-case name — so the published
-    /// catalogue cannot silently rot when a rule is added.
+    fn diagnostics_md() -> String {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/DIAGNOSTICS.md");
+        std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("docs/DIAGNOSTICS.md must exist ({e})"))
+    }
+
+    /// The registry walk: every rule the workspace can emit must be
+    /// documented in `docs/DIAGNOSTICS.md` — by stable id as a section
+    /// heading and by kebab-case name — so the published catalogue
+    /// cannot silently rot when a rule is added.
     #[test]
     fn every_rule_is_documented_in_diagnostics_md() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/DIAGNOSTICS.md");
-        let doc = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("docs/DIAGNOSTICS.md must exist ({e})"));
+        let doc = diagnostics_md();
         let mut missing = Vec::new();
         for rule in Rule::ALL {
             let heading = format!("## {}", rule.id());
@@ -519,5 +516,26 @@ mod tests {
             missing.is_empty(),
             "diagnostic codes missing from docs/DIAGNOSTICS.md: {missing:?}"
         );
+    }
+
+    /// The walk in reverse: every `## <ID> — <name>` heading in
+    /// `docs/DIAGNOSTICS.md` names a rule of [`Rule::ALL`] with that
+    /// rule's name, so a section cannot outlive the rule it documents.
+    #[test]
+    fn every_diagnostics_md_section_names_a_rule() {
+        let doc = diagnostics_md();
+        let headings: Vec<_> = doc
+            .lines()
+            .filter_map(|l| l.strip_prefix("## ")?.split_once(" — "))
+            .collect();
+        let stale: Vec<_> = headings
+            .iter()
+            .filter(|&&(id, name)| !Rule::ALL.iter().any(|r| r.id() == id && r.name() == name))
+            .collect();
+        assert!(
+            stale.is_empty(),
+            "docs/DIAGNOSTICS.md sections naming no rule of Rule::ALL: {stale:?}"
+        );
+        assert_eq!(headings.len(), Rule::ALL.len(), "one section per rule");
     }
 }

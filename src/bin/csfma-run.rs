@@ -238,22 +238,11 @@ fn dump(tape: &Tape) {
 }
 
 /// When `--profile` was given, emit the finished report: the JSON
-/// document or the indented text tree on stdout, plus `O*`
-/// observability diagnostics (compiled-out layer, unbalanced spans) on
-/// stderr. A run without `--profile` prints nothing.
+/// document or the indented text tree on stdout, plus `O002`
+/// unbalanced-span diagnostics on stderr. A run without `--profile`
+/// prints nothing.
 fn emit_profile(report: PipelineReport, format: Option<ProfileFormat>) {
     let Some(format) = format else { return };
-    if !report.recorded {
-        eprintln!(
-            "csfma-run: {}",
-            Diagnostic::warning(
-                Rule::ObsDisabled,
-                Span::Global,
-                "profiling requested but the observability layer is compiled out; \
-                 rebuild with the default `obs` feature",
-            )
-        );
-    }
     for w in &report.warnings {
         eprintln!(
             "csfma-run: {}",
@@ -471,8 +460,7 @@ fn main() -> ExitCode {
     let report = prof.finish();
 
     // advisory only — the bailed rows were interpreted bit-exactly, the
-    // run just did not get the native speedup it asked for. Silent when
-    // the obs layer is compiled out (nothing is recorded).
+    // run just did not get the native speedup it asked for
     if opts.backend == TapeBackend::Jit {
         let jit_rows = report.counter("jit_rows").unwrap_or(0.0) as u64;
         let jit_bails = report.counter("jit_bailouts").unwrap_or(0.0) as u64;

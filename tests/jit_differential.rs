@@ -243,13 +243,17 @@ fn jit_counts(tape: &Tape, rows: &[f64], threads: usize) -> (f64, f64) {
         .zip(got.iter())
         .all(|(a, b)| a.to_bits() == b.to_bits()));
     let report = prof.finish();
-    let counter = |name: &str| report.counter(name).unwrap_or(0.0);
+    let counter = |name: &str| {
+        report
+            .counter(name)
+            .unwrap_or_else(|| panic!("a jit-backend profile records {name}"))
+    };
     (counter("jit_rows"), counter("jit_bailouts"))
 }
 
 /// Bailout accounting: a batch saturated with NaN rows must run (and
 /// match) with every row bailing; an ordinary batch must not bail at
-/// all. Counter assertions need the obs feature and a real module.
+/// all. Counter assertions need a real module.
 #[test]
 fn nan_rows_bail_and_ordinary_rows_do_not() {
     let g = parse_program("x1 = a*b + c*d;\nx2 = e*f + g*x1;\nout x3 = h*i + k*x2;\n").unwrap();
@@ -262,16 +266,12 @@ fn nan_rows_bail_and_ordinary_rows_do_not() {
     let ok_rows: Vec<f64> = (0..70 * ni).map(|i| (i % 97) as f64 * 0.5 - 24.0).collect();
 
     let (rows, bailouts) = jit_counts(&tape, &nan_rows, 1);
-    if cfg!(feature = "obs") {
-        assert_eq!(rows, 70.0, "every row goes through the jit dispatcher");
-        assert_eq!(bailouts, 70.0, "every NaN row must bail on a load guard");
-    }
+    assert_eq!(rows, 70.0, "every row goes through the jit dispatcher");
+    assert_eq!(bailouts, 70.0, "every NaN row must bail on a load guard");
 
     let (rows, bailouts) = jit_counts(&tape, &ok_rows, 1);
-    if cfg!(feature = "obs") {
-        assert_eq!(rows, 70.0);
-        assert_eq!(bailouts, 0.0, "ordinary rows must run native");
-    }
+    assert_eq!(rows, 70.0);
+    assert_eq!(bailouts, 0.0, "ordinary rows must run native");
 }
 
 /// The program the lane tests evaluate: a product, a quotient and a

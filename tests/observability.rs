@@ -190,12 +190,7 @@ fn span_tree_is_nested_and_counters_match() {
         assert_eq!(out.len(), rows * tape.num_outputs());
         let report = prof.finish();
 
-        if !report.recorded {
-            // obs feature compiled out: the report is legitimately empty.
-            assert!(report.stages.is_empty());
-            return;
-        }
-
+        assert!(report.recorded);
         assert!(report.warnings.is_empty(), "{:?}", report.warnings);
         assert_nesting_sane(&report);
         for stage in ["compile", "gate", "optimize", "lower", "eval"] {
@@ -358,11 +353,7 @@ fn concurrent_calls_report_their_own_counts() {
     let count = |counts: &[(&str, f64)], name: &str| {
         counts.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
     };
-    if cfg!(feature = "obs")
-        && jit_available()
-        && t1.jit_module().is_some()
-        && t2.jit_module().is_some()
-    {
+    if jit_available() && t1.jit_module().is_some() && t2.jit_module().is_some() {
         let jit = |c: &[(&str, f64)]| (count(c, "jit_rows"), count(c, "jit_bailouts"));
         assert_eq!(jit(&solo[0]), (Some(n1 as f64), Some((n1 / 3) as f64)));
         assert_eq!(jit(&solo[1]), (Some(n2 as f64), Some(0.0)));
@@ -378,17 +369,15 @@ fn concurrent_calls_report_their_own_counts() {
         ],
         4,
     );
-    if cfg!(feature = "obs") {
-        for name in [
-            "softfloat_fallbacks",
-            "plane_exception_lanes",
-            "plane_lanes",
-        ] {
-            assert!(count(&solo[0], name) > Some(0.0), "{name}: {:?}", solo[0]);
-        }
-        assert_eq!(count(&solo[1], "fma_ops_pcs"), Some(0.0));
-        assert_eq!(count(&solo[1], "hosted_ops"), Some(4.0 * n2 as f64));
+    for name in [
+        "softfloat_fallbacks",
+        "plane_exception_lanes",
+        "plane_lanes",
+    ] {
+        assert!(count(&solo[0], name) > Some(0.0), "{name}: {:?}", solo[0]);
     }
+    assert_eq!(count(&solo[1], "fma_ops_pcs"), Some(0.0));
+    assert_eq!(count(&solo[1], "hosted_ops"), Some(4.0 * n2 as f64));
 }
 
 #[test]
